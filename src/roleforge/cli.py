@@ -65,6 +65,8 @@ class PipelineConfig:
 
 _PATH_KEYS = ("input", "output_dir")
 _CONFIG_KEYS = tuple(f.name for f in fields(PipelineConfig))
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -89,11 +91,16 @@ def config_from_mapping(data: dict[str, str], base: PipelineConfig | None = None
             raise ConfigError(f"unknown config key {key!r}")
         current = getattr(cfg, key)
         if isinstance(current, bool):
-            parsed: object = value.strip().lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            parsed = int(value)
-        elif isinstance(current, float):
-            parsed = float(value)
+            word = value.strip().lower()
+            if word not in _TRUE_WORDS + _FALSE_WORDS:
+                raise ConfigError(f"{key} must be one of {'/'.join(_TRUE_WORDS + _FALSE_WORDS)}, "
+                                  f"got {value!r}")
+            parsed: object = word in _TRUE_WORDS
+        elif isinstance(current, (int, float)):
+            try:
+                parsed = type(current)(value)
+            except ValueError:
+                raise ConfigError(f"{key} expects {type(current).__name__}, got {value!r}") from None
         else:
             parsed = value
         setattr(cfg, key, parsed)
@@ -225,6 +232,30 @@ def _role_thresholds(cfg: PipelineConfig) -> RoleThresholds:
                           orphan=cfg.orphan_threshold)
 
 
+def _cluster_stage(cfg: PipelineConfig, ids, mat):
+    """standardize -> select_k -> renumber_by_size -> role names.
+
+    Returns the clustering and its two tables, keyed by artifact stem, as
+    (columns, rows, extra header lines); `ids` are the original ids of the
+    rows of `mat`.
+    """
+    std = standardize(mat)
+    res = select_k(std, cfg.k_min, cfg.k_max, seed=cfg.seed, max_iter=cfg.kmeans_max_iter,
+                   tol=cfg.kmeans_tol, restarts=cfg.kmeans_restarts)
+    res = renumber_by_size(res)
+    roles = [label_role(c, _role_thresholds(cfg)) for c in res.centroids]
+    sizes = np.bincount(res.assign, minlength=res.k)
+    tables = {
+        "clusters": (("original_id", "group"),
+                     [(int(ids[u]), int(res.assign[u]) + 1) for u in range(len(ids))], ()),
+        "centroids": (("group", "size", "role", *MEASURE_COLUMNS),
+                      [(i + 1, int(sizes[i]), roles[i], *(float(x) for x in res.centroids[i]))
+                       for i in range(res.k)],
+                      (f"k={res.k}", f"davies_bouldin={res.db_index:.12g}")),
+    }
+    return res, roles, sizes, tables
+
+
 def _stats_rows(mat, groups):
     anova_rows = []
     pair_rows = []
@@ -285,17 +316,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         print(f"[measures] rows={g.n} columns={len(MEASURE_COLUMNS) + 2}")
 
         stage = "cluster"
-        std = standardize(mat)
-        res = select_k(std, cfg.k_min, cfg.k_max, seed=cfg.seed, max_iter=cfg.kmeans_max_iter,
-                       tol=cfg.kmeans_tol, restarts=cfg.kmeans_restarts)
-        res = renumber_by_size(res)
-        roles = [label_role(c, _role_thresholds(cfg)) for c in res.centroids]
-        sizes = np.bincount(res.assign, minlength=res.k)
-        emit("clusters.tsv", ("original_id", "group"),
-             [(int(g.node_ids[u]), int(res.assign[u]) + 1) for u in range(g.n)])
-        emit("centroids.tsv", ("group", "size", "role", *MEASURE_COLUMNS),
-             [(i + 1, int(sizes[i]), roles[i], *(float(x) for x in res.centroids[i])) for i in range(res.k)],
-             extra=(f"k={res.k}", f"davies_bouldin={res.db_index:.12g}"))
+        res, roles, sizes, cluster_tables = _cluster_stage(cfg, g.node_ids, mat)
+        for stem, (columns, rows, extra) in cluster_tables.items():
+            emit(f"{stem}.tsv", columns, rows, extra)
         print(f"[cluster] k={res.k} davies_bouldin={res.db_index:.4f}")
 
         stage = "capitalists"
@@ -440,18 +463,10 @@ def cmd_cluster(args) -> int:
     cfg = _make_config(args)
     validate_config(cfg, for_run=False)
     ids, mat = _load_measures(args.measures)
-    std = standardize(mat)
-    res = select_k(std, cfg.k_min, cfg.k_max, seed=cfg.seed, max_iter=cfg.kmeans_max_iter,
-                   tol=cfg.kmeans_tol, restarts=cfg.kmeans_restarts)
-    res = renumber_by_size(res)
-    roles = [label_role(c, _role_thresholds(cfg)) for c in res.centroids]
-    sizes = np.bincount(res.assign, minlength=res.k)
+    res, _, _, tables = _cluster_stage(cfg, ids, mat)
     chash = config_hash(cfg)
-    write_tsv(f"{args.output}_clusters.tsv", ("original_id", "group"),
-              [(int(ids[u]), int(res.assign[u]) + 1) for u in range(ids.size)], chash)
-    write_tsv(f"{args.output}_centroids.tsv", ("group", "size", "role", *MEASURE_COLUMNS),
-              [(i + 1, int(sizes[i]), roles[i], *(float(x) for x in res.centroids[i])) for i in range(res.k)],
-              chash, extra=(f"k={res.k}", f"davies_bouldin={res.db_index:.12g}"))
+    for stem, (columns, rows, extra) in tables.items():
+        write_tsv(f"{args.output}_{stem}.tsv", columns, rows, chash, extra)
     print(f"[cluster] k={res.k} davies_bouldin={res.db_index:.4f} -> {args.output}_clusters.tsv")
     return 0
 

@@ -63,10 +63,26 @@ def _init_centroids(x, k, rng):
 
 
 def _assign_step(x, x_sq, c):
-    d = x_sq[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (x @ c.T)
+    """Nearest centroid of every row, as narrow unsigned labels, and its squared distance.
+
+    Works on a k x n distance matrix so every pass runs over a contiguous
+    length-n row rather than n rows of length k.  The values are bitwise
+    those of x_sq + |c|^2 - 2 x.c: scaling c by -2 is exact, the product is
+    the same n x k BLAS call, and the addition is commutative.  Any other
+    BLAS layout (`c @ x.T`, or writing through `out=d.T`) may round
+    differently, since BLAS kernels for the tail rows of a block need not
+    accumulate in the same order.
+    """
+    k = c.shape[0]
+    d = (c * c).sum(axis=1)[:, None] + x_sq[None, :]
+    d += (x @ (-2.0 * c).T).T
     np.maximum(d, 0.0, out=d)
-    assign = d.argmin(axis=1)  # ties resolve to the lowest group id
-    return assign, d[np.arange(x.shape[0]), assign]
+    point_d = np.minimum.reduce(d, axis=0)
+    # Ties resolve to the lowest group id: a match in row j scores k - j and
+    # the highest score wins.
+    score = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
+    assign = k - np.maximum.reduce((d == point_d) * score, axis=0)
+    return assign, point_d
 
 
 def _repair_empty(x, c, assign, point_d, counts):
@@ -95,10 +111,12 @@ def _lloyd(x, k, rng, max_iter, tol):
         counts = np.bincount(assign, minlength=k)
         _repair_empty(x, c, assign, point_d, counts)
         trace.append(float(point_d.sum()))
-        # group sums in canonical row order: deterministic reduction
+        # group sums in canonical row order: deterministic reduction.  A stable
+        # sort has one result, so sorting the narrow labels (radix-sorted by
+        # NumPy) gives the permutation the int64 labels would.
         idx = np.argsort(assign, kind="stable")
-        bounds = np.searchsorted(assign[idx], np.arange(k))
-        sums = np.add.reduceat(x[idx], bounds, axis=0)
+        starts = np.cumsum(counts) - counts
+        sums = np.add.reduceat(x.take(idx, axis=0), starts, axis=0)
         new_c = sums / counts[:, None]
         shift = np.sqrt(((new_c - c) ** 2).sum(axis=1)).max()
         c = new_c

@@ -2,10 +2,14 @@
 
 Everything here works on plain edge lists (list of (u, v) pairs), integer
 label lists, and Python dicts/sets, enumerating arcs directly.  Nothing is
-shared with the package's CSR/vectorized code paths.
+shared with the package's CSR/vectorized code paths.  The k-means oracle is
+the exception: it keeps the straightforward n x k NumPy form of the Lloyd
+step, because the package must reproduce its arithmetic bit for bit.
 """
 
 from math import sqrt
+
+import numpy as np
 
 
 def neighbor_lists(edges, n):
@@ -229,3 +233,92 @@ def oracle_davies_bouldin(points, assign, centroids):
             worst = max(worst, (scatter[i] + scatter[j]) / sep)
         total += worst
     return total / k
+
+
+def _oracle_init_centroids(x, k, rng):
+    n = x.shape[0]
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = int(rng.integers(n))
+    d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            remaining = np.setdiff1d(np.arange(n), chosen[:j])
+            idx = int(remaining[0]) if remaining.size else int(rng.integers(n))
+        chosen[j] = idx
+        d2 = np.minimum(d2, ((x - x[idx]) ** 2).sum(axis=1))
+    return x[chosen].copy()
+
+
+def _oracle_assign_step(x, x_sq, c):
+    d = x_sq[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (x @ c.T)
+    np.maximum(d, 0.0, out=d)
+    assign = d.argmin(axis=1)
+    return assign, d[np.arange(x.shape[0]), assign]
+
+
+def _oracle_repair_empty(x, c, assign, point_d, counts):
+    changed = False
+    for empty in np.flatnonzero(counts == 0):
+        far = int(point_d.argmax())
+        counts[assign[far]] -= 1
+        assign[far] = empty
+        counts[empty] += 1
+        c[empty] = x[far]
+        point_d[far] = 0.0
+        changed = True
+    return changed
+
+
+def _oracle_lloyd(x, k, rng, max_iter, tol):
+    x_sq = (x * x).sum(axis=1)
+    c = _oracle_init_centroids(x, k, rng)
+    trace = []
+    for _ in range(max_iter):
+        assign, point_d = _oracle_assign_step(x, x_sq, c)
+        counts = np.bincount(assign, minlength=k)
+        _oracle_repair_empty(x, c, assign, point_d, counts)
+        trace.append(float(point_d.sum()))
+        idx = np.argsort(assign, kind="stable")
+        bounds = np.searchsorted(assign[idx], np.arange(k))
+        sums = np.add.reduceat(x[idx], bounds, axis=0)
+        new_c = sums / counts[:, None]
+        shift = np.sqrt(((new_c - c) ** 2).sum(axis=1)).max()
+        c = new_c
+        if shift < tol:
+            break
+    assign, point_d = _oracle_assign_step(x, x_sq, c)
+    for _ in range(k):
+        counts = np.bincount(assign, minlength=k)
+        if not _oracle_repair_empty(x, c, assign, point_d, counts):
+            break
+        assign, point_d = _oracle_assign_step(x, x_sq, c)
+    trace.append(float(point_d.sum()))
+    return assign, c, float(point_d.sum()), tuple(trace)
+
+
+def oracle_kmeans(mat, k, seed=0, max_iter=100, tol=1e-6, restarts=10):
+    """(assign, centroids, inertia, inertia_trace) of seeded k-means.
+
+    The Lloyd step in its direct row-major form: an n x k distance matrix,
+    a per-row argmin (ties to the lowest group id), and centroid sums by
+    `np.add.reduceat` over the rows stably sorted by int64 label.  Restarts,
+    seeding and the canonical row order follow `roleforge.clustering.kmeans`.
+    """
+    x = np.asarray(mat, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    order = np.lexsort(x.T[::-1])
+    xc = x[order]
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        assign_c, c, inertia, trace = _oracle_lloyd(xc, k, rng, max_iter, tol)
+        if best is None or inertia < best[2]:
+            best = (assign_c, c, inertia, trace)
+    assign_c, c, inertia, trace = best
+    assign = np.empty(x.shape[0], dtype=np.int64)
+    assign[order] = assign_c
+    return assign, c, inertia, trace

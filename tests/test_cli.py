@@ -47,6 +47,21 @@ def test_config_file_parse_and_overrides(tmp_path):
         parse_config_file(bad)
 
 
+def test_config_values_are_strict(tmp_path, capsys):
+    assert config_from_mapping({"lambda_include_zeros": " Yes"}).lambda_include_zeros is True
+    assert config_from_mapping({"lambda_include_zeros": "off"}).lambda_include_zeros is False
+    with pytest.raises(ConfigError, match="lambda_include_zeros"):
+        config_from_mapping({"lambda_include_zeros": "ture"})
+    for key, value in (("k_max", "abc"), ("seed", "1.5"), ("kmeans_tol", "small")):
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping({key: value})
+    # through the CLI: a clean error naming the key, not a traceback
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"input={write_g1(tmp_path)}\nk_max=abc\n")
+    assert main(["run", "--config", str(cfg_file), "--output-dir", str(tmp_path / "out")]) == 1
+    assert "k_max" in capsys.readouterr().err
+
+
 def test_config_validation(tmp_path):
     cfg = g1_config(tmp_path, k_min=5, k_max=3)
     with pytest.raises(ConfigError, match="k range"):

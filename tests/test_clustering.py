@@ -3,11 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from roleforge.clustering import (ClusteringResult, RoleThresholds, davies_bouldin, kmeans,
-                                  label_role, renumber_by_size, select_k, standardize)
+from roleforge.clustering import (ClusteringResult, RoleThresholds, _assign_step, davies_bouldin,
+                                  kmeans, label_role, renumber_by_size, select_k, standardize)
 from roleforge.errors import ConfigError, DegenerateClusteringError, UndefinedValueError
 
-from oracles import oracle_davies_bouldin
+from oracles import oracle_davies_bouldin, oracle_kmeans
 
 
 def blobs(k, n_per, seed, sigma=0.1, sep=6.0, dim=8):
@@ -111,6 +111,66 @@ def test_kmeans_row_permutation_invariance():
     for i, j in zip(res_p.assign, res.assign[perm]):
         relabel.setdefault(int(i), int(j))
         assert relabel[int(i)] == int(j)
+
+
+def oracle_inputs():
+    """Gaussian data, tie-heavy rounded data with every row duplicated, and 1-D data.
+
+    n = 500 and 404 leave 4 rows past a multiple of 8.  With OpenBLAS's
+    Haswell kernels, computing the distance product in the k x n layout
+    instead of n x k rounds those rows differently once k >= 12, which the
+    k range below reaches.
+    """
+    rng = np.random.default_rng(29)
+    ties = np.round(rng.standard_normal((202, 4)), 1)
+    return {
+        "gaussian": rng.standard_normal((500, 3)),
+        "ties": np.vstack([ties, ties]),
+        "one_dim": np.round(rng.standard_normal(150), 1),
+    }
+
+
+@pytest.mark.parametrize("name", ["gaussian", "ties", "one_dim"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_kmeans_bitwise_matches_oracle(name, seed):
+    x = oracle_inputs()[name]
+    for k in range(2, 16):
+        res = kmeans(x, k, seed=seed)
+        assign, centroids, inertia, trace = oracle_kmeans(x, k, seed=seed)
+        assert res.assign.dtype == np.int64
+        assert np.array_equal(res.assign, assign), k
+        assert res.centroids.tobytes() == centroids.tobytes(), k
+        assert np.float64(res.inertia).tobytes() == np.float64(inertia).tobytes(), k
+        assert np.array(res.inertia_trace).tobytes() == np.array(trace).tobytes(), k
+
+
+@pytest.mark.parametrize("name", ["gaussian", "ties", "one_dim"])
+def test_select_k_matches_oracle(name):
+    x = oracle_inputs()[name]
+    best = None
+    for k in range(2, 9):
+        assign, centroids, inertia, _ = oracle_kmeans(x, k, seed=3, restarts=4)
+        try:
+            db = davies_bouldin(x, ClusteringResult(k=k, assign=assign, centroids=centroids,
+                                                    inertia=inertia))
+        except DegenerateClusteringError:
+            continue
+        if best is None or db < best[1]:
+            best = (k, db)
+    res = select_k(x, 2, 8, seed=3, restarts=4)
+    assert (res.k, res.db_index) == best
+
+
+def test_assign_step_ties_to_lowest_group():
+    x = np.array([[0.0], [1.0], [2.0]])
+    x_sq = (x * x).sum(axis=1)
+    cases = (([[0.0], [2.0]], [0, 0, 1], [0.0, 1.0, 0.0]),
+             ([[2.0], [0.0]], [1, 0, 0], [0.0, 1.0, 0.0]),
+             ([[2.0], [1.0], [1.0], [0.0]], [3, 1, 0], [0.0, 0.0, 0.0]))
+    for c, want_assign, want_d in cases:
+        assign, point_d = _assign_step(x, x_sq, np.array(c))
+        assert assign.tolist() == want_assign
+        assert point_d.tolist() == want_d
 
 
 def test_kmeans_restarts_never_hurt():
