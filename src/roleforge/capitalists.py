@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import UndefinedValueError
 from .graph import DirectedGraph
-from .parallel import map_chunks
 
 IN_DEGREE_FLOOR = 500
 LOW_BAND_MAX = 10000
@@ -98,10 +97,9 @@ def detect_capitalists(g: DirectedGraph, *, overlap_min: float = 0.8,
     """
     if not 0.0 <= overlap_min <= 1.0:
         raise ValueError(f"overlap_min {overlap_min} outside [0, 1]")
-    candidates = np.flatnonzero(g.in_degrees >= in_degree_min)
-    overlaps = map_chunks(lambda chunk: [overlap_index(g, int(u)) for u in chunk], candidates.tolist())
     records = []
-    for u, ov in zip(candidates.tolist(), overlaps):
+    for u in np.flatnonzero(g.in_degrees >= in_degree_min).tolist():
+        ov = overlap_index(g, u)
         if ov >= overlap_min:
             k_in = int(g.in_degrees[u])
             k_out = int(g.out_degrees[u])
@@ -112,23 +110,24 @@ def detect_capitalists(g: DirectedGraph, *, overlap_min: float = 0.8,
     return records
 
 
-def crosstab(records, result, n_nodes: int) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
-    """Two percentage rows per (band, behavior) slice against clustering groups.
+def crosstab(records, assign, k: int) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
+    """Two percentage rows per (band, behavior) slice against k groups.
 
+    `assign` holds the group, in [0, k), of every node a record may name.
     Row A is the share of the slice's accounts falling in each group (rows
     sum to 100 when the slice is non-empty); row B is the share of each
     group's nodes that belong to the slice.  Empty slices yield all-zero
     rows.
     """
-    if result.assign.shape[0] != n_nodes:
-        raise ValueError("clustering does not cover the graph nodes")
-    k = result.k
-    group_sizes = np.bincount(result.assign, minlength=k).astype(np.float64)
+    assign = np.asarray(assign)
+    if assign.size and (assign.min() < 0 or assign.max() >= k):
+        raise ValueError(f"group labels must lie in [0, {k})")
+    group_sizes = np.bincount(assign, minlength=k).astype(np.float64)
     tables = {}
     for band, behavior in SLICES:
         nodes = [rec.node for rec in records if rec.band == band and rec.behavior == behavior]
         if nodes:
-            counts = np.bincount(result.assign[np.asarray(nodes)], minlength=k).astype(np.float64)
+            counts = np.bincount(assign[np.asarray(nodes)], minlength=k).astype(np.float64)
         else:
             counts = np.zeros(k)
         total = counts.sum()

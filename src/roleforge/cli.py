@@ -19,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .capitalists import crosstab, detect_capitalists
-from .clustering import (ClusteringResult, RoleThresholds, label_role, renumber_by_size,
-                         select_k, standardize)
+from .capitalists import CapitalistRecord, crosstab, detect_capitalists
+from .clustering import RoleThresholds, label_role, renumber_by_size, select_k, standardize
 from .errors import ConfigError, DegenerateVarianceError, PipelineStageError, RoleForgeError
 from .graph import CONVENTIONS, DirectedGraph, load_edge_list
 from .louvain import Partition, louvain_directed
@@ -36,9 +35,7 @@ class PipelineConfig:
     """End-to-end pipeline parameters.
 
     `input` and `output_dir` are paths; everything else drives computation
-    and is covered by the config hash.  The ga_* entries are the external
-    constants of the classical 7-role typology, kept here so they are
-    visible configuration rather than buried defaults.
+    and is covered by the config hash.
     """
 
     input: str = ""
@@ -58,9 +55,6 @@ class PipelineConfig:
     pivot_threshold: float = 1.0
     connector_threshold: float = 0.5
     orphan_threshold: float = 5.0
-    ga_z_hub: float = 2.5
-    ga_nonhub_cuts: str = "0.05,0.62,0.80"
-    ga_hub_cuts: str = "0.30,0.75"
 
 
 _PATH_KEYS = ("input", "output_dir")
@@ -107,16 +101,6 @@ def config_from_mapping(data: dict[str, str], base: PipelineConfig | None = None
     return cfg
 
 
-def _parse_cuts(raw: str, want: int) -> tuple[float, ...]:
-    try:
-        cuts = tuple(float(v) for v in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"cut points must be comma-separated numbers, got {raw!r}") from None
-    if len(cuts) != want:
-        raise ConfigError(f"expected {want} cut points, got {len(cuts)} in {raw!r}")
-    return cuts
-
-
 def validate_config(cfg: PipelineConfig, *, for_run: bool = True) -> None:
     if cfg.direction not in CONVENTIONS:
         raise ConfigError(f"direction must be one of {CONVENTIONS}")
@@ -132,8 +116,6 @@ def validate_config(cfg: PipelineConfig, *, for_run: bool = True) -> None:
         raise ConfigError("k-means needs restarts >= 1, max_iter >= 1, tol > 0")
     if cfg.min_gain < 0:
         raise ConfigError("min_gain must be non-negative")
-    _parse_cuts(cfg.ga_nonhub_cuts, 3)
-    _parse_cuts(cfg.ga_hub_cuts, 2)
     if for_run:
         if not cfg.input:
             raise ConfigError("input is required")
@@ -211,20 +193,40 @@ def _sha256(path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# stages
+# stages: each maps in-memory inputs to its result plus its tables, keyed by
+# artifact stem as (columns, rows, extra header lines).  `run` chains them;
+# each subcommand loads its artifacts and calls one.
 
-def _partition_rows(g: DirectedGraph, part: Partition):
+def _ingest_stage(cfg: PipelineConfig) -> DirectedGraph:
+    g = load_edge_list(cfg.input, convention=cfg.direction)
+    if g.m == 0:
+        raise ConfigError("input graph has no arcs")
+    return g
+
+
+def _communities_stage(cfg: PipelineConfig, g: DirectedGraph):
+    part, trace = louvain_directed(g, min_gain=cfg.min_gain, seed=cfg.seed, order=cfg.order)
     ids = g.node_ids
-    return [(int(ids[u]), int(part.assign[u])) for u in range(g.n)]
+    tables = {
+        "partition": (("original_id", "community"),
+                      [(int(ids[u]), int(part.assign[u])) for u in range(g.n)], ()),
+        "id_map": (("dense_id", "original_id"), [(u, int(ids[u])) for u in range(g.n)], ()),
+    }
+    return part, trace, tables
 
 
-def _measures_rows(g: DirectedGraph, part: Partition, mat, emb, pcs):
+def _measures_stage(cfg: PipelineConfig, g: DirectedGraph, part: Partition):
+    profile = community_profile(g, part, lambda_include_zeros=cfg.lambda_include_zeros)
+    mat = measures_from_profile(profile, part)
+    emb = embeddedness_values(profile)
+    pcs = participation_coefficients(g, part)
     ids = g.node_ids
     rows = []
     for u in range(g.n):
         e = None if emb[u] != emb[u] else float(emb[u])
         rows.append((int(ids[u]), int(part.assign[u]), *(float(x) for x in mat[u]), e, float(pcs[u])))
-    return rows
+    columns = ("original_id", "community", *MEASURE_COLUMNS, "embeddedness", "participation")
+    return mat, {"measures": (columns, rows, ())}
 
 
 def _role_thresholds(cfg: PipelineConfig) -> RoleThresholds:
@@ -233,12 +235,8 @@ def _role_thresholds(cfg: PipelineConfig) -> RoleThresholds:
 
 
 def _cluster_stage(cfg: PipelineConfig, ids, mat):
-    """standardize -> select_k -> renumber_by_size -> role names.
-
-    Returns the clustering and its two tables, keyed by artifact stem, as
-    (columns, rows, extra header lines); `ids` are the original ids of the
-    rows of `mat`.
-    """
+    """standardize -> select_k -> renumber_by_size -> role names; `ids` are
+    the original ids of the rows of `mat`."""
     std = standardize(mat)
     res = select_k(std, cfg.k_min, cfg.k_max, seed=cfg.seed, max_iter=cfg.kmeans_max_iter,
                    tol=cfg.kmeans_tol, restarts=cfg.kmeans_restarts)
@@ -253,10 +251,34 @@ def _cluster_stage(cfg: PipelineConfig, ids, mat):
                        for i in range(res.k)],
                       (f"k={res.k}", f"davies_bouldin={res.db_index:.12g}")),
     }
-    return res, roles, sizes, tables
+    return res, roles, tables
 
 
-def _stats_rows(mat, groups):
+def _crosstab_table(records, assign, k: int):
+    """crosstab and its table: per slice, the share of capitalists, then of group."""
+    ct = crosstab(records, assign, k)
+    rows = []
+    for (band, behavior), (row_a, row_b) in ct.items():
+        rows.append((band, behavior, "share_of_capitalists", *(float(v) for v in row_a)))
+        rows.append((band, behavior, "share_of_group", *(float(v) for v in row_b)))
+    return ct, (("band", "behavior", "row", *(f"G{i}" for i in range(1, k + 1))), rows)
+
+
+def _capitalists_stage(cfg: PipelineConfig, g: DirectedGraph, assign, k: int):
+    """Detection against the groups `assign` (0-based, one per node of `g`)."""
+    records = detect_capitalists(g, overlap_min=cfg.overlap_min, in_degree_min=cfg.in_degree_min)
+    meta = (f"overlap_min={cfg.overlap_min}", f"in_degree_min={cfg.in_degree_min}")
+    ct, (ct_columns, ct_rows) = _crosstab_table(records, assign, k)
+    tables = {
+        "capitalists": (("original_id", "k_in", "k_out", "overlap", "ratio", "band", "behavior", "group"),
+                        [(int(g.node_ids[r.node]), r.k_in, r.k_out, r.overlap, r.ratio, r.band,
+                          r.behavior, int(assign[r.node]) + 1) for r in records], meta),
+        "crosstab": (ct_columns, ct_rows, meta),
+    }
+    return records, ct, tables
+
+
+def _stats_stage(mat, groups):
     anova_rows = []
     pair_rows = []
     for j, name in enumerate(MEASURE_COLUMNS):
@@ -272,7 +294,42 @@ def _stats_rows(mat, groups):
             for b in range(a + 1, k):
                 p = pmat[a, b]
                 pair_rows.append((name, a + 1, b + 1, "NA" if p != p else format_p(float(p))))
-    return anova_rows, pair_rows
+    return {
+        "anova": (("measure", "F", "df_between", "df_within", "p"), anova_rows, ()),
+        "pairwise": (("measure", "group_a", "group_b", "p_adjusted"), pair_rows, ()),
+    }
+
+
+def _report_stage(mat, assign, k: int, roles, ct, *, overlap_min: float, in_degree_min: int):
+    """The report text and its group tables; `ct` is the crosstab of the capitalists."""
+    group_rows = group_summary_rows(np.bincount(assign, minlength=k), roles)
+    mean_rows = [mat[assign == i].mean(axis=0) if (assign == i).any() else np.zeros(mat.shape[1])
+                 for i in range(k)]
+    text = render_report(group_rows, mean_rows, MEASURE_COLUMNS, ct, k,
+                         overlap_min=overlap_min, in_degree_min=in_degree_min)
+    tables = {
+        "groups": (("group", "size", "share_pct", "role"),
+                   [(i, s, f"{share:.2f}", role) for i, s, share, role in group_rows], ()),
+        "group_means": (("group", *MEASURE_COLUMNS),
+                        [(i + 1, *(float(x) for x in mean_rows[i])) for i in range(k)], ()),
+    }
+    return text, tables
+
+
+def _write_tables(tables, chash: str, path_for) -> None:
+    for stem, (columns, rows, extra) in tables.items():
+        write_tsv(path_for(stem), columns, rows, chash, extra)
+
+
+def _write_text(path, text: str, chash: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# config_hash={chash}\n")
+        fh.write(text)
+
+
+# file names `run` gives the stems whose name is not just stem + ".tsv"
+_RUN_NAMES = {"crosstab": "capitalists_crosstab.tsv", "report": "report.txt",
+              "groups": "report_groups.tsv", "group_means": "report_group_means.tsv"}
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
@@ -287,78 +344,47 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     chash = config_hash(cfg)
     artifacts: list[str] = []
 
-    def emit(name, columns, rows, extra=()):
-        write_tsv(outdir / name, columns, rows, chash, extra)
+    def artifact(stem):
+        name = _RUN_NAMES.get(stem, f"{stem}.tsv")
         artifacts.append(name)
+        return outdir / name
 
     stage = "ingest"
     try:
-        g = load_edge_list(cfg.input, convention=cfg.direction)
-        if g.m == 0:
-            raise ConfigError("input graph has no arcs")
+        g = _ingest_stage(cfg)
         print(f"[ingest] n={g.n} m={g.m}")
 
         stage = "communities"
-        part, trace = louvain_directed(g, min_gain=cfg.min_gain, seed=cfg.seed, order=cfg.order)
-        emit("partition.tsv", ("original_id", "community"), _partition_rows(g, part))
-        emit("id_map.tsv", ("dense_id", "original_id"),
-             [(u, int(g.node_ids[u])) for u in range(g.n)])
+        part, trace, tables = _communities_stage(cfg, g)
+        _write_tables(tables, chash, artifact)
         print(f"[communities] passes={len(trace.modularity)} communities={part.n_comms} "
               f"Q={trace.modularity[-1]:.6f}")
 
         stage = "measures"
-        profile = community_profile(g, part, lambda_include_zeros=cfg.lambda_include_zeros)
-        mat = measures_from_profile(profile, part)
-        emb = embeddedness_values(profile)
-        pcs = participation_coefficients(g, part)
-        emit("measures.tsv", ("original_id", "community", *MEASURE_COLUMNS, "embeddedness", "participation"),
-             _measures_rows(g, part, mat, emb, pcs))
+        mat, tables = _measures_stage(cfg, g, part)
+        _write_tables(tables, chash, artifact)
         print(f"[measures] rows={g.n} columns={len(MEASURE_COLUMNS) + 2}")
 
         stage = "cluster"
-        res, roles, sizes, cluster_tables = _cluster_stage(cfg, g.node_ids, mat)
-        for stem, (columns, rows, extra) in cluster_tables.items():
-            emit(f"{stem}.tsv", columns, rows, extra)
+        res, roles, tables = _cluster_stage(cfg, g.node_ids, mat)
+        _write_tables(tables, chash, artifact)
         print(f"[cluster] k={res.k} davies_bouldin={res.db_index:.4f}")
 
         stage = "capitalists"
-        records = detect_capitalists(g, overlap_min=cfg.overlap_min, in_degree_min=cfg.in_degree_min)
-        cap_meta = (f"overlap_min={cfg.overlap_min}", f"in_degree_min={cfg.in_degree_min}")
-        emit("capitalists.tsv",
-             ("original_id", "k_in", "k_out", "overlap", "ratio", "band", "behavior", "group"),
-             [(int(g.node_ids[r.node]), r.k_in, r.k_out, r.overlap, r.ratio, r.band, r.behavior,
-               int(res.assign[r.node]) + 1) for r in records],
-             extra=cap_meta)
-        tables = crosstab(records, res, g.n)
-        ct_rows = []
-        for (band, behavior), (row_a, row_b) in tables.items():
-            ct_rows.append((band, behavior, "share_of_capitalists", *(float(v) for v in row_a)))
-            ct_rows.append((band, behavior, "share_of_group", *(float(v) for v in row_b)))
-        emit("capitalists_crosstab.tsv",
-             ("band", "behavior", "row", *(f"G{i}" for i in range(1, res.k + 1))),
-             ct_rows, extra=cap_meta)
+        records, ct, tables = _capitalists_stage(cfg, g, res.assign, res.k)
+        _write_tables(tables, chash, artifact)
         print(f"[capitalists] detected={len(records)}")
 
         stage = "stats"
-        anova_rows, pair_rows = _stats_rows(mat, res.assign)
-        emit("anova.tsv", ("measure", "F", "df_between", "df_within", "p"), anova_rows)
-        emit("pairwise.tsv", ("measure", "group_a", "group_b", "p_adjusted"), pair_rows)
-        print(f"[stats] anova_rows={len(anova_rows)} pairwise_rows={len(pair_rows)}")
+        tables = _stats_stage(mat, res.assign)
+        _write_tables(tables, chash, artifact)
+        print(f"[stats] anova_rows={len(tables['anova'][1])} pairwise_rows={len(tables['pairwise'][1])}")
 
         stage = "report"
-        group_rows = group_summary_rows(sizes, roles)
-        mean_rows = [mat[res.assign == i].mean(axis=0) for i in range(res.k)]
-        text = render_report(group_rows, mean_rows, MEASURE_COLUMNS, tables, res.k,
-                             overlap_min=cfg.overlap_min, in_degree_min=cfg.in_degree_min)
-        report_path = outdir / "report.txt"
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(f"# config_hash={chash}\n")
-            fh.write(text)
-        artifacts.append("report.txt")
-        emit("report_groups.tsv", ("group", "size", "share_pct", "role"),
-             [(i, s, f"{share:.2f}", role) for i, s, share, role in group_rows])
-        emit("report_group_means.tsv", ("group", *MEASURE_COLUMNS),
-             [(i + 1, *(float(x) for x in mean_rows[i])) for i in range(res.k)])
+        text, tables = _report_stage(mat, res.assign, res.k, roles, ct,
+                                     overlap_min=cfg.overlap_min, in_degree_min=cfg.in_degree_min)
+        _write_text(artifact("report"), text, chash)
+        _write_tables(tables, chash, artifact)
         print("[report] written")
     except Exception as exc:
         raise PipelineStageError(stage, exc) from exc
@@ -377,14 +403,22 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 # ---------------------------------------------------------------------------
 # artifact readers used by the standalone subcommands
 
-def _load_partition_for(g: DirectedGraph, path) -> Partition:
+def _labels_for(path, ids, what: str) -> list[int]:
+    """Second column of the artifact at `path`, joined on original id, in the order of `ids`."""
     _, rows, _ = read_tsv(path)
-    comm_of = {int(r[0]): int(r[1]) for r in rows}
+    label_of = {int(r[0]): int(r[1]) for r in rows}
     try:
-        labels = [comm_of[int(orig)] for orig in g.node_ids]
+        return [label_of[int(v)] for v in ids]
     except KeyError as missing:
-        raise RoleForgeError(f"partition file {path} does not cover node {missing}") from None
-    return Partition.from_labels(labels)
+        raise RoleForgeError(f"{what} file {path} does not cover node {missing}") from None
+
+
+def _load_groups(path, ids):
+    """0-based group labels of a clusters file aligned to `ids`, and k."""
+    assign = np.array(_labels_for(path, ids, "clusters"), dtype=np.int64) - 1
+    if assign.size and assign.min() < 0:
+        raise RoleForgeError(f"clusters file {path} has group labels below 1")
+    return assign, int(assign.max()) + 1 if assign.size else 1
 
 
 def _load_measures(path):
@@ -395,22 +429,6 @@ def _load_measures(path):
     ids = np.array([int(r[0]) for r in rows], dtype=np.int64)
     mat = np.array([[float(v) for v in r[2:10]] for r in rows], dtype=np.float64)
     return ids, mat
-
-
-def _load_clusters(path):
-    _, rows, _ = read_tsv(path)
-    ids = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    groups = np.array([int(r[1]) - 1 for r in rows], dtype=np.int64)
-    return ids, groups
-
-
-def _align(ids_a, ids_b, what: str):
-    """Index array mapping rows of b onto the order of a (join on original id)."""
-    pos = {int(v): i for i, v in enumerate(ids_b)}
-    try:
-        return np.array([pos[int(v)] for v in ids_a], dtype=np.int64)
-    except KeyError as missing:
-        raise RoleForgeError(f"{what} does not cover node {missing}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -425,130 +443,82 @@ def _make_config(args) -> PipelineConfig:
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = str(value)
-    return config_from_mapping(overrides, cfg)
+    cfg = config_from_mapping(overrides, cfg)
+    validate_config(cfg, for_run=False)
+    return cfg
 
 
 def cmd_communities(args) -> int:
     cfg = _make_config(args)
-    validate_config(cfg, for_run=False)
-    g = load_edge_list(args.input, convention=cfg.direction)
-    if g.m == 0:
-        raise ConfigError("input graph has no arcs")
-    part, trace = louvain_directed(g, min_gain=cfg.min_gain, seed=cfg.seed, order=cfg.order)
-    chash = config_hash(cfg)
-    write_tsv(args.output, ("original_id", "community"), _partition_rows(g, part), chash)
-    map_path = Path(args.output).with_suffix(".id_map.tsv")
-    write_tsv(map_path, ("dense_id", "original_id"),
-              [(u, int(g.node_ids[u])) for u in range(g.n)], chash)
+    g = _ingest_stage(cfg)
+    part, trace, tables = _communities_stage(cfg, g)
+    paths = {"partition": args.output, "id_map": Path(args.output).with_suffix(".id_map.tsv")}
+    _write_tables(tables, config_hash(cfg), paths.get)
     print(f"[communities] n={g.n} communities={part.n_comms} Q={trace.modularity[-1]:.6f} -> {args.output}")
     return 0
 
 
 def cmd_measures(args) -> int:
     cfg = _make_config(args)
-    validate_config(cfg, for_run=False)
-    g = load_edge_list(args.input, convention=cfg.direction)
-    part = _load_partition_for(g, args.partition)
-    profile = community_profile(g, part, lambda_include_zeros=cfg.lambda_include_zeros)
-    mat = measures_from_profile(profile, part)
-    emb = embeddedness_values(profile)
-    pcs = participation_coefficients(g, part)
-    write_tsv(args.output, ("original_id", "community", *MEASURE_COLUMNS, "embeddedness", "participation"),
-              _measures_rows(g, part, mat, emb, pcs), config_hash(cfg))
+    g = _ingest_stage(cfg)
+    part = Partition.from_labels(_labels_for(args.partition, g.node_ids, "partition"))
+    _, tables = _measures_stage(cfg, g, part)
+    _write_tables(tables, config_hash(cfg), lambda stem: args.output)
     print(f"[measures] rows={g.n} -> {args.output}")
     return 0
 
 
 def cmd_cluster(args) -> int:
     cfg = _make_config(args)
-    validate_config(cfg, for_run=False)
     ids, mat = _load_measures(args.measures)
-    res, _, _, tables = _cluster_stage(cfg, ids, mat)
-    chash = config_hash(cfg)
-    for stem, (columns, rows, extra) in tables.items():
-        write_tsv(f"{args.output}_{stem}.tsv", columns, rows, chash, extra)
+    res, _, tables = _cluster_stage(cfg, ids, mat)
+    _write_tables(tables, config_hash(cfg), lambda stem: f"{args.output}_{stem}.tsv")
     print(f"[cluster] k={res.k} davies_bouldin={res.db_index:.4f} -> {args.output}_clusters.tsv")
     return 0
 
 
 def cmd_capitalists(args) -> int:
     cfg = _make_config(args)
-    validate_config(cfg, for_run=False)
-    g = load_edge_list(args.input, convention=cfg.direction)
-    cids, groups = _load_clusters(args.clusters)
-    take = _align(g.node_ids, cids, f"clusters file {args.clusters}")
-    assign = groups[take]
-    k = int(assign.max()) + 1 if assign.size else 1
-    res = ClusteringResult(k=k, assign=assign, centroids=np.zeros((k, len(MEASURE_COLUMNS))), inertia=0.0)
-    records = detect_capitalists(g, overlap_min=cfg.overlap_min, in_degree_min=cfg.in_degree_min)
-    chash = config_hash(cfg)
-    meta = (f"overlap_min={cfg.overlap_min}", f"in_degree_min={cfg.in_degree_min}")
-    write_tsv(f"{args.output}_capitalists.tsv",
-              ("original_id", "k_in", "k_out", "overlap", "ratio", "band", "behavior", "group"),
-              [(int(g.node_ids[r.node]), r.k_in, r.k_out, r.overlap, r.ratio, r.band, r.behavior,
-                int(assign[r.node]) + 1) for r in records], chash, extra=meta)
-    tables = crosstab(records, res, g.n)
-    rows = []
-    for (band, behavior), (row_a, row_b) in tables.items():
-        rows.append((band, behavior, "share_of_capitalists", *(float(v) for v in row_a)))
-        rows.append((band, behavior, "share_of_group", *(float(v) for v in row_b)))
-    write_tsv(f"{args.output}_crosstab.tsv",
-              ("band", "behavior", "row", *(f"G{i}" for i in range(1, k + 1))), rows, chash, extra=meta)
+    g = _ingest_stage(cfg)
+    assign, k = _load_groups(args.clusters, g.node_ids)
+    records, _, tables = _capitalists_stage(cfg, g, assign, k)
+    _write_tables(tables, config_hash(cfg), lambda stem: f"{args.output}_{stem}.tsv")
     print(f"[capitalists] detected={len(records)} -> {args.output}_capitalists.tsv")
     return 0
 
 
 def cmd_stats(args) -> int:
     cfg = _make_config(args)
-    validate_config(cfg, for_run=False)
     mids, mat = _load_measures(args.measures)
-    cids, groups = _load_clusters(args.clusters)
-    take = _align(mids, cids, f"clusters file {args.clusters}")
-    anova_rows, pair_rows = _stats_rows(mat, groups[take])
-    chash = config_hash(cfg)
-    write_tsv(f"{args.output}_anova.tsv", ("measure", "F", "df_between", "df_within", "p"),
-              anova_rows, chash)
-    write_tsv(f"{args.output}_pairwise.tsv", ("measure", "group_a", "group_b", "p_adjusted"),
-              pair_rows, chash)
+    assign, _ = _load_groups(args.clusters, mids)
+    tables = _stats_stage(mat, assign)
+    _write_tables(tables, config_hash(cfg), lambda stem: f"{args.output}_{stem}.tsv")
     print(f"[stats] -> {args.output}_anova.tsv")
     return 0
 
 
 def cmd_report(args) -> int:
     cfg = _make_config(args)
-    validate_config(cfg, for_run=False)
     mids, mat = _load_measures(args.measures)
-    cids, groups = _load_clusters(args.clusters)
-    take = _align(mids, cids, f"clusters file {args.clusters}")
-    assign = groups[take]
-    header, crows, cmeta = read_tsv(args.centroids)
+    assign, _ = _load_groups(args.clusters, mids)
+    _, crows, _ = read_tsv(args.centroids)
     k = len(crows)
     roles = [r[2] for r in crows]
-    sizes = np.bincount(assign, minlength=k)
     _, caprows, capmeta = read_tsv(args.capitalists)
-    id_to_row = {int(v): i for i, v in enumerate(mids)}
-    from .capitalists import CapitalistRecord  # record shape shared with detection
-    records = []
-    for r in caprows:
-        node = id_to_row[int(r[0])]
-        records.append(CapitalistRecord(node, int(r[1]), int(r[2]), float(r[3]), float(r[4]), r[5], r[6]))
-    res = ClusteringResult(k=k, assign=assign, centroids=np.zeros((k, len(MEASURE_COLUMNS))), inertia=0.0)
-    tables = crosstab(records, res, mids.size)
-    overlap_min = float(capmeta.get("overlap_min", cfg.overlap_min))
-    in_degree_min = int(capmeta.get("in_degree_min", cfg.in_degree_min))
-    group_rows = group_summary_rows(sizes, roles)
-    mean_rows = [mat[assign == i].mean(axis=0) if (assign == i).any() else np.zeros(mat.shape[1])
-                 for i in range(k)]
-    text = render_report(group_rows, mean_rows, MEASURE_COLUMNS, tables, k,
-                         overlap_min=overlap_min, in_degree_min=in_degree_min)
+    row_of = {int(v): i for i, v in enumerate(mids)}
+    records = [CapitalistRecord(row_of[int(r[0])], int(r[1]), int(r[2]), float(r[3]), float(r[4]),
+                                r[5], r[6]) for r in caprows]
+    try:
+        ct, _ = _crosstab_table(records, assign, k)
+    except ValueError:  # from crosstab: a group label above the centroids' k
+        raise RoleForgeError(f"clusters file {args.clusters} has group labels above k={k} "
+                             f"of {args.centroids}") from None
+    text, tables = _report_stage(mat, assign, k, roles, ct,
+                                 overlap_min=float(capmeta.get("overlap_min", cfg.overlap_min)),
+                                 in_degree_min=int(capmeta.get("in_degree_min", cfg.in_degree_min)))
     chash = config_hash(cfg)
-    with open(f"{args.output}_report.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        fh.write(text)
-    write_tsv(f"{args.output}_groups.tsv", ("group", "size", "share_pct", "role"),
-              [(i, s, f"{share:.2f}", role) for i, s, share, role in group_rows], chash)
-    write_tsv(f"{args.output}_group_means.tsv", ("group", *MEASURE_COLUMNS),
-              [(i + 1, *(float(x) for x in mean_rows[i])) for i in range(k)], chash)
+    _write_text(f"{args.output}_report.txt", text, chash)
+    _write_tables(tables, chash, lambda stem: f"{args.output}_{stem}.tsv")
     print(f"[report] -> {args.output}_report.txt")
     return 0
 
@@ -577,9 +547,6 @@ def _add_override_args(p: argparse.ArgumentParser, keys) -> None:
         "pivot_threshold": dict(type=float),
         "connector_threshold": dict(type=float),
         "orphan_threshold": dict(type=float),
-        "ga_z_hub": dict(type=float),
-        "ga_nonhub_cuts": dict(),
-        "ga_hub_cuts": dict(),
     }
     for key in keys:
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, **option_for[key])

@@ -22,7 +22,7 @@ class DirectedGraph:
 
     Arc u->v means u follows v: v is an out-neighbor (followee) of u and u is
     an in-neighbor (follower) of v.  Instances are immutable after
-    construction and safe for unrestricted shared reads from worker threads.
+    construction.
 
     Ingested graphs are simple: no self-loops, no duplicate arcs, unit
     weights.  Weighted arcs and self-loops occur only in graphs produced by

@@ -3,7 +3,6 @@ import pytest
 
 from roleforge.capitalists import (CapitalistRecord, classify_ratio, classify_record, crosstab,
                                    detect_capitalists, overlap_index, ratio)
-from roleforge.clustering import ClusteringResult
 from roleforge.errors import UndefinedValueError
 from roleforge.synth import planted_capitalist_graph
 
@@ -130,24 +129,27 @@ def test_detection_planted_small():
 
 
 def test_crosstab_concentration():
-    res = ClusteringResult(k=2, assign=np.array([0] * 70 + [1] * 30), centroids=np.zeros((2, 8)),
-                           inertia=0.0)
+    assign = np.array([0] * 70 + [1] * 30)
     recs = [CapitalistRecord(i, 600, 500, 1.0, 500 / 600, "low", "FMIFY") for i in range(10)]
-    tables = crosstab(recs, res, 100)
+    tables = crosstab(recs, assign, 2)
     row_a, row_b = tables[("low", "FMIFY")]
     assert row_a.tolist() == [100.0, 0.0]
     # 7/3 split over groups of size 70/30
     recs = [CapitalistRecord(i, 600, 500, 1.0, 500 / 600, "low", "FMIFY") for i in range(7)]
     recs += [CapitalistRecord(70 + i, 600, 500, 1.0, 500 / 600, "low", "FMIFY") for i in range(3)]
-    row_a, row_b = crosstab(recs, res, 100)[("low", "FMIFY")]
+    row_a, row_b = crosstab(recs, assign, 2)[("low", "FMIFY")]
     assert row_a.tolist() == pytest.approx([70.0, 30.0], abs=1e-12)
     assert row_b.tolist() == pytest.approx([10.0, 10.0], abs=1e-12)
+    # a group label outside [0, k) is rejected, not broadcast into a wrong table
+    with pytest.raises(ValueError, match="group labels"):
+        crosstab(recs, assign, 1)
+    with pytest.raises(ValueError, match="group labels"):
+        crosstab(recs, assign - 1, 2)
 
 
 def test_crosstab_rows_sum_to_100_and_empty_slices_are_zero():
     rng = np.random.default_rng(31)
-    res = ClusteringResult(k=4, assign=rng.integers(0, 4, size=200), centroids=np.zeros((4, 8)),
-                           inertia=0.0)
+    assign = rng.integers(0, 4, size=200)
     recs = []
     for i in range(40):
         k_in = int(rng.integers(500, 30000))
@@ -155,7 +157,7 @@ def test_crosstab_rows_sum_to_100_and_empty_slices_are_zero():
         band, behavior = classify_ratio(k_in, r)
         recs.append(CapitalistRecord(int(rng.integers(0, 200)), k_in, int(r * k_in), 0.9, r,
                                      band, behavior))
-    tables = crosstab(recs, res, 200)
+    tables = crosstab(recs, assign, 4)
     for (band, behavior), (row_a, row_b) in tables.items():
         present = any(rec.band == band and rec.behavior == behavior for rec in recs)
         if present:

@@ -155,7 +155,7 @@ def test_cli_subcommands_chain(tmp_path):
     edges = write_g1(tmp_path)
     part = tmp_path / "partition.tsv"
     meas = tmp_path / "measures.tsv"
-    assert main(["communities", "--input", str(edges), "--output", str(part), "--seed", "3"]) == 0
+    assert main(["communities", "--input", str(edges), "--output", str(part), "--seed", "0"]) == 0
     assert part.exists()
     assert (tmp_path / "partition.id_map.tsv").exists()
     assert main(["measures", "--input", str(edges), "--partition", str(part),
@@ -178,6 +178,28 @@ def test_cli_subcommands_chain(tmp_path):
     report = (tmp_path / "rep_report.txt").read_text()
     assert "== Role groups ==" in report
     assert "share_of_group" in report
+
+    # one implementation per stage: `run` with the same seed and k range
+    # writes the same tables below the config_hash line
+    out = tmp_path / "run"
+    assert main(["run", "--input", str(edges), "--output-dir", str(out), "--seed", "0",
+                 "--k-min", "2", "--k-max", "3"]) == 0
+    pairs = {"partition.tsv": part, "id_map.tsv": tmp_path / "partition.id_map.tsv",
+             "measures.tsv": meas, "clusters.tsv": clusters, "centroids.tsv": centroids,
+             "capitalists.tsv": f"{cap_prefix}_capitalists.tsv",
+             "capitalists_crosstab.tsv": f"{cap_prefix}_crosstab.tsv",
+             "anova.tsv": f"{stats_prefix}_anova.tsv", "pairwise.tsv": f"{stats_prefix}_pairwise.tsv",
+             "report.txt": f"{report_prefix}_report.txt",
+             "report_groups.tsv": f"{report_prefix}_groups.tsv"}
+    for name, chained in pairs.items():
+        ran = (out / name).read_text().splitlines()
+        assert ran[0].startswith("# config_hash=")
+        assert ran[1:] == open(chained, encoding="utf-8").read().splitlines()[1:], name
+    # the chain re-reads measures.tsv, written at 12 significant digits
+    _, ran_means, _ = read_tsv(out / "report_group_means.tsv")
+    _, chained_means, _ = read_tsv(f"{report_prefix}_group_means.tsv")
+    assert [[float(v) for v in r] for r in ran_means] == \
+        [pytest.approx([float(v) for v in r], rel=1e-10) for r in chained_means]
 
 
 def test_cli_run_subcommand_and_config_file(tmp_path):
@@ -213,14 +235,31 @@ def test_cli_reports_errors(tmp_path, capsys):
                  "--output", str(tmp_path / "p2.tsv")])
     assert code == 1
     assert "absent.txt" in capsys.readouterr().err
-
-
-def test_worker_env_var(tmp_path, monkeypatch):
-    from roleforge.parallel import map_chunks, worker_count
-    monkeypatch.setenv("ROLE_FORGE_THREADS", "3")
-    assert worker_count() == 3
-    items = list(range(5000))
-    assert map_chunks(lambda part: [x * 2 for x in part], items) == [x * 2 for x in items]
-    monkeypatch.setenv("ROLE_FORGE_THREADS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
+    # a graph without arcs is rejected by every subcommand that ingests one
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no arcs\n")
+    for argv in (["run", "--input", str(empty), "--output-dir", str(tmp_path / "e_run")],
+                 ["communities", "--input", str(empty), "--output", str(tmp_path / "e.tsv")],
+                 ["measures", "--input", str(empty), "--partition", str(part),
+                  "--output", str(tmp_path / "e_meas.tsv")],
+                 ["capitalists", "--input", str(empty), "--clusters", str(part),
+                  "--output", str(tmp_path / "e_cap")]):
+        assert main(argv) == 1, argv[0]
+        assert "no arcs" in capsys.readouterr().err, argv[0]
+    # group labels outside 1..k name the clusters file instead of a numpy traceback
+    cfg = g1_config(tmp_path)
+    run_pipeline(cfg)
+    out = tmp_path / "out"
+    _, rows, _ = read_tsv(out / "clusters.tsv")
+    for bad_group, argv in (
+            ("9", ["report", "--measures", str(out / "measures.tsv"), "--centroids",
+                   str(out / "centroids.tsv"), "--capitalists", str(out / "capitalists.tsv")]),
+            ("0", ["capitalists", "--input", cfg.input])):
+        clusters = tmp_path / f"clusters_{bad_group}.tsv"
+        clusters.write_text("original_id\tgroup\n" + "".join(
+            f"{r[0]}\t{bad_group if i == 0 else r[1]}\n" for i, r in enumerate(rows)))
+        capsys.readouterr()
+        code = main(argv + ["--clusters", str(clusters), "--output", str(tmp_path / "bad")])
+        assert code == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(clusters) in err, argv[0]
