@@ -23,7 +23,7 @@ from .capitalists import CapitalistRecord, crosstab, detect_capitalists
 from .clustering import RoleThresholds, label_role, renumber_by_size, select_k, standardize
 from .errors import ConfigError, DegenerateVarianceError, PipelineStageError, RoleForgeError
 from .graph import CONVENTIONS, DirectedGraph, load_edge_list
-from .louvain import Partition, louvain_directed
+from .louvain import ORDERS, Partition, louvain_directed
 from .measures import (MEASURE_COLUMNS, community_profile, embeddedness_values,
                        measures_from_profile, participation_coefficients)
 from .report import format_p, group_summary_rows, render_report
@@ -58,6 +58,7 @@ class PipelineConfig:
 
 
 _PATH_KEYS = ("input", "output_dir")
+_CHOICES = {"direction": CONVENTIONS, "order": ORDERS}
 _CONFIG_KEYS = tuple(f.name for f in fields(PipelineConfig))
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
@@ -66,15 +67,18 @@ _FALSE_WORDS = ("0", "false", "no", "off")
 def parse_config_file(path) -> dict[str, str]:
     """Flat key=value lines; '#' comments and blanks ignored."""
     data: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            s = raw.strip()
-            if not s or s.startswith("#"):
-                continue
-            if "=" not in s:
-                raise ConfigError(f"{path}:{line_no}: expected key=value, got {s!r}")
-            key, value = s.split("=", 1)
-            data[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, 1):
+                s = raw.strip()
+                if not s or s.startswith("#"):
+                    continue
+                if "=" not in s:
+                    raise ConfigError(f"{path}:{line_no}: expected key=value, got {s!r}")
+                key, value = s.split("=", 1)
+                data[key.strip()] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text ({exc.reason})") from None
     return data
 
 
@@ -104,7 +108,7 @@ def config_from_mapping(data: dict[str, str], base: PipelineConfig | None = None
 def validate_config(cfg: PipelineConfig, *, for_run: bool = True) -> None:
     if cfg.direction not in CONVENTIONS:
         raise ConfigError(f"direction must be one of {CONVENTIONS}")
-    if cfg.order not in ("natural", "shuffled"):
+    if cfg.order not in ORDERS:
         raise ConfigError("order must be 'natural' or 'shuffled'")
     if cfg.k_min < 2 or cfg.k_min > cfg.k_max:
         raise ConfigError(f"invalid k range [{cfg.k_min}, {cfg.k_max}]")
@@ -155,16 +159,20 @@ def write_tsv(path, columns, rows, chash: str, extra=()) -> None:
             fh.write("\t".join(_fmt(v) for v in row) + "\n")
 
 
-def read_tsv(path) -> tuple[list[str], list[list[str]], dict[str, str]]:
-    """(header, rows, comment metadata) of an artifact; raises on a missing file."""
+def read_tsv(path, parse=None) -> tuple[list[str], list, dict[str, str]]:
+    """(header, rows, comment metadata) of an artifact; raises on a missing file.
+
+    With `parse`, each data row is parse(fields); a row it rejects with
+    ValueError or IndexError raises RoleForgeError naming the file and line.
+    """
     p = Path(path)
     if not p.exists():
         raise RoleForgeError(f"missing artifact: {path}")
     header: list[str] | None = None
-    rows: list[list[str]] = []
+    rows: list = []
     meta: dict[str, str] = {}
     with open(p, encoding="utf-8") as fh:
-        for raw in fh:
+        for line_no, raw in enumerate(fh, 1):
             s = raw.rstrip("\n")
             if not s:
                 continue
@@ -178,7 +186,10 @@ def read_tsv(path) -> tuple[list[str], list[list[str]], dict[str, str]]:
             if header is None:
                 header = parts
             else:
-                rows.append(parts)
+                try:
+                    rows.append(parts if parse is None else parse(parts))
+                except (ValueError, IndexError):
+                    raise RoleForgeError(f"{path}:{line_no}: cannot parse row {parts}") from None
     if header is None:
         raise RoleForgeError(f"empty table: {path}")
     return header, rows, meta
@@ -405,8 +416,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
 def _labels_for(path, ids, what: str) -> list[int]:
     """Second column of the artifact at `path`, joined on original id, in the order of `ids`."""
-    _, rows, _ = read_tsv(path)
-    label_of = {int(r[0]): int(r[1]) for r in rows}
+    _, rows, _ = read_tsv(path, parse=lambda r: (int(r[0]), int(r[1])))
+    label_of = dict(rows)
     try:
         return [label_of[int(v)] for v in ids]
     except KeyError as missing:
@@ -422,12 +433,12 @@ def _load_groups(path, ids):
 
 
 def _load_measures(path):
-    header, rows, _ = read_tsv(path)
     want = ("original_id", "community", *MEASURE_COLUMNS)
+    header, rows, _ = read_tsv(path, parse=lambda r: (int(r[0]), [float(r[j]) for j in range(2, len(want))]))
     if tuple(header[: len(want)]) != want:
         raise RoleForgeError(f"unexpected measures header in {path}")
-    ids = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    mat = np.array([[float(v) for v in r[2:10]] for r in rows], dtype=np.float64)
+    ids = np.array([u for u, _ in rows], dtype=np.int64)
+    mat = np.array([values for _, values in rows], dtype=np.float64)
     return ids, mat
 
 
@@ -438,11 +449,7 @@ def _make_config(args) -> PipelineConfig:
     cfg = PipelineConfig()
     if getattr(args, "config", None):
         cfg = config_from_mapping(parse_config_file(args.config), cfg)
-    overrides = {}
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = str(value)
+    overrides = {key: value for key in _CONFIG_KEYS if (value := getattr(args, key, None)) is not None}
     cfg = config_from_mapping(overrides, cfg)
     validate_config(cfg, for_run=False)
     return cfg
@@ -501,21 +508,30 @@ def cmd_report(args) -> int:
     cfg = _make_config(args)
     mids, mat = _load_measures(args.measures)
     assign, _ = _load_groups(args.clusters, mids)
-    _, crows, _ = read_tsv(args.centroids)
-    k = len(crows)
-    roles = [r[2] for r in crows]
-    _, caprows, capmeta = read_tsv(args.capitalists)
+    _, roles, _ = read_tsv(args.centroids, parse=lambda r: r[2])
+    k = len(roles)
     row_of = {int(v): i for i, v in enumerate(mids)}
-    records = [CapitalistRecord(row_of[int(r[0])], int(r[1]), int(r[2]), float(r[3]), float(r[4]),
-                                r[5], r[6]) for r in caprows]
+
+    def record(r):
+        node = int(r[0])
+        if node not in row_of:
+            raise RoleForgeError(f"measures file {args.measures} does not cover node {node} "
+                                 f"of {args.capitalists}")
+        return CapitalistRecord(row_of[node], int(r[1]), int(r[2]), float(r[3]), float(r[4]), r[5], r[6])
+
+    _, records, capmeta = read_tsv(args.capitalists, parse=record)
     try:
         ct, _ = _crosstab_table(records, assign, k)
     except ValueError:  # from crosstab: a group label above the centroids' k
         raise RoleForgeError(f"clusters file {args.clusters} has group labels above k={k} "
                              f"of {args.centroids}") from None
+    try:
+        overlap_min = float(capmeta.get("overlap_min", cfg.overlap_min))
+        in_degree_min = int(capmeta.get("in_degree_min", cfg.in_degree_min))
+    except ValueError:
+        raise RoleForgeError(f"{args.capitalists}: cannot parse header {capmeta}") from None
     text, tables = _report_stage(mat, assign, k, roles, ct,
-                                 overlap_min=float(capmeta.get("overlap_min", cfg.overlap_min)),
-                                 in_degree_min=int(capmeta.get("in_degree_min", cfg.in_degree_min)))
+                                 overlap_min=overlap_min, in_degree_min=in_degree_min)
     chash = config_hash(cfg)
     _write_text(f"{args.output}_report.txt", text, chash)
     _write_tables(tables, chash, lambda stem: f"{args.output}_{stem}.tsv")
@@ -531,25 +547,13 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_override_args(p: argparse.ArgumentParser, keys) -> None:
-    option_for = {
-        "direction": dict(choices=CONVENTIONS),
-        "seed": dict(type=int),
-        "min_gain": dict(type=float),
-        "order": dict(choices=("natural", "shuffled")),
-        "lambda_include_zeros": dict(action="store_const", const=True),
-        "k_min": dict(type=int),
-        "k_max": dict(type=int),
-        "kmeans_restarts": dict(type=int),
-        "kmeans_max_iter": dict(type=int),
-        "kmeans_tol": dict(type=float),
-        "overlap_min": dict(type=float),
-        "in_degree_min": dict(type=int),
-        "pivot_threshold": dict(type=float),
-        "connector_threshold": dict(type=float),
-        "orphan_threshold": dict(type=float),
-    }
+    # one flag per key, its text parsed by config_from_mapping; a bool key is a switch
     for key in keys:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, **option_for[key])
+        flag = f"--{key.replace('_', '-')}"
+        if isinstance(getattr(PipelineConfig, key), bool):
+            p.add_argument(flag, dest=key, action="store_const", const="true")
+        else:
+            p.add_argument(flag, dest=key, choices=_CHOICES.get(key))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -611,10 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--input", default=None)
     p.add_argument("--output-dir", dest="output_dir", default=None)
-    _add_override_args(p, ("direction", "seed", "min_gain", "order", "lambda_include_zeros",
-                           "k_min", "k_max", "kmeans_restarts", "kmeans_max_iter", "kmeans_tol",
-                           "overlap_min", "in_degree_min", "pivot_threshold",
-                           "connector_threshold", "orphan_threshold"))
+    _add_override_args(p, [key for key in _CONFIG_KEYS if key not in _PATH_KEYS])
     p.set_defaults(func=cmd_run)
 
     return parser

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import EdgeListParseError
+from .errors import EdgeListParseError, RoleForgeError
 
 log = logging.getLogger(__name__)
 
@@ -59,24 +60,19 @@ class DirectedGraph:
             if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n:
                 raise ValueError("arc endpoint outside [0, n)")
         span = max(n, 1)
+        arcs_in = src.size
+        if simple and not (keep := src != dst).all():
+            src, dst = src[keep], dst[keep]
+        uniq, inv = np.unique(src * span + dst, return_inverse=True)
         if simple:
-            loops = int(np.count_nonzero(src == dst))
-            if loops:
-                keep = src != dst
-                src, dst = src[keep], dst[keep]
-            key = src * span + dst
-            uniq = np.unique(key)
-            dups = int(key.size - uniq.size)
+            loops, dups = arcs_in - src.size, src.size - uniq.size
             if loops or dups:
                 log.warning("ingest dropped %d self-loop(s) and %d duplicate arc(s)", loops, dups)
-            src, dst = uniq // span, uniq % span
-            w = np.ones(src.size, dtype=np.float64)
+            w = np.ones(uniq.size, dtype=np.float64)
         else:
             w0 = np.ones(src.size) if weights is None else np.asarray(weights, dtype=np.float64).ravel()
-            key = src * span + dst
-            uniq, inv = np.unique(key, return_inverse=True)
             w = np.bincount(inv, weights=w0, minlength=uniq.size)
-            src, dst = uniq // span, uniq % span
+        src, dst = uniq // span, uniq % span
 
         # np.unique sorted by (src, dst), so this is a valid sorted out-CSR.
         out_indptr = np.zeros(n + 1, dtype=np.int64)
@@ -105,12 +101,6 @@ class DirectedGraph:
     def in_neighbors(self, u: int) -> np.ndarray:
         return self.in_indices[self.in_indptr[u]:self.in_indptr[u + 1]]
 
-    def out_arc_weights(self, u: int) -> np.ndarray:
-        return self.out_weights[self.out_indptr[u]:self.out_indptr[u + 1]]
-
-    def in_arc_weights(self, u: int) -> np.ndarray:
-        return self.in_weights[self.in_indptr[u]:self.in_indptr[u + 1]]
-
     @cached_property
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_indptr)
@@ -123,6 +113,11 @@ class DirectedGraph:
     def arc_src(self) -> np.ndarray:
         """Source node of every arc, in out-CSR order."""
         return np.repeat(np.arange(self.n, dtype=np.int64), self.out_degrees)
+
+    @cached_property
+    def in_arc_dst(self) -> np.ndarray:
+        """Target node of every arc, in in-CSR order."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.in_degrees)
 
     @cached_property
     def out_strengths(self) -> np.ndarray:
@@ -160,40 +155,41 @@ def load_edge_list(path, convention: str = "src-follows-dst") -> DirectedGraph:
     integers; they are remapped to dense ids [0, n) in ascending order and
     the original ids are kept on the graph for reporting.
 
-    Raises EdgeListParseError (with the line number) on malformed lines.
-    An empty file yields the empty graph, not an error.
+    Raises EdgeListParseError (with the line number) on malformed lines and
+    RoleForgeError on a file that is not UTF-8 text.  An empty file yields
+    the empty graph, not an error.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-    srcs: list[int] = []
-    dsts: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            s = raw.strip()
-            if not s or s[0] in "#%":
-                continue
-            parts = s.split()
-            if len(parts) != 2:
-                raise EdgeListParseError(line_no, f"expected two integers, got {len(parts)} field(s)")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(line_no, f"non-integer field in {s!r}") from None
-            if a < 0 or b < 0:
-                raise EdgeListParseError(line_no, "negative node id")
-            srcs.append(a)
-            dsts.append(b)
-    if not srcs:
-        empty = np.empty(0, dtype=np.int64)
-        return DirectedGraph.from_arcs(empty, empty, 0)
-    a = np.asarray(srcs, dtype=np.int64)
-    b = np.asarray(dsts, dtype=np.int64)
+    srcs, dsts = array("q"), array("q")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, 1):
+                s = raw.strip()
+                if not s or s[0] in "#%":
+                    continue
+                parts = s.split()
+                if len(parts) != 2:
+                    raise EdgeListParseError(line_no, f"expected two integers, got {len(parts)} field(s)")
+                try:
+                    a, b = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise EdgeListParseError(line_no, f"non-integer field in {s!r}") from None
+                if a < 0 or b < 0:
+                    raise EdgeListParseError(line_no, "negative node id")
+                try:
+                    srcs.append(a)
+                    dsts.append(b)
+                except OverflowError:
+                    raise EdgeListParseError(line_no, "node id above 2**63 - 1") from None
+    except UnicodeDecodeError as exc:
+        raise RoleForgeError(f"{path} is not UTF-8 text ({exc.reason})") from None
     if convention == "dst-follows-src":
-        a, b = b, a
-    ids = np.unique(np.concatenate([a, b]))
-    return DirectedGraph.from_arcs(
-        np.searchsorted(ids, a), np.searchsorted(ids, b), n=int(ids.size), node_ids=ids, simple=True
-    )
+        srcs, dsts = dsts, srcs
+    m = len(srcs)
+    ids, dense = np.unique(np.concatenate([np.frombuffer(srcs, dtype=np.int64),
+                                           np.frombuffer(dsts, dtype=np.int64)]), return_inverse=True)
+    return DirectedGraph.from_arcs(dense[:m], dense[m:], n=ids.size, node_ids=ids)
 
 
 def save_edge_list(g: DirectedGraph, path) -> None:

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import UndefinedModularityError
 from .graph import DirectedGraph
 
+ORDERS = ("natural", "shuffled")
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -177,7 +179,7 @@ def louvain_directed(
     """
     if g.m == 0:
         raise UndefinedModularityError("cannot run community detection on a graph with no arcs")
-    if order not in ("natural", "shuffled"):
+    if order not in ORDERS:
         raise ValueError("order must be 'natural' or 'shuffled'")
     if min_gain < 0:
         raise ValueError("min_gain must be non-negative")

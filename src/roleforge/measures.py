@@ -103,9 +103,8 @@ def community_profile(g: DirectedGraph, partition, *, lambda_include_zeros: bool
         raise ValueError("partition does not cover the graph")
     a = partition.assign
     nc = partition.n_comms
-    in_src = np.repeat(np.arange(g.n, dtype=np.int64), g.in_degrees)
     ko_int, ko_ext, eps_o, lam_o = _direction_profile(g.arc_src, g.out_indices, a, g.n, nc, lambda_include_zeros)
-    ki_int, ki_ext, eps_i, lam_i = _direction_profile(in_src, g.in_indices, a, g.n, nc, lambda_include_zeros)
+    ki_int, ki_ext, eps_i, lam_i = _direction_profile(g.in_arc_dst, g.in_indices, a, g.n, nc, lambda_include_zeros)
     return NodeCommunityProfile(
         k_int_out=ko_int, k_ext_out=ko_ext, eps_out=eps_o, lambda_out=lam_o,
         k_int_in=ki_int, k_ext_in=ki_ext, eps_in=eps_i, lambda_in=lam_i,
@@ -193,8 +192,7 @@ def participation_coefficients(g: DirectedGraph, partition) -> np.ndarray:
         raise ValueError("partition does not cover the graph")
     a = partition.assign
     nc = partition.n_comms
-    in_src = np.repeat(np.arange(g.n, dtype=np.int64), g.in_degrees)
-    src = np.concatenate([g.arc_src, in_src])
+    src = np.concatenate([g.arc_src, g.in_arc_dst])
     comm = np.concatenate([a[g.out_indices], a[g.in_indices]])
     key = src * np.int64(nc) + comm
     uniq, counts = np.unique(key, return_counts=True)

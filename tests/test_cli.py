@@ -60,6 +60,18 @@ def test_config_values_are_strict(tmp_path, capsys):
     cfg_file.write_text(f"input={write_g1(tmp_path)}\nk_max=abc\n")
     assert main(["run", "--config", str(cfg_file), "--output-dir", str(tmp_path / "out")]) == 1
     assert "k_max" in capsys.readouterr().err
+    # a flag takes the same path: the same clean error, exit 1 rather than argparse's 2
+    g1 = write_g1(tmp_path)
+    assert main(["run", "--input", str(g1), "--output-dir", str(tmp_path / "out"), "--k-max", "abc"]) == 1
+    assert "error: k_max expects int, got 'abc'" in capsys.readouterr().err
+    # a switch sets its bool and a choice flag passes its value through
+    out = tmp_path / "flags"
+    assert main(["run", "--input", str(g1), "--output-dir", str(out), "--k-min", "2", "--k-max", "3",
+                 "--lambda-include-zeros", "--order", "shuffled", "--min-gain", "1e-8"]) == 0
+    want = PipelineConfig(k_min=2, k_max=3, lambda_include_zeros=True, order="shuffled", min_gain=1e-8)
+    assert json.loads((out / "manifest.json").read_text())["config_hash"] == config_hash(want)
+    with pytest.raises(SystemExit):
+        main(["run", "--input", str(g1), "--output-dir", str(out), "--order", "sideways"])
 
 
 def test_config_validation(tmp_path):
@@ -263,3 +275,39 @@ def test_cli_reports_errors(tmp_path, capsys):
         assert code == 1, argv[0]
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(clusters) in err, argv[0]
+
+    # malformed artifacts, edge lists and config files: an error line naming
+    # the file and the bad id or line, not a traceback
+    def bad_file(name, content):
+        path = tmp_path / name
+        (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+        return str(path)
+
+    measures = (out / "measures.tsv").read_text().splitlines()
+    cap_header = (out / "capitalists.tsv").read_text().splitlines()[-1]
+    fields = measures[2].split("\t")
+    fields[3] = "abc"
+    dest = ["--output", str(tmp_path / "bad")]
+    report = ["report", "--measures", str(out / "measures.tsv"), "--clusters", str(out / "clusters.tsv"),
+              "--centroids", str(out / "centroids.tsv"), *dest, "--capitalists"]
+    for argv, names in (
+            (report + [bad_file("cap_777.tsv", f"{cap_header}\n777\t600\t600\t0.9\t1.0\tx\ty\t1\n")],
+             ["cap_777.tsv", "node 777"]),
+            (report + [bad_file("cap_meta.tsv", f"# overlap_min=high\n{cap_header}\n")],
+             ["cap_meta.tsv", "overlap_min"]),
+            (["measures", "--input", cfg.input, *dest,
+              "--partition", bad_file("part_x.tsv", "original_id\tcommunity\n0\tx\n")], ["part_x.tsv:2"]),
+            (["stats", "--measures", str(out / "measures.tsv"), *dest,
+              "--clusters", bad_file("one_col.tsv", "original_id\tgroup\n0\n")], ["one_col.tsv:2"]),
+            (["cluster", *dest,
+              "--measures", bad_file("meas_abc.tsv", "\n".join(measures[:2] + ["\t".join(fields)]))],
+             ["meas_abc.tsv:3", "abc"]),
+            (["communities", "--input", bad_file("huge.txt", "0 1\n1 9223372036854775808\n"), *dest],
+             ["line 2"]),
+            (["communities", "--input", bad_file("latin1.txt", b"0 1\n# caf\xe9\n"), *dest], ["latin1.txt"]),
+            (["run", "--input", cfg.input, "--output-dir", str(tmp_path / "bad_run"),
+              "--config", bad_file("latin1.cfg", b"# caf\xe9\nseed=1\n")], ["latin1.cfg"])):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and all(name in err for name in names), (argv[0], err)

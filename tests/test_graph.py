@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roleforge.errors import EdgeListParseError
+from roleforge.errors import EdgeListParseError, RoleForgeError
 from roleforge.graph import (community_link_counts, degrees, load_edge_list, save_edge_list)
 from roleforge.louvain import Partition
 
@@ -49,6 +49,27 @@ def test_load_malformed_line_reports_number(tmp_path):
         load_edge_list(path)
     with pytest.raises(EdgeListParseError, match="negative"):
         load_edge_list(write_lines(tmp_path, ["-1 2"]))
+    # ids must fit int64: 2**63 - 1 loads, 2**63 is a parse error with its line
+    assert load_edge_list(write_lines(tmp_path, ["9223372036854775807 0"])).node_ids.tolist() == \
+        [0, 2**63 - 1]
+    with pytest.raises(EdgeListParseError, match="line 2"):
+        load_edge_list(write_lines(tmp_path, ["0 1", "1 9223372036854775808"]))
+    # bytes that are not UTF-8 name the file
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0 1\n# caf\xe9\n")
+    with pytest.raises(RoleForgeError, match="latin1.txt is not UTF-8"):
+        load_edge_list(path)
+
+
+def test_load_counts_dropped_arcs(tmp_path, caplog):
+    with caplog.at_level("WARNING", logger="roleforge.graph"):
+        g = load_edge_list(write_lines(tmp_path, ["0 1", "2 2", "1 0", "0 1"]))
+    assert (g.n, g.m) == (3, 2)
+    assert "dropped 1 self-loop(s) and 1 duplicate arc(s)" in caplog.text
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="roleforge.graph"):
+        load_edge_list(write_lines(tmp_path, ["0 1", "1 0"]))
+    assert caplog.text == ""
 
 
 def test_load_empty_file(tmp_path):
@@ -94,6 +115,9 @@ def test_dual_csr_consistency(g1):
     out_arcs = {(u, int(v)) for u in range(g1.n) for v in g1.out_neighbors(u)}
     in_arcs = {(int(v), u) for u in range(g1.n) for v in g1.in_neighbors(u)}
     assert out_arcs == in_arcs
+    # in_arc_dst is the target of every arc in in-CSR order
+    assert {(int(u), int(v)) for u, v in zip(g1.in_indices, g1.in_arc_dst)} == out_arcs
+    assert g1.in_arc_dst.size == g1.m
     for u in range(g1.n):
         nbrs = g1.out_neighbors(u)
         assert (np.diff(nbrs) > 0).all()  # sorted, no duplicates
