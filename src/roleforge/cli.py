@@ -163,7 +163,8 @@ def read_tsv(path, parse=None) -> tuple[list[str], list, dict[str, str]]:
     """(header, rows, comment metadata) of an artifact; raises on a missing file.
 
     With `parse`, each data row is parse(fields); a row it rejects with
-    ValueError or IndexError raises RoleForgeError naming the file and line.
+    ValueError or IndexError raises RoleForgeError naming the file and line,
+    as does a line that is not UTF-8 text.
     """
     p = Path(path)
     if not p.exists():
@@ -171,8 +172,14 @@ def read_tsv(path, parse=None) -> tuple[list[str], list, dict[str, str]]:
     header: list[str] | None = None
     rows: list = []
     meta: dict[str, str] = {}
-    with open(p, encoding="utf-8") as fh:
+    # undecodable bytes are read as lone surrogates, which do not encode back
+    with open(p, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, 1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise RoleForgeError(f"{path}:{line_no}: not UTF-8 text") from None
             s = raw.rstrip("\n")
             if not s:
                 continue
@@ -414,19 +421,26 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 # ---------------------------------------------------------------------------
 # artifact readers used by the standalone subcommands
 
-def _labels_for(path, ids, what: str) -> list[int]:
+def _int64_array(values, path) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise RoleForgeError(f"{path} holds a value outside the int64 range") from None
+
+
+def _labels_for(path, ids, what: str) -> np.ndarray:
     """Second column of the artifact at `path`, joined on original id, in the order of `ids`."""
     _, rows, _ = read_tsv(path, parse=lambda r: (int(r[0]), int(r[1])))
     label_of = dict(rows)
     try:
-        return [label_of[int(v)] for v in ids]
+        return _int64_array([label_of[int(v)] for v in ids], path)
     except KeyError as missing:
         raise RoleForgeError(f"{what} file {path} does not cover node {missing}") from None
 
 
 def _load_groups(path, ids):
     """0-based group labels of a clusters file aligned to `ids`, and k."""
-    assign = np.array(_labels_for(path, ids, "clusters"), dtype=np.int64) - 1
+    assign = _labels_for(path, ids, "clusters") - 1
     if assign.size and assign.min() < 0:
         raise RoleForgeError(f"clusters file {path} has group labels below 1")
     return assign, int(assign.max()) + 1 if assign.size else 1
@@ -437,7 +451,7 @@ def _load_measures(path):
     header, rows, _ = read_tsv(path, parse=lambda r: (int(r[0]), [float(r[j]) for j in range(2, len(want))]))
     if tuple(header[: len(want)]) != want:
         raise RoleForgeError(f"unexpected measures header in {path}")
-    ids = np.array([u for u, _ in rows], dtype=np.int64)
+    ids = _int64_array([u for u, _ in rows], path)
     mat = np.array([values for _, values in rows], dtype=np.float64)
     return ids, mat
 

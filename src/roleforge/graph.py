@@ -77,7 +77,8 @@ class DirectedGraph:
         # np.unique sorted by (src, dst), so this is a valid sorted out-CSR.
         out_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=out_indptr[1:])
-        order = np.lexsort((src, dst))
+        # the (dst, src) keys are distinct, so any sort of them gives the in-CSR order
+        order = np.argsort(dst * span + src)
         in_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(dst, minlength=n), out=in_indptr[1:])
         ids = np.arange(n, dtype=np.int64) if node_ids is None else np.asarray(node_ids, dtype=np.int64)
@@ -146,44 +147,122 @@ class DirectedGraph:
         )
 
 
+# Edge lists are read in chunks of this many bytes: large enough that the
+# per-chunk numpy calls cost little, small enough to keep the peak RSS of
+# ingest where the id buffers put it.
+_CHUNK_BYTES = 1 << 16
+# Bytes a plain line may hold.  At most 18 digits per id keep it below 2**63.
+_PLAIN_BYTES = b"0123456789 \t\n"
+_PLAIN_DIGITS = 18
+
+
+def _blocks(fh):
+    """Yield a binary file as blocks of whole lines, each ending in b"\\n".
+
+    Line ends are translated as text-mode reading translates them: "\\r\\n"
+    and a lone "\\r" become "\\n", and a last line without one gets one.
+    """
+    carry, size = b"", _CHUNK_BYTES
+    while chunk := fh.read(size):
+        buf = carry + chunk
+        # a trailing "\r" may be the first half of "\r\n": settle it with the next chunk
+        held = b"\r" if buf.endswith(b"\r") else b""
+        buf = buf[:len(buf) - len(held)].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        cut = buf.rfind(b"\n") + 1
+        carry = buf[cut:] + held
+        if cut:
+            yield buf[:cut]
+        # a line longer than the chunk: double the read, so its bytes are copied O(1) times
+        size = _CHUNK_BYTES if cut else 2 * size
+    carry = carry.replace(b"\r", b"\n")
+    if carry:
+        yield carry if carry.endswith(b"\n") else carry + b"\n"
+
+
+def _plain_arcs(buf: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the plain lines of a block of whole lines, and the other lines.
+
+    A plain line holds only ASCII digits, spaces and tabs, in exactly two
+    digit runs of at most 18 digits each.  The line rule accepts such a line
+    with the same two values and never rejects it, so the plain lines are
+    converted in bulk.  Returns an (k, 2) int64 array with the ids of the k
+    plain lines in file order, and the 0-based indices of the other lines
+    that hold anything but spaces and tabs, for `_parse_line`.
+    """
+    a = np.frombuffer(buf, dtype=np.uint8)
+    digit = (a - 48) < 10  # uint8 arithmetic wraps every byte below "0" above 9
+    ends = np.flatnonzero(a == 10)
+    toggles = np.flatnonzero(np.diff(digit, prepend=False))
+    starts, stops = toggles[0::2], toggles[1::2]
+    runs = np.diff(np.searchsorted(starts, ends), prepend=0)
+    plain, other = runs == 2, runs > 0
+    if buf.translate(None, _PLAIN_BYTES):
+        odd = np.searchsorted(ends, np.flatnonzero(~digit & (a != 32) & (a != 9) & (a != 10)))
+        plain[odd] = False
+        other[odd] = True
+    if (long := stops - starts > _PLAIN_DIGITS).any():
+        plain[np.searchsorted(ends, starts[long])] = False
+    other &= ~plain
+    if not plain.any():  # np.fromstring reads a text of whitespace alone as [0]
+        return np.empty((0, 2), dtype=np.int64), np.flatnonzero(other)
+    if other.any():
+        buf = a[np.repeat(plain, np.diff(ends, prepend=-1))].tobytes()
+    return np.fromstring(buf, dtype=np.int64, sep=" ").reshape(-1, 2), np.flatnonzero(other)
+
+
+def _parse_line(path, line_no: int, raw: bytes) -> tuple[int, int] | None:
+    """The line rule: the two ids of one edge-list line, or None for a blank or comment line."""
+    try:
+        s = raw.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise RoleForgeError(f"{path} is not UTF-8 text (line {line_no}: {exc.reason})") from None
+    if not s or s[0] in "#%":
+        return None
+    parts = s.split()
+    if len(parts) != 2:
+        raise EdgeListParseError(line_no, f"expected two integers, got {len(parts)} field(s)")
+    try:
+        a, b = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise EdgeListParseError(line_no, f"non-integer field in {s!r}") from None
+    if a < 0 or b < 0:
+        raise EdgeListParseError(line_no, "negative node id")
+    if max(a, b) >= 2**63:
+        raise EdgeListParseError(line_no, "node id above 2**63 - 1")
+    return a, b
+
+
 def load_edge_list(path, convention: str = "src-follows-dst") -> DirectedGraph:
     """Read a directed graph from a two-integers-per-line text file.
 
-    Lines starting with '#' or '%' and blank lines are skipped.  Under the
-    default convention a line "a b" yields the arc a->b (a follows b);
-    "dst-follows-src" reverses this.  Node ids may be arbitrary non-negative
-    integers; they are remapped to dense ids [0, n) in ascending order and
-    the original ids are kept on the graph for reporting.
+    Lines starting with '#' or '%' and blank lines are skipped.  Lines end
+    in "\\n", "\\r\\n" or "\\r".  Under the default convention a line "a b"
+    yields the arc a->b (a follows b); "dst-follows-src" reverses this.  Node
+    ids may be arbitrary non-negative integers; they are remapped to dense
+    ids [0, n) in ascending order and the original ids are kept on the graph
+    for reporting.
 
     Raises EdgeListParseError (with the line number) on malformed lines and
-    RoleForgeError on a file that is not UTF-8 text.  An empty file yields
-    the empty graph, not an error.
+    RoleForgeError (with the line number) on a line that is not UTF-8 text;
+    the first bad line in file order decides.  An empty file yields the
+    empty graph, not an error.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
     srcs, dsts = array("q"), array("q")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, 1):
-                s = raw.strip()
-                if not s or s[0] in "#%":
-                    continue
-                parts = s.split()
-                if len(parts) != 2:
-                    raise EdgeListParseError(line_no, f"expected two integers, got {len(parts)} field(s)")
-                try:
-                    a, b = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise EdgeListParseError(line_no, f"non-integer field in {s!r}") from None
-                if a < 0 or b < 0:
-                    raise EdgeListParseError(line_no, "negative node id")
-                try:
-                    srcs.append(a)
-                    dsts.append(b)
-                except OverflowError:
-                    raise EdgeListParseError(line_no, "node id above 2**63 - 1") from None
-    except UnicodeDecodeError as exc:
-        raise RoleForgeError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    line_no = 0
+    with open(path, "rb") as fh:
+        for block in _blocks(fh):
+            arcs, other = _plain_arcs(block)
+            srcs.frombytes(arcs[:, 0].tobytes())
+            dsts.frombytes(arcs[:, 1].tobytes())
+            if other.size:
+                lines = block.split(b"\n")
+                for i in other.tolist():
+                    if arc := _parse_line(path, line_no + i + 1, lines[i] + b"\n"):
+                        srcs.append(arc[0])
+                        dsts.append(arc[1])
+            line_no += block.count(b"\n")
     if convention == "dst-follows-src":
         srcs, dsts = dsts, srcs
     m = len(srcs)
@@ -196,8 +275,7 @@ def save_edge_list(g: DirectedGraph, path) -> None:
     """Write the canonical edge list: arcs sorted by endpoints, original ids."""
     ids = g.node_ids
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v in zip(g.arc_src.tolist(), g.out_indices.tolist()):
-            fh.write(f"{ids[u]} {ids[v]}\n")
+        fh.write("".join(f"{u} {v}\n" for u, v in zip(ids[g.arc_src].tolist(), ids[g.out_indices].tolist())))
 
 
 def degrees(g: DirectedGraph, u: int) -> tuple[int, int, int]:

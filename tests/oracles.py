@@ -4,12 +4,18 @@ Everything here works on plain edge lists (list of (u, v) pairs), integer
 label lists, and Python dicts/sets, enumerating arcs directly.  Nothing is
 shared with the package's CSR/vectorized code paths.  The k-means oracle is
 the exception: it keeps the straightforward n x k NumPy form of the Lloyd
-step, because the package must reproduce its arithmetic bit for bit.
+step, because the package must reproduce its arithmetic bit for bit.  The
+edge-list oracle is the other one: it is the per-line text-mode reader, and
+builds its graph with the package's `DirectedGraph.from_arcs`.
 """
 
+from array import array
 from math import sqrt
 
 import numpy as np
+
+from roleforge.errors import EdgeListParseError, RoleForgeError
+from roleforge.graph import CONVENTIONS, DirectedGraph
 
 
 def neighbor_lists(edges, n):
@@ -322,3 +328,38 @@ def oracle_kmeans(mat, k, seed=0, max_iter=100, tol=1e-6, restarts=10):
     assign = np.empty(x.shape[0], dtype=np.int64)
     assign[order] = assign_c
     return assign, c, inertia, trace
+
+
+def oracle_load_edge_list(path, convention="src-follows-dst"):
+    """`roleforge.graph.load_edge_list` as a loop over the lines of a text-mode file."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
+    srcs, dsts = array("q"), array("q")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, 1):
+                s = raw.strip()
+                if not s or s[0] in "#%":
+                    continue
+                parts = s.split()
+                if len(parts) != 2:
+                    raise EdgeListParseError(line_no, f"expected two integers, got {len(parts)} field(s)")
+                try:
+                    a, b = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise EdgeListParseError(line_no, f"non-integer field in {s!r}") from None
+                if a < 0 or b < 0:
+                    raise EdgeListParseError(line_no, "negative node id")
+                try:
+                    srcs.append(a)
+                    dsts.append(b)
+                except OverflowError:
+                    raise EdgeListParseError(line_no, "node id above 2**63 - 1") from None
+    except UnicodeDecodeError as exc:
+        raise RoleForgeError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    if convention == "dst-follows-src":
+        srcs, dsts = dsts, srcs
+    m = len(srcs)
+    ids, dense = np.unique(np.concatenate([np.frombuffer(srcs, dtype=np.int64),
+                                           np.frombuffer(dsts, dtype=np.int64)]), return_inverse=True)
+    return DirectedGraph.from_arcs(dense[:m], dense[m:], n=ids.size, node_ids=ids)

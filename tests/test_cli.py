@@ -287,6 +287,8 @@ def test_cli_reports_errors(tmp_path, capsys):
     cap_header = (out / "capitalists.tsv").read_text().splitlines()[-1]
     fields = measures[2].split("\t")
     fields[3] = "abc"
+    huge_id = "\t".join([str(2**63)] + measures[2].split("\t")[1:])
+    clusters = str(out / "clusters.tsv")
     dest = ["--output", str(tmp_path / "bad")]
     report = ["report", "--measures", str(out / "measures.tsv"), "--clusters", str(out / "clusters.tsv"),
               "--centroids", str(out / "centroids.tsv"), *dest, "--capitalists"]
@@ -302,9 +304,20 @@ def test_cli_reports_errors(tmp_path, capsys):
             (["cluster", *dest,
               "--measures", bad_file("meas_abc.tsv", "\n".join(measures[:2] + ["\t".join(fields)]))],
              ["meas_abc.tsv:3", "abc"]),
+            (["stats", "--clusters", clusters, *dest,
+              "--measures", bad_file("meas_latin1.tsv", "\n".join(measures).encode() + b"\n# caf\xe9")],
+             [f"meas_latin1.tsv:{len(measures) + 1}", "not UTF-8"]),
+            (["stats", "--measures", str(out / "measures.tsv"), *dest,
+              "--clusters", bad_file("huge_group.tsv", "original_id\tgroup\n" + "".join(
+                  f"{r[0]}\t{2**64 if i == 0 else r[1]}\n" for i, r in enumerate(rows)))],
+             ["huge_group.tsv", "int64"]),
+            (["stats", "--clusters", clusters, *dest,
+              "--measures", bad_file("huge_id.tsv", "\n".join(measures[:2] + [huge_id]))],
+             ["huge_id.tsv", "int64"]),
             (["communities", "--input", bad_file("huge.txt", "0 1\n1 9223372036854775808\n"), *dest],
              ["line 2"]),
-            (["communities", "--input", bad_file("latin1.txt", b"0 1\n# caf\xe9\n"), *dest], ["latin1.txt"]),
+            (["communities", "--input", bad_file("latin1.txt", b"0 1\n# caf\xe9\n"), *dest],
+             ["latin1.txt", "line 2"]),
             (["run", "--input", cfg.input, "--output-dir", str(tmp_path / "bad_run"),
               "--config", bad_file("latin1.cfg", b"# caf\xe9\nseed=1\n")], ["latin1.cfg"])):
         capsys.readouterr()

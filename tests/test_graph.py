@@ -1,12 +1,18 @@
+import random
+
 import numpy as np
 import pytest
 
+from roleforge import graph
 from roleforge.errors import EdgeListParseError, RoleForgeError
-from roleforge.graph import (community_link_counts, degrees, load_edge_list, save_edge_list)
+from roleforge.graph import (CONVENTIONS, community_link_counts, degrees, load_edge_list, save_edge_list)
 from roleforge.louvain import Partition
 
 from conftest import G1_ASSIGN, G1_EDGES, graph_from_edges, random_assign, random_edges
-from oracles import oracle_degrees, oracle_link_counts
+from oracles import oracle_degrees, oracle_link_counts, oracle_load_edge_list
+
+GRAPH_ARRAYS = ("out_indptr", "out_indices", "out_weights", "in_indptr", "in_indices", "in_weights",
+                "node_ids")
 
 
 def write_lines(tmp_path, lines, name="edges.txt"):
@@ -54,11 +60,75 @@ def test_load_malformed_line_reports_number(tmp_path):
         [0, 2**63 - 1]
     with pytest.raises(EdgeListParseError, match="line 2"):
         load_edge_list(write_lines(tmp_path, ["0 1", "1 9223372036854775808"]))
-    # bytes that are not UTF-8 name the file
+    # bytes that are not UTF-8 name the file and the line
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"0 1\n# caf\xe9\n")
-    with pytest.raises(RoleForgeError, match="latin1.txt is not UTF-8"):
+    with pytest.raises(RoleForgeError, match=r"latin1.txt is not UTF-8 text \(line 2: "):
         load_edge_list(path)
+    # the first bad line in file order decides, whichever its kind
+    path.write_bytes(b"x 1\n0 1\n# caf\xe9\n")
+    with pytest.raises(EdgeListParseError, match="line 1"):
+        load_edge_list(path)
+    # "\r\n" and a lone "\r" end a line, as in text-mode reading
+    for end in (b"\r\n", b"\r"):
+        path.write_bytes(end.join([b"0 1", b"1 2", b"", b"x 1", b""]))
+        with pytest.raises(EdgeListParseError, match="line 4"):
+            load_edge_list(path)
+        path.write_bytes(end.join([b"0 1", b"1 2", b"2 0"]))
+        assert load_edge_list(path).m == 3
+
+
+def _odd_line(rng):
+    """A line outside the plain form: one the line rule skips, accepts or rejects."""
+    return rng.choice([
+        "# comment 1 2", "% 3 4", "  #x", "", " \t ", "\ufeff1 2",
+        "+5 3", "1_0 2", "\u0663 4", "1\x0c2", "3\xa04", "0000000000000000005 6",
+        "1000000000000000000 7", "9223372036854775807 1", "9223372036854775808 1", "-1 2",
+        "5", "1 2 3", "a b"])
+
+
+def _random_edge_list(rng):
+    lines = []
+    for _ in range(rng.randrange(0, 30)):
+        if rng.random() < 0.25:
+            lines.append(_odd_line(rng))
+        else:
+            a, b = (rng.randrange(10 ** rng.randrange(1, 19)) for _ in range(2))
+            pad = ["", " ", "\t", " \t  "]
+            lead, sep, trail = rng.choice(pad), rng.choice(pad[1:]), rng.choice(pad)
+            lines.append(f"{lead}{'0' * rng.randrange(3)}{a}{sep}{b}{trail}")
+    end = rng.choice(["\n", "\r\n", "\r", None])
+    text = "".join(line + (end or rng.choice(["\n", "\r\n", "\r"])) for line in lines)
+    if text and rng.random() < 0.3:
+        text = text.rstrip("\r\n")  # no line end after the last line
+    return text.encode("utf-8")
+
+
+def _load_outcome(load, path, convention, caplog):
+    caplog.clear()
+    try:
+        g = load(path, convention)
+    except (RoleForgeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return tuple(getattr(g, f).tobytes() for f in GRAPH_ARRAYS), caplog.text
+
+
+def test_load_matches_oracle(tmp_path, monkeypatch, caplog):
+    rng = random.Random(5)
+    path = tmp_path / "fuzz.txt"
+    caplog.set_level("WARNING", logger="roleforge.graph")
+    kinds = set()
+    for _ in range(120):
+        path.write_bytes(_random_edge_list(rng))
+        expected = {conv: _load_outcome(oracle_load_edge_list, path, conv, caplog) for conv in CONVENTIONS}
+        first = expected[CONVENTIONS[0]][0]
+        kinds.add(first if isinstance(first, type) else "loaded")
+        for chunk in (1, 2, 3, 7, 64):
+            monkeypatch.setattr(graph, "_CHUNK_BYTES", chunk)
+            for conv in CONVENTIONS:
+                assert _load_outcome(load_edge_list, path, conv, caplog) == expected[conv], \
+                    (path.read_bytes(), chunk, conv)
+    assert {"loaded", EdgeListParseError} <= kinds
 
 
 def test_load_counts_dropped_arcs(tmp_path, caplog):
@@ -169,6 +239,9 @@ def test_round_trip(tmp_path):
     g = load_edge_list(write_lines(tmp_path, lines))
     out = tmp_path / "canon.txt"
     save_edge_list(g, out)
+    ids = g.node_ids
+    assert out.read_bytes() == "".join(f"{ids[u]} {ids[v]}\n" for u, v in
+                                       zip(g.arc_src.tolist(), g.out_indices.tolist())).encode()
     g2 = load_edge_list(out)
     assert g2.n == g.n and g2.m == g.m
     assert g2.node_ids.tolist() == g.node_ids.tolist()
