@@ -151,8 +151,7 @@ class DirectedGraph:
 # per-chunk numpy calls cost little, small enough to keep the peak RSS of
 # ingest where the id buffers put it.
 _CHUNK_BYTES = 1 << 16
-# Bytes a plain line may hold.  At most 18 digits per id keep it below 2**63.
-_PLAIN_BYTES = b"0123456789 \t\n"
+# At most 18 digits per id in a plain line keep it below 2**63.
 _PLAIN_DIGITS = 18
 
 
@@ -196,12 +195,10 @@ def _plain_arcs(buf: bytes) -> tuple[np.ndarray, np.ndarray]:
     starts, stops = toggles[0::2], toggles[1::2]
     runs = np.diff(np.searchsorted(starts, ends), prepend=0)
     plain, other = runs == 2, runs > 0
-    if buf.translate(None, _PLAIN_BYTES):
-        odd = np.searchsorted(ends, np.flatnonzero(~digit & (a != 32) & (a != 9) & (a != 10)))
-        plain[odd] = False
-        other[odd] = True
-    if (long := stops - starts > _PLAIN_DIGITS).any():
-        plain[np.searchsorted(ends, starts[long])] = False
+    odd = np.searchsorted(ends, np.flatnonzero(~digit & (a != 32) & (a != 9) & (a != 10)))
+    plain[odd] = False
+    other[odd] = True
+    plain[np.searchsorted(ends, starts[stops - starts > _PLAIN_DIGITS])] = False
     other &= ~plain
     if not plain.any():  # np.fromstring reads a text of whitespace alone as [0]
         return np.empty((0, 2), dtype=np.int64), np.flatnonzero(other)
