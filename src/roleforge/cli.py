@@ -443,6 +443,8 @@ def _load_groups(path, ids):
     assign = _labels_for(path, ids, "clusters") - 1
     if assign.size and assign.min() < 0:
         raise RoleForgeError(f"clusters file {path} has group labels below 1")
+    if assign.size and assign.max() >= assign.size:
+        raise RoleForgeError(f"clusters file {path} has group labels above its node count {assign.size}")
     return assign, int(assign.max()) + 1 if assign.size else 1
 
 

@@ -153,6 +153,9 @@ class DirectedGraph:
 _CHUNK_BYTES = 1 << 16
 # At most 18 digits per id in a plain line keep it below 2**63.
 _PLAIN_DIGITS = 18
+# Edge lists are written in slices of this many arcs, one join each, so the
+# text of the whole file is never held at once.
+_SAVE_ARCS = 1 << 16
 
 
 def _blocks(fh):
@@ -272,7 +275,10 @@ def save_edge_list(g: DirectedGraph, path) -> None:
     """Write the canonical edge list: arcs sorted by endpoints, original ids."""
     ids = g.node_ids
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{u} {v}\n" for u, v in zip(ids[g.arc_src].tolist(), ids[g.out_indices].tolist())))
+        for a in range(0, g.m, _SAVE_ARCS):
+            src = ids[g.arc_src[a:a + _SAVE_ARCS]].tolist()
+            dst = ids[g.out_indices[a:a + _SAVE_ARCS]].tolist()
+            fh.write("".join(f"{u} {v}\n" for u, v in zip(src, dst)))
 
 
 def degrees(g: DirectedGraph, u: int) -> tuple[int, int, int]:

@@ -44,10 +44,11 @@ class Partition:
 
 @dataclass
 class LouvainTrace:
-    """Per-pass diagnostics: modularity values and flattened partition snapshots."""
+    """Per-pass diagnostics: node-level modularity, local-move sweeps and moves."""
 
     modularity: list[float]
-    levels: list[Partition]
+    sweeps: list[int]
+    moves: list[int]
 
 
 def _check_covers(g: DirectedGraph, p: Partition) -> None:
@@ -90,62 +91,81 @@ def aggregate_graph(g: DirectedGraph, p: Partition) -> DirectedGraph:
     )
 
 
-def _local_move_phase(g: DirectedGraph, min_gain: float, rng) -> tuple[bool, list[int]]:
+def _local_move_phase(g: DirectedGraph, min_gain: float, rng) -> tuple[list[int], int, int]:
     """Greedy node relocation sweeps until no move improves Q by more than min_gain.
 
-    Returns (whether any move happened, community label per node).  The gain
-    of moving u into community C, with u detached from its own community, is
+    Returns (community label per node, sweeps run, moves made).  The gain of
+    moving u into community C, with u detached from its own community, is
 
         (w(u->C) + w(C->u)) / w - (s_out(u) * S_in(C) + s_in(u) * S_out(C)) / w^2
 
     which equals the exact from-scratch change of Q between the two
     assignments.  Equal-gain targets resolve to the lowest community id.
+
+    The first sweep computes each node's neighbour-community weights
+    ({C: w(u->C) + w(C->u)}, self-loops excluded) from its arcs and drops
+    them.  From the second sweep on a node keeps them after its first
+    evaluation, and every move updates the kept weights of the mover's
+    neighbours, deleting a community whose weight falls to 0.  Arc weights
+    are positive integers (ingest gives 1, aggregation sums them) and are
+    summed as Python ints, so every sum is exact and order-free: the kept
+    weights equal from-scratch sums, the candidates are exactly the
+    communities with a neighbour, and with a total weight of at most 2^53
+    each weight converts to float64 without rounding.  No list of length m
+    is built; each node's arcs are read as slices of the CSR arrays.
     """
     n = g.n
     w = g.total_weight
     w2 = w * w
     out_ptr = g.out_indptr.tolist()
-    out_idx = g.out_indices.tolist()
-    out_w = g.out_weights.tolist()
     in_ptr = g.in_indptr.tolist()
-    in_idx = g.in_indices.tolist()
-    in_w = g.in_weights.tolist()
+    out_idx = g.out_indices
+    in_idx = g.in_indices
+    out_w = g.out_weights.astype(np.int64)
+    in_w = g.in_weights.astype(np.int64)
     s_out = g.out_strengths.tolist()
     s_in = g.in_strengths.tolist()
+
+    def arcs(u):
+        """Neighbours and weights of u's out-arcs, then its in-arcs."""
+        a, b = out_ptr[u], out_ptr[u + 1]
+        c, d = in_ptr[u], in_ptr[u + 1]
+        return zip(out_idx[a:b].tolist() + in_idx[c:d].tolist(),
+                   out_w[a:b].tolist() + in_w[c:d].tolist())
 
     assign = list(range(n))
     S_out = s_out.copy()
     S_in = s_in.copy()
+    links: list[dict[int, int] | None] = [None] * n
     natural = list(range(n))
-    moved_any = False
+    sweeps = total_moves = 0
     while True:
         sweep = natural if rng is None else rng.permutation(n).tolist()
+        sweeps += 1
         moves = 0
         for u in sweep:
             cu = assign[u]
-            link: dict[int, float] = {}
-            for i in range(out_ptr[u], out_ptr[u + 1]):
-                v = out_idx[i]
-                if v != u:
-                    c = assign[v]
-                    link[c] = link.get(c, 0.0) + out_w[i]
-            for i in range(in_ptr[u], in_ptr[u + 1]):
-                v = in_idx[i]
-                if v != u:
-                    c = assign[v]
-                    link[c] = link.get(c, 0.0) + in_w[i]
+            link = links[u]
+            if link is None:
+                link = {}
+                for v, x in arcs(u):
+                    if v != u:
+                        c = assign[v]
+                        link[c] = link.get(c, 0) + x
+                if sweeps > 1:
+                    links[u] = link
             so = s_out[u]
             si = s_in[u]
             S_out[cu] -= so
             S_in[cu] -= si
-            stay_gain = link.get(cu, 0.0) / w - (so * S_in[cu] + si * S_out[cu]) / w2
+            stay_gain = link.get(cu, 0) / w - (so * S_in[cu] + si * S_out[cu]) / w2
             best_c = cu
             best_gain = stay_gain
-            for c in sorted(link):
+            for c, x in link.items():
                 if c == cu:
                     continue
-                gain = link[c] / w - (so * S_in[c] + si * S_out[c]) / w2
-                if gain > best_gain:
+                gain = x / w - (so * S_in[c] + si * S_out[c]) / w2
+                if gain > best_gain or (gain == best_gain and c < best_c):
                     best_gain = gain
                     best_c = c
             if best_c != cu and best_gain - stay_gain > min_gain:
@@ -153,13 +173,22 @@ def _local_move_phase(g: DirectedGraph, min_gain: float, rng) -> tuple[bool, lis
                 S_out[best_c] += so
                 S_in[best_c] += si
                 moves += 1
+                if sweeps > 1:
+                    for v, x in arcs(u):
+                        lv = links[v]
+                        if lv is not None and v != u:
+                            left = lv[cu] - x
+                            if left == 0:
+                                del lv[cu]
+                            else:
+                                lv[cu] = left
+                            lv[best_c] = lv.get(best_c, 0) + x
             else:
                 S_out[cu] += so
                 S_in[cu] += si
+        total_moves += moves
         if moves == 0:
-            break
-        moved_any = True
-    return moved_any, assign
+            return assign, sweeps, total_moves
 
 
 def louvain_directed(
@@ -176,6 +205,10 @@ def louvain_directed(
     runs local moves to convergence, records the node-level modularity, and
     contracts communities before the next pass.  A graph where no move
     improves Q returns the singleton partition after one pass.
+
+    Arc weights must be positive integers summing to at most 2^53 (every
+    ingested graph and its aggregates qualify); other weights raise
+    ValueError, because the local moves rely on exact weight sums.
     """
     if g.m == 0:
         raise UndefinedModularityError("cannot run community detection on a graph with no arcs")
@@ -183,19 +216,22 @@ def louvain_directed(
         raise ValueError("order must be 'natural' or 'shuffled'")
     if min_gain < 0:
         raise ValueError("min_gain must be non-negative")
+    wts = g.out_weights
+    if not ((wts > 0).all() and (wts == np.floor(wts)).all() and g.total_weight <= 2.0**53):
+        raise ValueError("arc weights must be positive integers summing to at most 2^53")
     rng = np.random.default_rng(seed) if order == "shuffled" else None
 
     assign_full = np.arange(g.n, dtype=np.int64)
     level = g
-    q_trace: list[float] = []
-    snapshots: list[Partition] = []
+    trace = LouvainTrace([], [], [])
     while True:
-        moved, labels = _local_move_phase(level, min_gain, rng)
+        labels, sweeps, moves = _local_move_phase(level, min_gain, rng)
         part = Partition.from_labels(labels)
         assign_full = part.assign[assign_full]
-        flat = Partition(assign_full.copy(), part.n_comms)
-        q_trace.append(directed_modularity(g, flat))
-        snapshots.append(flat)
-        if not moved or part.n_comms == level.n:
-            return flat, LouvainTrace(q_trace, snapshots)
+        flat = Partition(assign_full, part.n_comms)
+        trace.modularity.append(directed_modularity(g, flat))
+        trace.sweeps.append(sweeps)
+        trace.moves.append(moves)
+        if moves == 0 or part.n_comms == level.n:
+            return flat, trace
         level = aggregate_graph(level, part)

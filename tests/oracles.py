@@ -6,7 +6,9 @@ shared with the package's CSR/vectorized code paths.  The k-means oracle is
 the exception: it keeps the straightforward n x k NumPy form of the Lloyd
 step, because the package must reproduce its arithmetic bit for bit.  The
 edge-list oracle is the other one: it is the per-line text-mode reader, and
-builds its graph with the package's `DirectedGraph.from_arcs`.
+builds its graph with the package's `DirectedGraph.from_arcs`.  The
+local-move oracle is the sweep loop that recomputes every node's
+neighbour-community weights from its arcs on each visit.
 """
 
 from array import array
@@ -218,6 +220,78 @@ def oracle_best_partition(edges, n):
         if best_q is None or q > best_q:
             best_q, best_labels = q, labels
     return best_q, best_labels
+
+
+def oracle_local_move_phase(g: DirectedGraph, min_gain: float, rng) -> tuple[bool, list[int]]:
+    """Greedy node relocation sweeps until no move improves Q by more than min_gain.
+
+    Returns (whether any move happened, community label per node).  The gain
+    of moving u into community C, with u detached from its own community, is
+
+        (w(u->C) + w(C->u)) / w - (s_out(u) * S_in(C) + s_in(u) * S_out(C)) / w^2
+
+    which equals the exact from-scratch change of Q between the two
+    assignments.  Equal-gain targets resolve to the lowest community id.
+    """
+    n = g.n
+    w = g.total_weight
+    w2 = w * w
+    out_ptr = g.out_indptr.tolist()
+    out_idx = g.out_indices.tolist()
+    out_w = g.out_weights.tolist()
+    in_ptr = g.in_indptr.tolist()
+    in_idx = g.in_indices.tolist()
+    in_w = g.in_weights.tolist()
+    s_out = g.out_strengths.tolist()
+    s_in = g.in_strengths.tolist()
+
+    assign = list(range(n))
+    S_out = s_out.copy()
+    S_in = s_in.copy()
+    natural = list(range(n))
+    moved_any = False
+    while True:
+        sweep = natural if rng is None else rng.permutation(n).tolist()
+        moves = 0
+        for u in sweep:
+            cu = assign[u]
+            link: dict[int, float] = {}
+            for i in range(out_ptr[u], out_ptr[u + 1]):
+                v = out_idx[i]
+                if v != u:
+                    c = assign[v]
+                    link[c] = link.get(c, 0.0) + out_w[i]
+            for i in range(in_ptr[u], in_ptr[u + 1]):
+                v = in_idx[i]
+                if v != u:
+                    c = assign[v]
+                    link[c] = link.get(c, 0.0) + in_w[i]
+            so = s_out[u]
+            si = s_in[u]
+            S_out[cu] -= so
+            S_in[cu] -= si
+            stay_gain = link.get(cu, 0.0) / w - (so * S_in[cu] + si * S_out[cu]) / w2
+            best_c = cu
+            best_gain = stay_gain
+            for c in sorted(link):
+                if c == cu:
+                    continue
+                gain = link[c] / w - (so * S_in[c] + si * S_out[c]) / w2
+                if gain > best_gain:
+                    best_gain = gain
+                    best_c = c
+            if best_c != cu and best_gain - stay_gain > min_gain:
+                assign[u] = best_c
+                S_out[best_c] += so
+                S_in[best_c] += si
+                moves += 1
+            else:
+                S_out[cu] += so
+                S_in[cu] += si
+        if moves == 0:
+            break
+        moved_any = True
+    return moved_any, assign
 
 
 def oracle_davies_bouldin(points, assign, centroids):

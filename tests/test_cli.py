@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -206,7 +207,7 @@ def test_cli_subcommands_chain(tmp_path):
     for name, chained in pairs.items():
         ran = (out / name).read_text().splitlines()
         assert ran[0].startswith("# config_hash=")
-        assert ran[1:] == open(chained, encoding="utf-8").read().splitlines()[1:], name
+        assert ran[1:] == Path(chained).read_text(encoding="utf-8").splitlines()[1:], name
     # the chain re-reads measures.tsv, written at 12 significant digits
     _, ran_means, _ = read_tsv(out / "report_group_means.tsv")
     _, chained_means, _ = read_tsv(f"{report_prefix}_group_means.tsv")
@@ -266,7 +267,8 @@ def test_cli_reports_errors(tmp_path, capsys):
     for bad_group, argv in (
             ("9", ["report", "--measures", str(out / "measures.tsv"), "--centroids",
                    str(out / "centroids.tsv"), "--capitalists", str(out / "capitalists.tsv")]),
-            ("0", ["capitalists", "--input", cfg.input])):
+            ("0", ["capitalists", "--input", cfg.input]),
+            (str(2**62), ["capitalists", "--input", cfg.input])):
         clusters = tmp_path / f"clusters_{bad_group}.tsv"
         clusters.write_text("original_id\tgroup\n" + "".join(
             f"{r[0]}\t{bad_group if i == 0 else r[1]}\n" for i, r in enumerate(rows)))

@@ -1,12 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from roleforge import louvain
 from roleforge.errors import UndefinedModularityError
+from roleforge.graph import DirectedGraph
 from roleforge.louvain import Partition, aggregate_graph, directed_modularity, louvain_directed
+from roleforge.synth import planted_partition_graph
 
 from conftest import (TWO_CYCLES_ASSIGN, TWO_CYCLES_EDGES, graph_from_edges,
                       random_assign, random_edges)
-from oracles import oracle_best_partition, oracle_modularity
+from oracles import oracle_best_partition, oracle_local_move_phase, oracle_modularity
 
 
 def test_modularity_two_cycles_planted(two_cycles):
@@ -123,7 +128,7 @@ def test_louvain_trace_and_partition_invariants():
         assert all(b >= a - 1e-12 for a, b in zip(qs, qs[1:]))
         assert sorted(set(part.assign.tolist())) == list(range(part.n_comms))
         assert (part.sizes() > 0).all()
-        assert len(trace.levels) == len(qs)
+        assert len(trace.sweeps) == len(trace.moves) == len(qs)
 
 
 def test_louvain_natural_order_is_reproducible():
@@ -195,3 +200,54 @@ def test_weighted_modularity_matches_oracle():
         labels = random_assign(rng, agg.n, 2)
         q = directed_modularity(agg, Partition.from_labels(labels))
         assert q == pytest.approx(oracle_modularity(agg_edges, agg.n, labels, weights), abs=1e-12)
+
+
+def _oracle_cases():
+    """(graph, shuffle seeds) pairs for the differential test."""
+    rng = np.random.default_rng(71)
+    for trial in range(30):
+        n = int(rng.integers(4, 80))
+        yield graph_from_edges(random_edges(rng, n, min(int(rng.integers(n, 4 * n)), n * (n - 1) // 2)), n), (5,)
+    for seed in range(3):
+        yield planted_partition_graph(4, 25, intra_out=4, inter_out=2, seed=seed)[0], (5,)
+    yield planted_partition_graph(6, 40, seed=3)[0], (5,)
+    # sparse planted graphs under several sweep orders: there a neighbour
+    # sometimes leaves a community for good, so a kept weight falls to 0
+    for seed in range(4):
+        yield planted_partition_graph(10, 20, intra_out=3, inter_out=2, seed=seed)[0], range(6)
+    # tie-heavy: disjoint one-way and two-way cycles of equal length
+    for length, both in ((3, False), (4, False), (4, True), (5, True)):
+        edges = [(c * length + i, c * length + (i + 1) % length) for c in range(6) for i in range(length)]
+        if both:
+            edges += [(v, u) for u, v in edges]
+        yield graph_from_edges(sorted(edges), 6 * length), (5,)
+
+
+def test_louvain_matches_oracle(monkeypatch):
+    # the kept neighbour-community weights must reproduce the from-scratch loop bit for bit
+    def oracle_phase(g, min_gain, rng):
+        moved, assign = oracle_local_move_phase(g, min_gain, rng)
+        return assign, 0, int(moved)
+
+    for g, seeds in _oracle_cases():
+        runs = [("natural", 0)] + [("shuffled", seed) for seed in seeds]
+        for (order, seed), min_gain in itertools.product(runs, (0.0, 1e-9, 1e-3)):
+            part, trace = louvain_directed(g, min_gain=min_gain, seed=seed, order=order)
+            with monkeypatch.context() as mp:
+                mp.setattr(louvain, "_local_move_phase", oracle_phase)
+                want, want_trace = louvain_directed(g, min_gain=min_gain, seed=seed, order=order)
+            assert part.assign.tobytes() == want.assign.tobytes()
+            assert trace.modularity == want_trace.modularity
+            assert min(trace.sweeps) >= 1 and trace.moves[-1] == 0
+            assert all(m > 0 for m in trace.moves[:-1])
+            assert all(s >= 2 for s, m in zip(trace.sweeps, trace.moves) if m)
+
+
+def test_louvain_rejects_non_integer_weights():
+    src, dst = np.array([0, 1, 2, 0]), np.array([1, 2, 0, 2])
+    for weights in ([1.0, 2.0, 0.5, 1.0], [1.0, 0.0, 1.0, 1.0], [1.0, -1.0, 2.0, 1.0]):
+        g = DirectedGraph.from_arcs(src, dst, 3, weights=weights, simple=False)
+        with pytest.raises(ValueError, match="positive integers"):
+            louvain_directed(g)
+    whole = DirectedGraph.from_arcs(src, dst, 3, weights=[1.0, 2.0, 3.0, 1.0], simple=False)
+    assert louvain_directed(whole)[0].n_comms >= 1
