@@ -8,7 +8,7 @@ in-neighbors are followers.
 import tempfile
 from pathlib import Path
 
-from roleforge import Partition, community_link_counts, degrees, load_edge_list
+from roleforge import Partition, community_profile, load_edge_list
 
 EDGE_LINES = """\
 # toy follow network
@@ -29,11 +29,11 @@ with tempfile.TemporaryDirectory() as td:
 
 print(f"loaded n={g.n} nodes, m={g.m} arcs")
 for u in range(g.n):
-    k_in, k_out, k = degrees(g, u)
-    print(f"  node {u}: followers={k_in} followees={k_out} "
+    print(f"  node {u}: followers={g.in_degrees[u]} followees={g.out_degrees[u]} "
           f"out-neighbors={g.out_neighbors(u).tolist()}")
 
 partition = Partition.from_labels([0, 0, 0, 1, 1, 1])
-print("\nper-community link counts for node 0:")
-print("  outgoing:", community_link_counts(g, 0, partition, "out"))
-print("  incoming:", community_link_counts(g, 0, partition, "in"))
+prof = community_profile(g, partition)
+print("\nlinks of node 0 inside / outside its community, and external communities reached:")
+print(f"  outgoing: {prof.k_int_out[0]} / {prof.k_ext_out[0]}, reach {prof.eps_out[0]}")
+print(f"  incoming: {prof.k_int_in[0]} / {prof.k_ext_in[0]}, reach {prof.eps_in[0]}")

@@ -7,8 +7,8 @@ deviations above this community's norm".
 
 import numpy as np
 
-from roleforge import (MEASURE_COLUMNS, embeddedness, ga_role, louvain_directed,
-                       participation_coefficient, role_measures)
+from roleforge import MEASURE_COLUMNS, community_profile, ga_role, louvain_directed, role_measures
+from roleforge.measures import embeddedness_values, participation_coefficients
 from roleforge.synth import planted_partition_graph
 
 g, _ = planted_partition_graph(n_comms=5, comm_size=40, intra_out=8, inter_out=2, seed=3)
@@ -23,10 +23,11 @@ print(f"\nnode with the highest outgoing diversity: {most_diverse}")
 for name, value in zip(MEASURE_COLUMNS, mat[most_diverse]):
     print(f"  {name:>10} = {value:+.3f}")
 
-e = embeddedness(g, partition, most_diverse, "total")
-p = participation_coefficient(g, partition, most_diverse)
+e = embeddedness_values(community_profile(g, partition))[most_diverse]
+p = participation_coefficients(g, partition)[most_diverse]
 z = mat[most_diverse, MEASURE_COLUMNS.index("I_int_out")]
 print(f"  embeddedness = {e:.3f}, participation = {p:.3f}")
+# ga_role is a library function: no artifact of `role-forge run` holds its labels
 print(f"  classical 7-class role (z={z:+.2f}, P={p:.2f}): {ga_role(z, p)}")
 
 # per-community z-scores average out to zero inside every community

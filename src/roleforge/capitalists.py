@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedValueError
 from .graph import DirectedGraph
 
 IN_DEGREE_FLOOR = 500
@@ -53,16 +52,6 @@ def overlap_index(g: DirectedGraph, u: int) -> float:
     return inter / lo
 
 
-def ratio(g: DirectedGraph, u: int) -> float:
-    """Out-degree divided by in-degree; undefined for nodes without followers."""
-    if not 0 <= u < g.n:
-        raise IndexError(f"node {u} out of range for a graph with {g.n} nodes")
-    k_in = int(g.in_degrees[u])
-    if k_in == 0:
-        raise UndefinedValueError(f"node {u} has in-degree 0, ratio undefined")
-    return int(g.out_degrees[u]) / k_in
-
-
 def classify_ratio(k_in: int, r: float) -> tuple[str, str]:
     """(band, behavior) from the in-degree band and the out/in ratio.
 
@@ -81,13 +70,6 @@ def classify_ratio(k_in: int, r: float) -> tuple[str, str]:
     return "high", ("FMIFY" if r < 1.0 else "IFYFM")
 
 
-def classify_record(k_in: int, k_out: int, overlap: float) -> tuple[str, str]:
-    """(band, behavior) for a detected account."""
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError(f"overlap {overlap} outside [0, 1]")
-    return classify_ratio(k_in, k_out / k_in)
-
-
 def detect_capitalists(g: DirectedGraph, *, overlap_min: float = 0.8,
                        in_degree_min: int = IN_DEGREE_FLOOR) -> list[CapitalistRecord]:
     """All nodes with in-degree >= in_degree_min and overlap >= overlap_min.
@@ -97,6 +79,8 @@ def detect_capitalists(g: DirectedGraph, *, overlap_min: float = 0.8,
     """
     if not 0.0 <= overlap_min <= 1.0:
         raise ValueError(f"overlap_min {overlap_min} outside [0, 1]")
+    if in_degree_min < IN_DEGREE_FLOOR:
+        raise ValueError(f"in_degree_min {in_degree_min} below the classification floor {IN_DEGREE_FLOOR}")
     records = []
     for u in np.flatnonzero(g.in_degrees >= in_degree_min).tolist():
         ov = overlap_index(g, u)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .capitalists import CapitalistRecord, crosstab, detect_capitalists
+from .capitalists import IN_DEGREE_FLOOR, CapitalistRecord, crosstab, detect_capitalists
 from .clustering import RoleThresholds, label_role, renumber_by_size, select_k, standardize
 from .errors import ConfigError, DegenerateVarianceError, PipelineStageError, RoleForgeError
 from .graph import CONVENTIONS, DirectedGraph, load_edge_list
@@ -51,7 +51,7 @@ class PipelineConfig:
     kmeans_max_iter: int = 100
     kmeans_tol: float = 1e-6
     overlap_min: float = 0.8
-    in_degree_min: int = 500
+    in_degree_min: int = IN_DEGREE_FLOOR
     pivot_threshold: float = 1.0
     connector_threshold: float = 0.5
     orphan_threshold: float = 5.0
@@ -114,8 +114,8 @@ def validate_config(cfg: PipelineConfig, *, for_run: bool = True) -> None:
         raise ConfigError(f"invalid k range [{cfg.k_min}, {cfg.k_max}]")
     if not 0.0 <= cfg.overlap_min <= 1.0:
         raise ConfigError("overlap_min must lie in [0, 1]")
-    if cfg.in_degree_min < 500:
-        raise ConfigError("in_degree_min below 500 conflicts with the classification floor")
+    if cfg.in_degree_min < IN_DEGREE_FLOOR:
+        raise ConfigError(f"in_degree_min below {IN_DEGREE_FLOOR} conflicts with the classification floor")
     if cfg.kmeans_restarts < 1 or cfg.kmeans_max_iter < 1 or cfg.kmeans_tol <= 0:
         raise ConfigError("k-means needs restarts >= 1, max_iter >= 1, tol > 0")
     if cfg.min_gain < 0:

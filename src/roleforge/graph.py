@@ -14,7 +14,6 @@ from .errors import EdgeListParseError, RoleForgeError
 log = logging.getLogger(__name__)
 
 CONVENTIONS = ("src-follows-dst", "dst-follows-src")
-DIRECTIONS = ("in", "out")
 
 
 @dataclass(frozen=True)
@@ -279,29 +278,3 @@ def save_edge_list(g: DirectedGraph, path) -> None:
             src = ids[g.arc_src[a:a + _SAVE_ARCS]].tolist()
             dst = ids[g.out_indices[a:a + _SAVE_ARCS]].tolist()
             fh.write("".join(f"{u} {v}\n" for u, v in zip(src, dst)))
-
-
-def degrees(g: DirectedGraph, u: int) -> tuple[int, int, int]:
-    """(k_in, k_out, k_total) of node u."""
-    if not 0 <= u < g.n:
-        raise IndexError(f"node {u} out of range for a graph with {g.n} nodes")
-    k_in = int(g.in_indptr[u + 1] - g.in_indptr[u])
-    k_out = int(g.out_indptr[u + 1] - g.out_indptr[u])
-    return k_in, k_out, k_in + k_out
-
-
-def community_link_counts(g: DirectedGraph, u: int, partition, direction: str) -> dict[int, int]:
-    """Arc counts of u's neighbors in `direction`, grouped by neighbor community.
-
-    Communities receiving no link are absent from the returned mapping, so
-    the values always sum to u's degree in that direction.
-    """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}")
-    if not 0 <= u < g.n:
-        raise IndexError(f"node {u} out of range for a graph with {g.n} nodes")
-    if partition.assign.shape[0] != g.n:
-        raise ValueError("partition does not cover the graph")
-    nbrs = g.out_neighbors(u) if direction == "out" else g.in_neighbors(u)
-    comms, counts = np.unique(partition.assign[nbrs], return_counts=True)
-    return {int(c): int(k) for c, k in zip(comms, counts)}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UndefinedValueError
+from .errors import ConfigError
 from .graph import DirectedGraph
 
 MEASURE_COLUMNS = ("I_int_out", "I_int_in", "D_out", "D_in", "I_ext_out", "I_ext_in", "H_out", "H_in")
@@ -43,8 +43,10 @@ class NodeCommunityProfile:
 def z_score_within_community(values, partition) -> np.ndarray:
     """Z-score of `values` relative to each node's community.
 
-    Uses the population standard deviation over the community members; when
-    it is zero (constant values, singleton community) every member gets 0.
+    Uses the population standard deviation over the community members.  A
+    community whose values are all equal (a singleton included) z-scores to
+    exactly 0: its minimum equals its maximum, whatever rounding leaves in
+    the variance.
     """
     v = np.asarray(values, dtype=np.float64)
     a = partition.assign
@@ -56,8 +58,12 @@ def z_score_within_community(values, partition) -> np.ndarray:
     mean = np.bincount(a, weights=v, minlength=nc) / safe
     var = np.bincount(a, weights=v * v, minlength=nc) / safe - mean**2
     sigma = np.sqrt(np.maximum(var, 0.0))
+    lo = np.full(nc, np.inf)
+    hi = np.full(nc, -np.inf)
+    np.minimum.at(lo, a, v)
+    np.maximum.at(hi, a, v)
     z = np.zeros_like(v)
-    ok = sigma[a] > 0
+    ok = (sigma[a] > 0) & (lo[a] < hi[a])
     z[ok] = (v[ok] - mean[a][ok]) / sigma[a][ok]
     return z
 
@@ -133,32 +139,6 @@ def role_measures(g: DirectedGraph, partition, *, lambda_include_zeros: bool = F
     )
 
 
-def embeddedness(g: DirectedGraph, partition, u: int, direction: str = "total") -> float:
-    """Fraction of u's links that stay inside its own community, in [0, 1].
-
-    direction is "in", "out", or "total" (combined counts).  Raises
-    UndefinedValueError when u has no links in the chosen direction.
-    """
-    if direction not in ("in", "out", "total"):
-        raise ValueError("direction must be 'in', 'out' or 'total'")
-    if not 0 <= u < g.n:
-        raise IndexError(f"node {u} out of range for a graph with {g.n} nodes")
-    own = partition.assign[u]
-    k = 0
-    k_int = 0
-    if direction in ("out", "total"):
-        nbrs = g.out_neighbors(u)
-        k += nbrs.size
-        k_int += int(np.count_nonzero(partition.assign[nbrs] == own))
-    if direction in ("in", "total"):
-        nbrs = g.in_neighbors(u)
-        k += nbrs.size
-        k_int += int(np.count_nonzero(partition.assign[nbrs] == own))
-    if k == 0:
-        raise UndefinedValueError(f"node {u} has no links in direction '{direction}'")
-    return k_int / k
-
-
 def embeddedness_values(profile: NodeCommunityProfile) -> np.ndarray:
     """Total-direction embeddedness per node; NaN where a node has no links."""
     k_int = (profile.k_int_out + profile.k_int_in).astype(np.float64)
@@ -169,25 +149,13 @@ def embeddedness_values(profile: NodeCommunityProfile) -> np.ndarray:
     return out
 
 
-def participation_coefficient(g: DirectedGraph, partition, u: int) -> float:
-    """1 minus the sum of squared per-community link fractions, on combined links.
+def participation_coefficients(g: DirectedGraph, partition) -> np.ndarray:
+    """1 minus the sum of squared per-community link fractions, per node.
 
     Counts in- and out-links together (the coefficient is direction
-    agnostic).  A node with no links gets 0 by convention; the result lies
+    agnostic).  A node with no links gets 0 by convention; every value lies
     in [0, 1).
     """
-    if not 0 <= u < g.n:
-        raise IndexError(f"node {u} out of range for a graph with {g.n} nodes")
-    nbrs = np.concatenate([g.out_neighbors(u), g.in_neighbors(u)])
-    k = nbrs.size
-    if k == 0:
-        return 0.0
-    counts = np.bincount(partition.assign[nbrs])
-    return float(1.0 - ((counts / k) ** 2).sum())
-
-
-def participation_coefficients(g: DirectedGraph, partition) -> np.ndarray:
-    """Vectorized participation_coefficient over all nodes."""
     if partition.assign.shape[0] != g.n:
         raise ValueError("partition does not cover the graph")
     a = partition.assign

@@ -8,19 +8,6 @@ from .graph import DirectedGraph
 from .louvain import Partition
 
 
-def random_directed_graph(n: int, m: int, seed: int = 0) -> DirectedGraph:
-    """About m uniform random arcs (self-loops and duplicates are dropped at build)."""
-    rng = np.random.default_rng(seed)
-    src = rng.integers(0, n, size=m)
-    dst = rng.integers(0, n, size=m)
-    return DirectedGraph.from_arcs(src, dst, n)
-
-
-def random_partition(n: int, n_comms: int, seed: int = 0) -> Partition:
-    rng = np.random.default_rng(seed)
-    return Partition.from_labels(rng.integers(0, n_comms, size=n))
-
-
 def planted_partition_graph(n_comms: int, comm_size: int, intra_out: int = 8,
                             inter_out: int = 2, seed: int = 0) -> tuple[DirectedGraph, Partition]:
     """Directed planted-community graph plus its ground-truth partition.

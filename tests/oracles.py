@@ -35,16 +35,6 @@ def oracle_degrees(edges, n, u):
     return k_in, k_out, k_in + k_out
 
 
-def oracle_link_counts(edges, n, assign, u, direction):
-    counts = {}
-    for a, b in edges:
-        if direction == "out" and a == u:
-            counts[assign[b]] = counts.get(assign[b], 0) + 1
-        if direction == "in" and b == u:
-            counts[assign[a]] = counts.get(assign[a], 0) + 1
-    return counts
-
-
 def _pop_std(values):
     if not values:
         return 0.0
@@ -85,9 +75,9 @@ def oracle_z(values, assign):
     for c in set(assign):
         members = [u for u in range(n) if assign[u] == c]
         vals = [values[u] for u in members]
-        sd = _pop_std(vals)
-        if sd == 0:
+        if min(vals) == max(vals):
             continue
+        sd = _pop_std(vals)
         mu = sum(vals) / len(vals)
         for u in members:
             z[u] = (values[u] - mu) / sd

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from roleforge.capitalists import classify_ratio, detect_capitalists, overlap_index, ratio
+from roleforge.capitalists import classify_ratio, detect_capitalists, overlap_index
 from roleforge.cli import PipelineConfig, read_tsv, run_pipeline
 from roleforge.clustering import davies_bouldin, kmeans, select_k
 from roleforge.graph import save_edge_list
 from roleforge.louvain import Partition, aggregate_graph, directed_modularity, louvain_directed
-from roleforge.measures import (community_profile, embeddedness, embeddedness_values,
-                                participation_coefficient, role_measures)
+from roleforge.measures import (community_profile, embeddedness_values, participation_coefficients,
+                                role_measures)
 from roleforge.stats import one_way_anova, regularized_incomplete_beta
 from roleforge.synth import capitalist_community_network, planted_capitalist_graph
 
@@ -44,17 +44,19 @@ def test_oracle_equivalence():
         mat = role_measures(g, p)
         assert np.abs(mat - np.array(oracle_measures(edges, n, assign))).max() <= 1e-9
 
+        # the per-node stats as the pipeline computes them: the measures stage,
+        # and the overlap and k_out / k_in of detect_capitalists
         emb_vec = embeddedness_values(community_profile(g, p))
+        part_vec = participation_coefficients(g, p)
         for u, (emb, part, ov, rt) in enumerate(oracle_node_stats(edges, n, assign)):
             if emb is None:
                 assert np.isnan(emb_vec[u])
             else:
-                assert abs(embeddedness(g, p, u, "total") - emb) <= 1e-9
                 assert abs(emb_vec[u] - emb) <= 1e-9
-            assert abs(participation_coefficient(g, p, u) - part) <= 1e-9
+            assert abs(part_vec[u] - part) <= 1e-9
             assert abs(overlap_index(g, u) - ov) <= 1e-9
             if rt is not None:
-                assert abs(ratio(g, u) - rt) <= 1e-9
+                assert abs(int(g.out_degrees[u]) / int(g.in_degrees[u]) - rt) <= 1e-9
     _done("oracle equivalence (100 random graphs)", t0, 30)
 
 

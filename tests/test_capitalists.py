@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from roleforge.capitalists import (CapitalistRecord, classify_ratio, classify_record, crosstab,
-                                   detect_capitalists, overlap_index, ratio)
-from roleforge.errors import UndefinedValueError
+from roleforge.capitalists import (IN_DEGREE_FLOOR, CapitalistRecord, classify_ratio, crosstab,
+                                   detect_capitalists, overlap_index)
 from roleforge.synth import planted_capitalist_graph
 
 from conftest import graph_from_edges, random_edges
@@ -51,19 +50,14 @@ def test_overlap_matches_oracle_and_transpose_invariance():
 
 
 def test_ratio():
-    g = star_graph({1, 2, 3}, {4, 5, 6}, 7)
-    assert ratio(g, 0) == 1.0
-    g2 = star_graph(set(range(1, 11)), {11, 12, 13, 14, 15, 16, 17}, 18)
-    assert ratio(g2, 0) == 0.7
-    g3 = star_graph({1, 2, 3, 4, 5}, set(), 6)
-    assert ratio(g3, 0) == 0.0
-    with pytest.raises(UndefinedValueError):
-        ratio(g3, 1)
-    for u in range(18):
-        want = oracle_ratio([(v, 0) for v in range(1, 11)] + [(0, v) for v in range(11, 18)], 18, u)
-        if want is None:
-            continue
-        assert ratio(g2, u) == want
+    # followers 1..k_in and followees k_in+1..k_in+k_out: overlap 0, so admit any overlap
+    for k_in, k_out, want in ((600, 600, 1.0), (1000, 700, 0.7), (500, 0, 0.0)):
+        followers = range(1, k_in + 1)
+        edges = [(v, 0) for v in followers] + [(0, v) for v in range(k_in + 1, k_in + k_out + 1)]
+        n = k_in + k_out + 1
+        records = detect_capitalists(graph_from_edges(edges, n), overlap_min=0.0)
+        assert [(r.node, r.k_in, r.k_out) for r in records] == [(0, k_in, k_out)]
+        assert records[0].ratio == want == oracle_ratio(edges, n, 0)
 
 
 BOUNDARY_CASES = [
@@ -84,14 +78,13 @@ def test_classify_ratio_boundaries(k_in, r, expected):
     assert classify_ratio(k_in, r) == expected
 
 
-def test_classify_record():
-    assert classify_record(5000, 6500, 0.9) == ("low", "IFYFM")
-    assert classify_record(20000, 10000, 0.9) == ("high", "passive")
-    assert classify_record(20000, 17000, 0.9) == ("high", "FMIFY")
+def test_classify_ratio_of_degree_pairs():
+    # the ratio detect_capitalists passes in is k_out / k_in
+    assert classify_ratio(5000, 6500 / 5000) == ("low", "IFYFM")
+    assert classify_ratio(20000, 10000 / 20000) == ("high", "passive")
+    assert classify_ratio(20000, 17000 / 20000) == ("high", "FMIFY")
     with pytest.raises(ValueError):
-        classify_record(499, 499, 0.9)
-    with pytest.raises(ValueError):
-        classify_record(5000, 5000, 1.5)
+        classify_ratio(499, 499 / 499)
 
 
 def test_detection_floor_and_threshold(tmp_path):
@@ -108,6 +101,14 @@ def test_detection_floor_and_threshold(tmp_path):
     edges = [(0, v) for v in partners] + [(v, 0) for v in partners]
     g2 = graph_from_edges(edges, 500)
     assert detect_capitalists(g2) == []
+
+
+def test_detection_rejects_floor_below_classification_floor():
+    # no node passes the overlap test, so only an up-front check can reject the floor
+    g = star_graph({1, 2}, {3, 4}, 5)
+    for floor in (0, IN_DEGREE_FLOOR - 1):
+        with pytest.raises(ValueError, match="in_degree_min"):
+            detect_capitalists(g, in_degree_min=floor)
 
 
 def test_detection_monotone_in_thresholds():

@@ -5,11 +5,12 @@ import pytest
 
 from roleforge import graph
 from roleforge.errors import EdgeListParseError, RoleForgeError
-from roleforge.graph import (CONVENTIONS, community_link_counts, degrees, load_edge_list, save_edge_list)
+from roleforge.graph import CONVENTIONS, load_edge_list, save_edge_list
 from roleforge.louvain import Partition
+from roleforge.measures import community_profile
 
-from conftest import G1_ASSIGN, G1_EDGES, graph_from_edges, random_assign, random_edges
-from oracles import oracle_degrees, oracle_link_counts, oracle_load_edge_list
+from conftest import G1_EDGES, graph_from_edges, random_assign, random_edges
+from oracles import oracle_degrees, oracle_load_edge_list, oracle_profile
 
 GRAPH_ARRAYS = ("out_indptr", "out_indices", "out_weights", "in_indptr", "in_indices", "in_weights",
                 "node_ids")
@@ -165,17 +166,16 @@ def test_load_remaps_sparse_ids(tmp_path):
 
 
 def test_degrees_g1(g1):
-    assert degrees(g1, 1) == (1, 2, 3)
+    assert (g1.in_degrees[1], g1.out_degrees[1]) == (1, 2)
     for u in range(6):
-        assert degrees(g1, u) == oracle_degrees(G1_EDGES, 6, u)
+        k_in, k_out = int(g1.in_degrees[u]), int(g1.out_degrees[u])
+        assert (k_in, k_out, k_in + k_out) == oracle_degrees(G1_EDGES, 6, u)
 
 
 def test_degrees_edge_cases(tmp_path):
     g = load_edge_list(write_lines(tmp_path, ["0 1", "2 2"]))
-    assert degrees(g, 2) == (0, 0, 0)  # isolated after self-loop drop
-    assert degrees(g, 0) == (0, 1, 1)
-    with pytest.raises(IndexError):
-        degrees(g, 3)
+    assert g.in_degrees.tolist() == [0, 1, 0]  # node 2 isolated after self-loop drop
+    assert g.out_degrees.tolist() == [1, 0, 0]
 
 
 def test_dual_csr_consistency(g1):
@@ -193,23 +193,15 @@ def test_dual_csr_consistency(g1):
         assert (np.diff(nbrs) > 0).all()  # sorted, no duplicates
 
 
-def test_community_link_counts_g1(g1, g1_partition):
-    assert community_link_counts(g1, 0, g1_partition, "out") == {0: 1, 1: 1}
-    for u in range(6):
-        for d in ("in", "out"):
-            assert community_link_counts(g1, u, g1_partition, d) == \
-                oracle_link_counts(G1_EDGES, 6, G1_ASSIGN, u, d)
-
-
-def test_community_link_counts_cases():
+def test_link_counts_cases():
     # all neighbors in own community
     g = graph_from_edges([(0, 1), (0, 2)], 4)
     p = Partition.from_labels([0, 0, 0, 1])
-    assert community_link_counts(g, 0, p, "out") == {0: 2}
+    prof = community_profile(g, p)
+    assert (prof.k_int_out[0], prof.k_ext_out[0], prof.eps_out[0]) == (2, 0, 0)
     # isolated node
-    assert community_link_counts(g, 3, p, "out") == {}
-    with pytest.raises(ValueError):
-        community_link_counts(g, 0, p, "sideways")
+    assert (prof.k_int_out[3], prof.k_ext_out[3], prof.eps_out[3]) == (0, 0, 0)
+    assert (prof.k_int_in[3], prof.k_ext_in[3], prof.eps_in[3]) == (0, 0, 0)
 
 
 def test_link_counts_sum_to_degree():
@@ -219,17 +211,19 @@ def test_link_counts_sum_to_degree():
         edges = random_edges(rng, n, min(3 * n, n * (n - 1) // 2))
         g = graph_from_edges(edges, n)
         p = Partition.from_labels(random_assign(rng, n, int(rng.integers(1, 6))))
-        for u in range(n):
-            k_in, k_out, _ = degrees(g, u)
-            assert sum(community_link_counts(g, u, p, "out").values()) == k_out
-            assert sum(community_link_counts(g, u, p, "in").values()) == k_in
+        prof = community_profile(g, p)
+        assert np.array_equal(prof.k_int_out + prof.k_ext_out, g.out_degrees)
+        assert np.array_equal(prof.k_int_in + prof.k_ext_in, g.in_degrees)
+        oracle = oracle_profile(edges, n, p.assign.tolist())
+        for d, k_int, eps in (("out", prof.k_int_out, prof.eps_out), ("in", prof.k_int_in, prof.eps_in)):
+            assert k_int.tolist() == [oracle[u][d]["k_int"] for u in range(n)]
+            assert eps.tolist() == [oracle[u][d]["eps"] for u in range(n)]
 
 
 def test_transpose_swaps_degrees(g1):
     t = g1.transpose()
-    for u in range(g1.n):
-        k_in, k_out, k = degrees(g1, u)
-        assert degrees(t, u) == (k_out, k_in, k)
+    assert np.array_equal(t.in_degrees, g1.out_degrees)
+    assert np.array_equal(t.out_degrees, g1.in_degrees)
 
 
 def test_round_trip(tmp_path):

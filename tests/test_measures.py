@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from roleforge.errors import ConfigError, UndefinedValueError
+from roleforge.errors import ConfigError
 from roleforge.louvain import Partition
-from roleforge.measures import (GAThresholds, community_profile, embeddedness,
-                                embeddedness_values, ga_role, participation_coefficient,
+from roleforge.measures import (GAThresholds, community_profile, embeddedness_values, ga_role,
                                 participation_coefficients, role_measures,
                                 z_score_within_community)
 
@@ -27,6 +26,18 @@ def test_z_score_constant_and_singleton():
     p = Partition.from_labels([0, 0, 0, 1])
     z = z_score_within_community([5, 5, 5, 7], p)
     assert z.tolist() == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_z_score_constant_community_with_inexact_values():
+    # E[x^2] - mean^2 leaves a tiny positive variance for these: they must still give 0
+    for values in ([0.1] * 7, [0.7] * 3, [1 / 3] * 33):
+        assign = [0] * len(values)
+        z = z_score_within_community(values, Partition.from_labels(assign))
+        assert z.tolist() == [0.0] * len(values)
+        assert oracle_z(values, assign) == [0.0] * len(values)
+    # a constant community beside a varying one leaves the varying one's scores alone
+    z = z_score_within_community([0.1, 0.1, 0.1, 1.0, 2.0], Partition.from_labels([0, 0, 0, 1, 1]))
+    assert z.tolist() == [0.0, 0.0, 0.0, -1.0, 1.0]
 
 
 def test_z_score_matches_oracle():
@@ -151,33 +162,33 @@ def test_transpose_duality():
 
 
 def test_embeddedness(g1, g1_partition):
-    assert embeddedness(g1, g1_partition, 0, "total") == 0.5
+    vals_g1 = embeddedness_values(community_profile(g1, g1_partition))
+    assert vals_g1[0] == 0.5
     g = graph_from_edges([(0, 1), (1, 0)], 3)
     p = Partition.from_labels([0, 0, 1])
-    assert embeddedness(g, p, 0, "total") == 1.0
+    vals = embeddedness_values(community_profile(g, p))
+    assert vals[0] == 1.0
+    assert np.isnan(vals[2])  # no links: undefined
     g_ext = graph_from_edges([(0, 1)], 2)
     p_ext = Partition.from_labels([0, 1])
-    assert embeddedness(g_ext, p_ext, 0, "out") == 0.0
-    with pytest.raises(UndefinedValueError):
-        embeddedness(g_ext, p_ext, 0, "in")
-    vals = embeddedness_values(community_profile(g1, g1_partition))
+    assert embeddedness_values(community_profile(g_ext, p_ext))[0] == 0.0
     for u in range(6):
-        assert vals[u] == pytest.approx(oracle_embeddedness(G1_EDGES, 6, G1_ASSIGN, u), abs=1e-12)
+        assert vals_g1[u] == pytest.approx(oracle_embeddedness(G1_EDGES, 6, G1_ASSIGN, u), abs=1e-12)
 
 
 def test_participation(g1, g1_partition):
-    assert participation_coefficient(g1, g1_partition, 0) == 0.5
+    assert participation_coefficients(g1, g1_partition)[0] == 0.5
     # single community -> 0
     g = graph_from_edges([(0, 1), (2, 0)], 3)
     p = Partition.from_labels([0, 0, 0])
-    assert participation_coefficient(g, p, 0) == 0.0
+    assert participation_coefficients(g, p)[0] == 0.0
     # 4 links spread evenly over 4 communities -> 0.75
     g4 = graph_from_edges([(0, 1), (0, 2), (3, 0), (4, 0)], 5)
     p4 = Partition.from_labels([0, 1, 2, 3, 0])
-    assert participation_coefficient(g4, p4, 0) == pytest.approx(0.75, abs=1e-12)
+    assert participation_coefficients(g4, p4)[0] == pytest.approx(0.75, abs=1e-12)
     # no links -> 0 by convention
     g_iso = graph_from_edges([(0, 1)], 3)
-    assert participation_coefficient(g_iso, Partition.from_labels([0, 0, 1]), 2) == 0.0
+    assert participation_coefficients(g_iso, Partition.from_labels([0, 0, 1]))[2] == 0.0
 
 
 def test_participation_matches_oracle_and_vectorized():
@@ -187,12 +198,9 @@ def test_participation_matches_oracle_and_vectorized():
         edges = random_edges(rng, n, 3 * n)
         g = graph_from_edges(edges, n)
         assign = random_assign(rng, n, 5)
-        p = Partition.from_labels(assign)
-        vec = participation_coefficients(g, p)
+        vec = participation_coefficients(g, Partition.from_labels(assign))
         for u in range(n):
-            want = oracle_participation(edges, n, assign, u)
-            assert participation_coefficient(g, p, u) == pytest.approx(want, abs=1e-12)
-            assert vec[u] == pytest.approx(want, abs=1e-12)
+            assert vec[u] == pytest.approx(oracle_participation(edges, n, assign, u), abs=1e-12)
             assert 0.0 <= vec[u] < 1.0
 
 
