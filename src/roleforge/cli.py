@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -448,9 +449,17 @@ def _load_groups(path, ids):
     return assign, int(assign.max()) + 1 if assign.size else 1
 
 
+def _measure_row(r):
+    values = [float(r[j]) for j in range(2, 2 + len(MEASURE_COLUMNS))]
+    # a non-finite measure would turn its whole standardized column into zeros
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite measure")
+    return int(r[0]), values
+
+
 def _load_measures(path):
     want = ("original_id", "community", *MEASURE_COLUMNS)
-    header, rows, _ = read_tsv(path, parse=lambda r: (int(r[0]), [float(r[j]) for j in range(2, len(want))]))
+    header, rows, _ = read_tsv(path, parse=_measure_row)
     if tuple(header[: len(want)]) != want:
         raise RoleForgeError(f"unexpected measures header in {path}")
     ids = _int64_array([u for u, _ in rows], path)

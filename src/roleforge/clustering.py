@@ -3,6 +3,10 @@ selection, and rule-based group naming."""
 
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,10 +90,18 @@ def _assign_step(x, x_sq, c):
 
 
 def _repair_empty(x, c, assign, point_d, counts):
-    """Reseed every empty group from the point farthest from its centroid."""
+    """Reseed every empty group from the point farthest from its centroid.
+
+    Only a point off its centroid, in a group it does not leave empty, can
+    fill a group.  When the farthest point cannot, the clustering is
+    degenerate, as it is whenever the data have fewer distinct rows than
+    groups.
+    """
     changed = False
     for empty in np.flatnonzero(counts == 0):
         far = int(point_d.argmax())
+        if point_d[far] == 0 or counts[assign[far]] < 2:
+            raise DegenerateClusteringError(f"no point can fill empty group {int(empty)}")
         counts[assign[far]] -= 1
         assign[far] = empty
         counts[empty] += 1
@@ -192,12 +204,97 @@ def davies_bouldin(mat, result: ClusteringResult) -> float:
     return float(ratio.max(axis=1).mean())
 
 
+# select_k fits its k range in worker processes once n * (number of k) *
+# restarts reaches this.  A worker is a fresh interpreter that takes about
+# 0.25 s to import this module; k-means costs 6-9 us per unit of that work
+# (roles-6k matrix, 2 vCPU), so two workers break even near 80,000 units.
+# The test fixtures (at most 45,000) stay inline; roles-6k is 848,400.
+_WORKER_MIN_WORK = 200_000
+
+# Each worker runs its BLAS on one thread: workers that each start a
+# multi-threaded BLAS oversubscribe the cores.  The products, and so the
+# fits, are byte-identical at one and at two threads.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# A worker reads (x, ks, params) pickled on stdin and writes the list of fits
+# pickled on stdout.  It starts from `python -c`, not multiprocessing: spawn
+# re-imports the caller's __main__ (a script on stdin cannot be re-imported,
+# and top-level demo code would run again), and fork inherits the parent's
+# BLAS threads.
+_WORKER_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from roleforge.clustering import _serve_fits; _serve_fits()")
+
+
+def _fit_k(x, k, *, seed, max_iter, tol, restarts) -> ClusteringResult | None:
+    """The k-means fit at k carrying its db_index, or None when it is degenerate."""
+    try:
+        res = kmeans(x, k, seed=seed, max_iter=max_iter, tol=tol, restarts=restarts)
+        return replace(res, db_index=davies_bouldin(x, res))
+    except DegenerateClusteringError:
+        return None
+
+
+def _serve_fits() -> None:
+    """Worker entry point: fit the k values sent on stdin, reply on stdout."""
+    x, ks, params = pickle.load(sys.stdin.buffer)
+    pickle.dump([_fit_k(x, k, **params) for k in ks], sys.stdout.buffer, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fit_in_workers(x, ks, params, n_workers) -> list:
+    """_fit_k over ks in n_workers worker processes, in the order of ks.
+
+    Raises ChildProcessError, quoting the end of its stderr, when a worker
+    exits non-zero.
+    """
+    # Only this path starts processes; `import roleforge` stays without them.
+    import subprocess
+    from concurrent.futures import ThreadPoolExecutor
+
+    # The cost of a fit grows with k: deal the largest k first, round-robin.
+    chunks = [ks[::-1][i::n_workers] for i in range(n_workers)]
+    cmd = [sys.executable, "-c", _WORKER_CODE, os.path.dirname(os.path.dirname(os.path.abspath(__file__)))]
+    env = dict(os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    with contextlib.ExitStack() as stack:  # closes every pipe and reaps every worker
+        procs = [stack.enter_context(subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                                      stderr=subprocess.PIPE, env=env))
+                 for _ in chunks]
+        # communicate() feeds stdin while draining stdout and stderr, so no
+        # worker blocks on a full pipe; one thread per worker runs them at once.
+        with ThreadPoolExecutor(len(procs)) as pool:
+            talks = [pool.submit(p.communicate, pickle.dumps((x, chunk, params), pickle.HIGHEST_PROTOCOL))
+                     for p, chunk in zip(procs, chunks)]
+            try:
+                replies = [t.result() for t in talks]
+            finally:
+                # on an error or an interrupt, stop the workers still running
+                for p in procs:
+                    if p.poll() is None:
+                        p.kill()
+    fits = {}
+    for p, chunk, (out, err) in zip(procs, chunks, replies):
+        if p.returncode != 0:
+            tail = err.decode("utf-8", "replace").strip()[-2000:]
+            raise ChildProcessError(f"a k-means worker exited with status {p.returncode}; "
+                                    f"its stderr ends:\n{tail}")
+        fits.update(zip(chunk, pickle.loads(out)))
+    return [fits[k] for k in ks]
+
+
 def select_k(mat, k_min: int = 2, k_max: int = 15, *, seed: int = 0, max_iter: int = 100,
              tol: float = 1e-6, restarts: int = 10) -> ClusteringResult:
     """Best clustering over k in [k_min, k_max] by minimal Davies-Bouldin.
 
     Ties break toward smaller k; k values whose clustering is degenerate are
-    skipped.  The returned result carries its db_index.
+    skipped.  The returned result carries its db_index.  On large inputs
+    with more than one usable CPU the k values are fitted in up to one
+    worker process per CPU, each with single-threaded BLAS; the result is
+    the same as fitting them inline.
     """
     x = np.asarray(mat, dtype=np.float64)
     if x.ndim == 1:
@@ -207,15 +304,17 @@ def select_k(mat, k_min: int = 2, k_max: int = 15, *, seed: int = 0, max_iter: i
         raise ConfigError(f"invalid k range [{k_min}, {k_max}]")
     if k_max > n:
         raise ConfigError(f"k_max={k_max} exceeds the number of points n={n}")
+    ks = list(range(k_min, k_max + 1))
+    params = dict(seed=seed, max_iter=max_iter, tol=tol, restarts=restarts)
+    n_workers = min(_usable_cpus(), len(ks)) if n * len(ks) * restarts >= _WORKER_MIN_WORK else 1
+    if n_workers > 1:
+        fits = _fit_in_workers(x, ks, params, n_workers)
+    else:
+        fits = (_fit_k(x, k, **params) for k in ks)
     best = None
-    for k in range(k_min, k_max + 1):
-        res = kmeans(x, k, seed=seed, max_iter=max_iter, tol=tol, restarts=restarts)
-        try:
-            db = davies_bouldin(x, res)
-        except DegenerateClusteringError:
-            continue
-        if best is None or db < best.db_index:
-            best = replace(res, db_index=db)
+    for res in fits:
+        if res is not None and (best is None or res.db_index < best.db_index):
+            best = res
     if best is None:
         raise DegenerateClusteringError("every k in the range produced a degenerate clustering")
     return best

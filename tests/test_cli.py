@@ -326,3 +326,20 @@ def test_cli_reports_errors(tmp_path, capsys):
         assert main(argv) == 1, argv[0]
         err = capsys.readouterr().err
         assert err.startswith("error: ") and all(name in err for name in names), (argv[0], err)
+
+    # a non-finite measure is a parse error, not a standardized column of zeros
+    row = measures[2].split("\t")
+    for value, argv in (("nan", ["cluster", "--k-max", "3"]),
+                        ("inf", ["stats", "--clusters", clusters]),
+                        ("1e400", ["report", "--clusters", clusters, "--centroids", str(out / "centroids.tsv"),
+                                   "--capitalists", str(out / "capitalists.tsv")])):
+        path = bad_file(f"meas_{value}.tsv", "\n".join(
+            measures[:2] + ["\t".join(row[:4] + [value] + row[5:])] + measures[3:]))
+        capsys.readouterr()
+        assert main(argv + [*dest, "--measures", path]) == 1, value
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:3: cannot parse row"), err
+    # fewer distinct measure rows than k at every k of the range
+    same = bad_file("meas_same.tsv", "\n".join(measures[:2] + ["\t".join([str(i)] + row[1:]) for i in range(30)]))
+    assert main(["cluster", *dest, "--k-max", "4", "--measures", same]) == 1
+    assert "error: every k in the range produced a degenerate clustering" in capsys.readouterr().err

@@ -1,8 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from roleforge import clustering
 from roleforge.clustering import (ClusteringResult, RoleThresholds, _assign_step, davies_bouldin,
                                   kmeans, label_role, renumber_by_size, select_k, standardize)
 from roleforge.errors import ConfigError, DegenerateClusteringError, UndefinedValueError
@@ -159,6 +165,82 @@ def test_select_k_matches_oracle(name):
             best = (k, db)
     res = select_k(x, 2, 8, seed=3, restarts=4)
     assert (res.k, res.db_index) == best
+
+
+@pytest.fixture
+def forced_workers(monkeypatch):
+    """select_k fits every k range in three worker processes, whatever the input size."""
+    monkeypatch.setattr(clustering, "_WORKER_MIN_WORK", 0)
+    monkeypatch.setattr(clustering, "_usable_cpus", lambda: 3)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "ties", "one_dim"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_worker_fits_match_inline(name, seed, forced_workers):
+    x = oracle_inputs()[name]
+    params = dict(seed=seed, max_iter=100, tol=1e-6, restarts=10)
+    ks = list(range(2, 16))
+    inline = [clustering._fit_k(x, k, **params) for k in ks]
+    for k, a, b in zip(ks, inline, clustering._fit_in_workers(x, ks, params, 3)):
+        assert (a is None) == (b is None), k
+        if a is None:
+            continue
+        assert b.k == k and b.assign.dtype == np.int64
+        assert np.array_equal(a.assign, b.assign), k
+        assert a.centroids.tobytes() == b.centroids.tobytes(), k
+        assert np.float64(a.inertia).tobytes() == np.float64(b.inertia).tobytes(), k
+        assert np.array(a.inertia_trace).tobytes() == np.array(b.inertia_trace).tobytes(), k
+        assert np.float64(a.db_index).tobytes() == np.float64(b.db_index).tobytes(), k
+    chosen = min((r for r in inline if r is not None), key=lambda r: r.db_index)  # first minimum: smallest k
+    res = select_k(x, 2, 15, **params)
+    assert (res.k, res.db_index) == (chosen.k, chosen.db_index)
+    assert np.array_equal(res.assign, chosen.assign)
+
+
+@pytest.mark.parametrize("code", [
+    "import sys; sys.stdin.buffer.read(); sys.exit('worker failed on purpose')",
+    # fails before reading its input, with more stderr than a pipe holds
+    "import sys; sys.stderr.write('x' * (1 << 20) + '\\n'); sys.exit('worker failed on purpose')",
+])
+def test_failing_worker_raises_promptly(code, forced_workers, monkeypatch):
+    monkeypatch.setattr(clustering, "_WORKER_CODE", code)
+    x = np.random.default_rng(3).standard_normal((20_000, 8))  # an input larger than a pipe holds
+    t0 = time.monotonic()
+    with pytest.raises(ChildProcessError, match="worker failed on purpose"):
+        select_k(x, 2, 4, restarts=1)
+    assert time.monotonic() - t0 < 60
+
+
+def test_workers_start_from_a_stdin_script():
+    script = "\n".join([
+        "import numpy as np",
+        "from roleforge import clustering",
+        "clustering._WORKER_MIN_WORK = 0",
+        "clustering._usable_cpus = lambda: 2",
+        "x = np.random.default_rng(5).standard_normal((90, 3))",
+        "print(clustering.select_k(x, 2, 6, restarts=2).k)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(clustering.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-"], input=script, capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    x = np.random.default_rng(5).standard_normal((90, 3))
+    assert done.stdout.strip() == str(select_k(x, 2, 6, restarts=2).k)
+
+
+@pytest.mark.parametrize("distinct,k", [(2, 4), (3, 5)])
+def test_kmeans_fewer_distinct_rows_than_k_is_degenerate(distinct, k):
+    x = np.repeat(np.arange(distinct, dtype=np.float64)[:, None] * [1.0, 2.0], 10, axis=0)
+    with pytest.raises(DegenerateClusteringError):
+        kmeans(x, k, seed=0)
+
+
+def test_select_k_skips_k_above_the_distinct_rows():
+    x = np.repeat([[0.0, 0.0], [1.0, 1.0]], 10, axis=0)
+    res = select_k(x, 2, 4)
+    assert res.k == 2 and res.db_index == 0.0
+    with pytest.raises(DegenerateClusteringError, match="every k"):
+        select_k(np.ones((30, 8)), 2, 4)
 
 
 def test_assign_step_ties_to_lowest_group():
