@@ -23,8 +23,9 @@ print(f"\nnode with the highest outgoing diversity: {most_diverse}")
 for name, value in zip(MEASURE_COLUMNS, mat[most_diverse]):
     print(f"  {name:>10} = {value:+.3f}")
 
-e = embeddedness_values(community_profile(g, partition))[most_diverse]
-p = participation_coefficients(g, partition)[most_diverse]
+profile = community_profile(g, partition)
+e = embeddedness_values(profile)[most_diverse]
+p = participation_coefficients(profile)[most_diverse]
 z = mat[most_diverse, MEASURE_COLUMNS.index("I_int_out")]
 print(f"  embeddedness = {e:.3f}, participation = {p:.3f}")
 # ga_role is a library function: no artifact of `role-forge run` holds its labels

@@ -11,8 +11,8 @@ from .errors import (ConfigError, DegenerateClusteringError, DegenerateVarianceE
 from .graph import DirectedGraph, load_edge_list, save_edge_list
 from .louvain import (LouvainTrace, Partition, aggregate_graph, directed_modularity,
                       louvain_directed)
-from .measures import (MEASURE_COLUMNS, GAThresholds, NodeCommunityProfile, community_profile,
-                       ga_role, role_measures, z_score_within_community)
+from .measures import (MEASURE_COLUMNS, NodeCommunityProfile, community_profile, ga_role,
+                       role_measures, z_score_within_community)
 from .stats import AnovaResult, one_way_anova, pairwise_t_bonferroni, regularized_incomplete_beta
 
 __version__ = "0.1.0"

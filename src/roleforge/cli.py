@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -100,6 +101,8 @@ def config_from_mapping(data: dict[str, str], base: PipelineConfig | None = None
                 parsed = type(current)(value)
             except ValueError:
                 raise ConfigError(f"{key} expects {type(current).__name__}, got {value!r}") from None
+            if not math.isfinite(parsed):
+                raise ConfigError(f"{key} must be a finite number, got {value!r}")
         else:
             parsed = value
         setattr(cfg, key, parsed)
@@ -158,6 +161,17 @@ def write_tsv(path, columns, rows, chash: str, extra=()) -> None:
         fh.write("\t".join(columns) + "\n")
         for row in rows:
             fh.write("\t".join(_fmt(v) for v in row) + "\n")
+
+
+# rows converted to Python values per slice, so no per-node list is held at once
+_ROW_SLICE = 4096
+
+
+def _column_rows(*columns):
+    """Rows of equal-length array columns, each slice converted with .tolist()."""
+    n = len(columns[0])
+    for lo in range(0, n, _ROW_SLICE):
+        yield from zip(*(c[lo:lo + _ROW_SLICE].tolist() for c in columns))
 
 
 def read_tsv(path, parse=None) -> tuple[list[str], list, dict[str, str]]:
@@ -227,9 +241,8 @@ def _communities_stage(cfg: PipelineConfig, g: DirectedGraph):
     part, trace = louvain_directed(g, min_gain=cfg.min_gain, seed=cfg.seed, order=cfg.order)
     ids = g.node_ids
     tables = {
-        "partition": (("original_id", "community"),
-                      [(int(ids[u]), int(part.assign[u])) for u in range(g.n)], ()),
-        "id_map": (("dense_id", "original_id"), [(u, int(ids[u])) for u in range(g.n)], ()),
+        "partition": (("original_id", "community"), _column_rows(ids, part.assign), ()),
+        "id_map": (("dense_id", "original_id"), _column_rows(np.arange(g.n), ids), ()),
     }
     return part, trace, tables
 
@@ -238,13 +251,11 @@ def _measures_stage(cfg: PipelineConfig, g: DirectedGraph, part: Partition):
     profile = community_profile(g, part, lambda_include_zeros=cfg.lambda_include_zeros)
     mat = measures_from_profile(profile, part)
     emb = embeddedness_values(profile)
-    pcs = participation_coefficients(g, part)
-    ids = g.node_ids
-    rows = []
-    for u in range(g.n):
-        e = None if emb[u] != emb[u] else float(emb[u])
-        rows.append((int(ids[u]), int(part.assign[u]), *(float(x) for x in mat[u]), e, float(pcs[u])))
+    pcs = participation_coefficients(profile)
+    emb_or_blank = emb.astype(object)
+    emb_or_blank[np.isnan(emb)] = None  # a linkless node: blank, not NA
     columns = ("original_id", "community", *MEASURE_COLUMNS, "embeddedness", "participation")
+    rows = _column_rows(g.node_ids, part.assign, *mat.T, emb_or_blank, pcs)
     return mat, {"measures": (columns, rows, ())}
 
 
@@ -263,8 +274,7 @@ def _cluster_stage(cfg: PipelineConfig, ids, mat):
     roles = [label_role(c, _role_thresholds(cfg)) for c in res.centroids]
     sizes = np.bincount(res.assign, minlength=res.k)
     tables = {
-        "clusters": (("original_id", "group"),
-                     [(int(ids[u]), int(res.assign[u]) + 1) for u in range(len(ids))], ()),
+        "clusters": (("original_id", "group"), _column_rows(ids, res.assign + 1), ()),
         "centroids": (("group", "size", "role", *MEASURE_COLUMNS),
                       [(i + 1, int(sizes[i]), roles[i], *(float(x) for x in res.centroids[i]))
                        for i in range(res.k)],
@@ -429,9 +439,16 @@ def _int64_array(values, path) -> np.ndarray:
         raise RoleForgeError(f"{path} holds a value outside the int64 range") from None
 
 
+def _reject_repeated_ids(path, file_ids, what: str) -> None:
+    if len(set(file_ids)) < len(file_ids):
+        repeated = next(u for u, count in Counter(file_ids).items() if count > 1)
+        raise RoleForgeError(f"{what} file {path} lists id {repeated} more than once")
+
+
 def _labels_for(path, ids, what: str) -> np.ndarray:
     """Second column of the artifact at `path`, joined on original id, in the order of `ids`."""
     _, rows, _ = read_tsv(path, parse=lambda r: (int(r[0]), int(r[1])))
+    _reject_repeated_ids(path, [u for u, _ in rows], what)
     label_of = dict(rows)
     try:
         return _int64_array([label_of[int(v)] for v in ids], path)
@@ -462,7 +479,9 @@ def _load_measures(path):
     header, rows, _ = read_tsv(path, parse=_measure_row)
     if tuple(header[: len(want)]) != want:
         raise RoleForgeError(f"unexpected measures header in {path}")
-    ids = _int64_array([u for u, _ in rows], path)
+    file_ids = [u for u, _ in rows]
+    _reject_repeated_ids(path, file_ids, "measures")
+    ids = _int64_array(file_ids, path)
     mat = np.array([values for _, values in rows], dtype=np.float64)
     return ids, mat
 

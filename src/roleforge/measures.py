@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .graph import DirectedGraph
 
 MEASURE_COLUMNS = ("I_int_out", "I_int_in", "D_out", "D_in", "I_ext_out", "I_ext_in", "H_out", "H_in")
@@ -38,6 +37,7 @@ class NodeCommunityProfile:
     k_ext_in: np.ndarray
     eps_in: np.ndarray
     lambda_in: np.ndarray
+    link_sq: np.ndarray
 
 
 def z_score_within_community(values, partition) -> np.ndarray:
@@ -68,14 +68,14 @@ def z_score_within_community(values, partition) -> np.ndarray:
     return z
 
 
-def _direction_profile(src, nbr, assign, n, n_comms, include_zeros):
-    deg = np.bincount(src, minlength=n)
-    internal = assign[nbr] == assign[src]
+def _direction_profile(src, nbr, deg, assign, n, n_comms, include_zeros):
+    """Profile fields of one arc direction, plus its sorted external
+    (node, community) keys and their link counts as floats."""
+    nbr_comm = assign[nbr]
+    internal = nbr_comm == assign[src]
     k_int = np.bincount(src[internal], minlength=n)
     k_ext = deg - k_int
-    ext_src = src[~internal]
-    ext_comm = assign[nbr][~internal]
-    key = ext_src * np.int64(n_comms) + ext_comm
+    key = src[~internal] * np.int64(n_comms) + nbr_comm[~internal]
     uniq, counts = np.unique(key, return_counts=True)
     unode = uniq // n_comms
     eps = np.bincount(unode, minlength=n)
@@ -92,7 +92,7 @@ def _direction_profile(src, nbr, assign, n, n_comms, include_zeros):
     var = np.zeros(n)
     var[ok] = csum2[ok] / denom[ok] - mean[ok] ** 2
     lam = np.sqrt(np.maximum(var, 0.0))
-    return k_int, k_ext, eps, lam
+    return k_int, k_ext, eps, lam, uniq, counts
 
 
 def community_profile(g: DirectedGraph, partition, *, lambda_include_zeros: bool = False) -> NodeCommunityProfile:
@@ -103,17 +103,27 @@ def community_profile(g: DirectedGraph, partition, *, lambda_include_zeros: bool
     reached; lambda is the population standard deviation of the link counts
     per connected external community.  With lambda_include_zeros=True the
     deviation is instead taken over all n_comms - 1 other communities,
-    zero-count ones included.
+    zero-count ones included.  link_sq sums, over every community, the
+    square of the node's in- plus out-link count to it.
     """
     if partition.assign.shape[0] != g.n:
         raise ValueError("partition does not cover the graph")
     a = partition.assign
     nc = partition.n_comms
-    ko_int, ko_ext, eps_o, lam_o = _direction_profile(g.arc_src, g.out_indices, a, g.n, nc, lambda_include_zeros)
-    ki_int, ki_ext, eps_i, lam_i = _direction_profile(g.in_arc_dst, g.in_indices, a, g.n, nc, lambda_include_zeros)
+    ko_int, ko_ext, eps_o, lam_o, keys_o, counts_o = _direction_profile(
+        g.arc_src, g.out_indices, g.out_degrees, a, g.n, nc, lambda_include_zeros)
+    ki_int, ki_ext, eps_i, lam_i, keys_i, counts_i = _direction_profile(
+        g.in_arc_dst, g.in_indices, g.in_degrees, a, g.n, nc, lambda_include_zeros)
+    # both directions' external links per distinct (node, community) pair; every
+    # sum here is of exact integers, so the summation order cannot matter
+    pairs, inverse = np.unique(np.concatenate([keys_o, keys_i]), return_inverse=True)
+    ext = np.bincount(inverse, weights=np.concatenate([counts_o, counts_i]))
+    k_int = (ko_int + ki_int).astype(np.float64)
+    link_sq = np.bincount(pairs // nc, weights=ext * ext, minlength=g.n) + k_int * k_int
     return NodeCommunityProfile(
         k_int_out=ko_int, k_ext_out=ko_ext, eps_out=eps_o, lambda_out=lam_o,
         k_int_in=ki_int, k_ext_in=ki_ext, eps_in=eps_i, lambda_in=lam_i,
+        link_sq=link_sq,
     )
 
 
@@ -149,73 +159,41 @@ def embeddedness_values(profile: NodeCommunityProfile) -> np.ndarray:
     return out
 
 
-def participation_coefficients(g: DirectedGraph, partition) -> np.ndarray:
+def participation_coefficients(profile: NodeCommunityProfile) -> np.ndarray:
     """1 minus the sum of squared per-community link fractions, per node.
 
     Counts in- and out-links together (the coefficient is direction
     agnostic).  A node with no links gets 0 by convention; every value lies
     in [0, 1).
     """
-    if partition.assign.shape[0] != g.n:
-        raise ValueError("partition does not cover the graph")
-    a = partition.assign
-    nc = partition.n_comms
-    src = np.concatenate([g.arc_src, g.in_arc_dst])
-    comm = np.concatenate([a[g.out_indices], a[g.in_indices]])
-    key = src * np.int64(nc) + comm
-    uniq, counts = np.unique(key, return_counts=True)
-    unode = uniq // nc
-    counts = counts.astype(np.float64)
-    sq = np.bincount(unode, weights=counts * counts, minlength=g.n)
-    k_tot = (g.out_degrees + g.in_degrees).astype(np.float64)
-    p = np.zeros(g.n)
+    k_tot = (profile.k_int_out + profile.k_ext_out + profile.k_int_in + profile.k_ext_in).astype(np.float64)
+    p = np.zeros(k_tot.shape)
     ok = k_tot > 0
-    p[ok] = 1.0 - sq[ok] / k_tot[ok] ** 2
+    p[ok] = 1.0 - profile.link_sq[ok] / k_tot[ok] ** 2
     return p
 
 
-@dataclass(frozen=True)
-class GAThresholds:
-    """Hub cut on the internal z-score plus participation cut points.
-
-    The participation cut points are external constants (they come from the
-    classical 7-role typology, not from anything computed here) and are kept
-    as configuration.
-    """
-
-    z_hub: float = 2.5
-    nonhub_cuts: tuple[float, float, float] = (0.05, 0.62, 0.80)
-    hub_cuts: tuple[float, float] = (0.30, 0.75)
-
-
-DEFAULT_GA_THRESHOLDS = GAThresholds()
+# Cut points of the classical 7-role typology (Guimerà & Amaral 2005): a hub
+# has an internal z-score of at least GA_Z_HUB; within each branch the
+# participation coefficient is compared against the ascending cuts.
+GA_Z_HUB = 2.5
+GA_NONHUB_CUTS = (0.05, 0.62, 0.80)
+GA_HUB_CUTS = (0.30, 0.75)
 
 _NONHUB_ROLES = ("ultra-peripheral non-hub", "peripheral non-hub", "connector non-hub", "kinless non-hub")
 _HUB_ROLES = ("provincial hub", "connector hub", "kinless hub")
 
 
-def _validate_ga(th: GAThresholds) -> None:
-    for cuts, want in ((th.nonhub_cuts, 3), (th.hub_cuts, 2)):
-        if len(cuts) != want:
-            raise ConfigError(f"expected {want} participation cut points, got {len(cuts)}")
-        if list(cuts) != sorted(cuts):
-            raise ConfigError("participation cut points must be ascending")
-        if any(not 0.0 <= c <= 1.0 for c in cuts):
-            raise ConfigError("participation cut points must lie in [0, 1]")
-
-
-def ga_role(z: float, p_coef: float, thresholds: GAThresholds | None = None) -> str:
+def ga_role(z: float, p_coef: float) -> str:
     """Seven-class role from the internal z-score and the participation coefficient.
 
-    z >= z_hub selects the hub branch (boundary inclusive); within a branch
+    z >= GA_Z_HUB selects the hub branch (boundary inclusive); within a branch
     the participation coefficient is compared against ascending cut points.
     """
-    th = thresholds if thresholds is not None else DEFAULT_GA_THRESHOLDS
-    _validate_ga(th)
-    if z >= th.z_hub:
-        cuts, names = th.hub_cuts, _HUB_ROLES
+    if z >= GA_Z_HUB:
+        cuts, names = GA_HUB_CUTS, _HUB_ROLES
     else:
-        cuts, names = th.nonhub_cuts, _NONHUB_ROLES
+        cuts, names = GA_NONHUB_CUTS, _NONHUB_ROLES
     for cut, name in zip(cuts, names):
         if p_coef < cut:
             return name

@@ -46,8 +46,9 @@ def test_oracle_equivalence():
 
         # the per-node stats as the pipeline computes them: the measures stage,
         # and the overlap and k_out / k_in of detect_capitalists
-        emb_vec = embeddedness_values(community_profile(g, p))
-        part_vec = participation_coefficients(g, p)
+        profile = community_profile(g, p)
+        emb_vec = embeddedness_values(profile)
+        part_vec = participation_coefficients(profile)
         for u, (emb, part, ov, rt) in enumerate(oracle_node_stats(edges, n, assign)):
             if emb is None:
                 assert np.isnan(emb_vec[u])

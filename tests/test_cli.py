@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from roleforge import cli
 from roleforge.cli import (PipelineConfig, config_from_mapping, config_hash, main,
                            parse_config_file, read_tsv, run_pipeline, validate_config)
 from roleforge.errors import ConfigError, PipelineStageError
@@ -73,6 +74,22 @@ def test_config_values_are_strict(tmp_path, capsys):
     assert json.loads((out / "manifest.json").read_text())["config_hash"] == config_hash(want)
     with pytest.raises(SystemExit):
         main(["run", "--input", str(g1), "--output-dir", str(out), "--order", "sideways"])
+    # a float key takes only finite values, from a mapping or a flag
+    for key in ("min_gain", "kmeans_tol", "overlap_min", "pivot_threshold", "connector_threshold",
+                "orphan_threshold"):
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=key):
+                config_from_mapping({key: value})
+    for flag, value in (("--min-gain", "nan"), ("--min-gain", "inf"), ("--kmeans-tol", "nan"),
+                        ("--pivot-threshold", "inf"), ("--orphan-threshold", "nan")):
+        capsys.readouterr()
+        assert main(["run", "--input", str(g1), "--output-dir", str(tmp_path / "nonfinite"),
+                     flag, value]) == 1, flag
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag[2:].replace("-", "_") in err, err
+    assert main(["communities", "--input", str(g1), "--output", str(tmp_path / "p.tsv"),
+                 "--min-gain", "nan"]) == 1
+    assert "error: min_gain" in capsys.readouterr().err
 
 
 def test_config_validation(tmp_path):
@@ -119,6 +136,13 @@ def test_run_pipeline_is_deterministic(tmp_path):
     m1 = run_pipeline(g1_config(tmp_path, outdir="r1"))
     m2 = run_pipeline(g1_config(tmp_path, outdir="r2"))
     assert m1 == m2
+
+
+def test_run_pipeline_row_slices_do_not_change_outputs(tmp_path, monkeypatch):
+    want = run_pipeline(g1_config(tmp_path, outdir="default"))
+    for rows_per_slice in (1, 4):
+        monkeypatch.setattr(cli, "_ROW_SLICE", rows_per_slice)
+        assert run_pipeline(g1_config(tmp_path, outdir=f"slice{rows_per_slice}")) == want
 
 
 def test_run_pipeline_partition_and_measures_content(tmp_path):
@@ -286,6 +310,7 @@ def test_cli_reports_errors(tmp_path, capsys):
         return str(path)
 
     measures = (out / "measures.tsv").read_text().splitlines()
+    partition = (out / "partition.tsv").read_text().splitlines()
     cap_header = (out / "capitalists.tsv").read_text().splitlines()[-1]
     fields = measures[2].split("\t")
     fields[3] = "abc"
@@ -316,6 +341,16 @@ def test_cli_reports_errors(tmp_path, capsys):
             (["stats", "--clusters", clusters, *dest,
               "--measures", bad_file("huge_id.tsv", "\n".join(measures[:2] + [huge_id]))],
              ["huge_id.tsv", "int64"]),
+            (["measures", "--input", cfg.input, *dest,
+              "--partition", bad_file("part_twice.tsv", "\n".join(partition + ["0\t1"]))],
+             ["part_twice.tsv", "id 0"]),
+            (["stats", "--measures", str(out / "measures.tsv"), *dest,
+              "--clusters", bad_file("clusters_twice.tsv", "original_id\tgroup\n" + "".join(
+                  f"{r[0]}\t{r[1]}\n" for r in rows + rows[-1:]))],
+             ["clusters_twice.tsv", f"id {rows[-1][0]}"]),
+            (["cluster", *dest,
+              "--measures", bad_file("meas_twice.tsv", "\n".join(measures + measures[2:3]))],
+             ["meas_twice.tsv", f"id {measures[2].split()[0]}"]),
             (["communities", "--input", bad_file("huge.txt", "0 1\n1 9223372036854775808\n"), *dest],
              ["line 2"]),
             (["communities", "--input", bad_file("latin1.txt", b"0 1\n# caf\xe9\n"), *dest],

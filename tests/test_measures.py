@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from roleforge.errors import ConfigError
 from roleforge.louvain import Partition
-from roleforge.measures import (GAThresholds, community_profile, embeddedness_values, ga_role,
+from roleforge.measures import (community_profile, embeddedness_values, ga_role,
                                 participation_coefficients, role_measures,
                                 z_score_within_community)
 
@@ -177,18 +176,18 @@ def test_embeddedness(g1, g1_partition):
 
 
 def test_participation(g1, g1_partition):
-    assert participation_coefficients(g1, g1_partition)[0] == 0.5
+    assert participation_coefficients(community_profile(g1, g1_partition))[0] == 0.5
     # single community -> 0
     g = graph_from_edges([(0, 1), (2, 0)], 3)
     p = Partition.from_labels([0, 0, 0])
-    assert participation_coefficients(g, p)[0] == 0.0
+    assert participation_coefficients(community_profile(g, p))[0] == 0.0
     # 4 links spread evenly over 4 communities -> 0.75
     g4 = graph_from_edges([(0, 1), (0, 2), (3, 0), (4, 0)], 5)
     p4 = Partition.from_labels([0, 1, 2, 3, 0])
-    assert participation_coefficients(g4, p4)[0] == pytest.approx(0.75, abs=1e-12)
+    assert participation_coefficients(community_profile(g4, p4))[0] == pytest.approx(0.75, abs=1e-12)
     # no links -> 0 by convention
     g_iso = graph_from_edges([(0, 1)], 3)
-    assert participation_coefficients(g_iso, Partition.from_labels([0, 0, 1]))[2] == 0.0
+    assert participation_coefficients(community_profile(g_iso, Partition.from_labels([0, 0, 1])))[2] == 0.0
 
 
 def test_participation_matches_oracle_and_vectorized():
@@ -198,7 +197,11 @@ def test_participation_matches_oracle_and_vectorized():
         edges = random_edges(rng, n, 3 * n)
         g = graph_from_edges(edges, n)
         assign = random_assign(rng, n, 5)
-        vec = participation_coefficients(g, Partition.from_labels(assign))
+        p = Partition.from_labels(assign)
+        vec = participation_coefficients(community_profile(g, p))
+        # link_sq does not depend on how lambda is taken
+        with_zeros = participation_coefficients(community_profile(g, p, lambda_include_zeros=True))
+        assert with_zeros.tolist() == vec.tolist()
         for u in range(n):
             assert vec[u] == pytest.approx(oracle_participation(edges, n, assign, u), abs=1e-12)
             assert 0.0 <= vec[u] < 1.0
@@ -212,12 +215,3 @@ def test_ga_role_branches():
     assert ga_role(0.0, 0.7) == "connector non-hub"
     assert ga_role(0.0, 0.95) == "kinless non-hub"
     assert ga_role(5.0, 0.9) == "kinless hub"
-
-
-def test_ga_role_threshold_validation():
-    with pytest.raises(ConfigError):
-        ga_role(0.0, 0.0, GAThresholds(nonhub_cuts=(0.9, 0.5, 0.2)))
-    with pytest.raises(ConfigError):
-        ga_role(0.0, 0.0, GAThresholds(hub_cuts=(0.3, 1.5)))
-    with pytest.raises(ConfigError):
-        ga_role(0.0, 0.0, GAThresholds(hub_cuts=(0.1, 0.2, 0.3)))
