@@ -3,8 +3,8 @@ groups, and social-capitalist analysis for directed graphs."""
 
 from .capitalists import (CapitalistRecord, classify_ratio, crosstab, detect_capitalists,
                           overlap_index)
-from .clustering import (ClusteringResult, RoleThresholds, davies_bouldin, kmeans, label_role,
-                         renumber_by_size, select_k, standardize)
+from .clustering import (ClusteringResult, davies_bouldin, kmeans, label_role, renumber_by_size,
+                         select_k, standardize)
 from .errors import (ConfigError, DegenerateClusteringError, DegenerateVarianceError,
                      EdgeListParseError, PipelineStageError, RoleForgeError,
                      UndefinedModularityError, UndefinedValueError)

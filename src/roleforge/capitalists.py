@@ -21,9 +21,6 @@ IN_DEGREE_FLOOR = 500
 LOW_BAND_MAX = 10000
 PASSIVE_RATIO_MAX = 0.7
 
-BANDS = ("low", "high")
-BEHAVIORS = ("FMIFY", "IFYFM", "passive")
-
 # every (band, behavior) slice, in report order
 SLICES = (("low", "FMIFY"), ("low", "IFYFM"), ("high", "passive"), ("high", "FMIFY"), ("high", "IFYFM"))
 

@@ -3,6 +3,8 @@ capitalists -> stats -> report, plus an all-in-one `run` with a checksum
 manifest.
 
 Configuration is a flat key=value file overridable by flags (flags win).
+A value from either source is parsed by `config_from_mapping` and checked by
+`validate_config`, the only place that checks a key.
 Every output file carries the hash of the computation-relevant parameters in
 a header comment, and a full `run` with a fixed seed is reproducible down to
 identical artifact checksums.
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .capitalists import IN_DEGREE_FLOOR, CapitalistRecord, crosstab, detect_capitalists
-from .clustering import RoleThresholds, label_role, renumber_by_size, select_k, standardize
+from .clustering import label_role, renumber_by_size, select_k, standardize
 from .errors import ConfigError, DegenerateVarianceError, PipelineStageError, RoleForgeError
 from .graph import CONVENTIONS, DirectedGraph, load_edge_list
 from .louvain import ORDERS, Partition, louvain_directed
@@ -54,14 +56,11 @@ class PipelineConfig:
     kmeans_tol: float = 1e-6
     overlap_min: float = 0.8
     in_degree_min: int = IN_DEGREE_FLOOR
-    pivot_threshold: float = 1.0
-    connector_threshold: float = 0.5
-    orphan_threshold: float = 5.0
 
 
 _PATH_KEYS = ("input", "output_dir")
-_CHOICES = {"direction": CONVENTIONS, "order": ORDERS}
 _CONFIG_KEYS = tuple(f.name for f in fields(PipelineConfig))
+_FLOAT_KEYS = tuple(key for key in _CONFIG_KEYS if isinstance(getattr(PipelineConfig, key), float))
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
@@ -85,6 +84,8 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def config_from_mapping(data: dict[str, str], base: PipelineConfig | None = None) -> PipelineConfig:
+    """`base` (default: the defaults) with each key set to its value parsed
+    to the key's type; the values are checked by validate_config."""
     cfg = replace(base) if base is not None else PipelineConfig()
     for key, value in data.items():
         if key not in _CONFIG_KEYS:
@@ -101,8 +102,6 @@ def config_from_mapping(data: dict[str, str], base: PipelineConfig | None = None
                 parsed = type(current)(value)
             except ValueError:
                 raise ConfigError(f"{key} expects {type(current).__name__}, got {value!r}") from None
-            if not math.isfinite(parsed):
-                raise ConfigError(f"{key} must be a finite number, got {value!r}")
         else:
             parsed = value
         setattr(cfg, key, parsed)
@@ -110,10 +109,16 @@ def config_from_mapping(data: dict[str, str], base: PipelineConfig | None = None
 
 
 def validate_config(cfg: PipelineConfig, *, for_run: bool = True) -> None:
+    """Raise ConfigError on the first value out of range; with `for_run`,
+    also require the input file and the output directory."""
+    for key in _FLOAT_KEYS:
+        value = getattr(cfg, key)
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
     if cfg.direction not in CONVENTIONS:
-        raise ConfigError(f"direction must be one of {CONVENTIONS}")
+        raise ConfigError(f"direction must be one of {', '.join(CONVENTIONS)}, got {cfg.direction!r}")
     if cfg.order not in ORDERS:
-        raise ConfigError("order must be 'natural' or 'shuffled'")
+        raise ConfigError(f"order must be one of {', '.join(ORDERS)}, got {cfg.order!r}")
     if cfg.k_min < 2 or cfg.k_min > cfg.k_max:
         raise ConfigError(f"invalid k range [{cfg.k_min}, {cfg.k_max}]")
     if not 0.0 <= cfg.overlap_min <= 1.0:
@@ -259,11 +264,6 @@ def _measures_stage(cfg: PipelineConfig, g: DirectedGraph, part: Partition):
     return mat, {"measures": (columns, rows, ())}
 
 
-def _role_thresholds(cfg: PipelineConfig) -> RoleThresholds:
-    return RoleThresholds(pivot=cfg.pivot_threshold, connector=cfg.connector_threshold,
-                          orphan=cfg.orphan_threshold)
-
-
 def _cluster_stage(cfg: PipelineConfig, ids, mat):
     """standardize -> select_k -> renumber_by_size -> role names; `ids` are
     the original ids of the rows of `mat`."""
@@ -271,7 +271,7 @@ def _cluster_stage(cfg: PipelineConfig, ids, mat):
     res = select_k(std, cfg.k_min, cfg.k_max, seed=cfg.seed, max_iter=cfg.kmeans_max_iter,
                    tol=cfg.kmeans_tol, restarts=cfg.kmeans_restarts)
     res = renumber_by_size(res)
-    roles = [label_role(c, _role_thresholds(cfg)) for c in res.centroids]
+    roles = [label_role(c) for c in res.centroids]
     sizes = np.bincount(res.assign, minlength=res.k)
     tables = {
         "clusters": (("original_id", "group"), _column_rows(ids, res.assign + 1), ()),
@@ -591,13 +591,14 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_override_args(p: argparse.ArgumentParser, keys) -> None:
-    # one flag per key, its text parsed by config_from_mapping; a bool key is a switch
+    # one flag per key, its text parsed by config_from_mapping and checked by
+    # validate_config, as a config-file line is; a bool key is a switch
     for key in keys:
         flag = f"--{key.replace('_', '-')}"
         if isinstance(getattr(PipelineConfig, key), bool):
             p.add_argument(flag, dest=key, action="store_const", const="true")
         else:
-            p.add_argument(flag, dest=key, choices=_CHOICES.get(key))
+            p.add_argument(flag, dest=key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -627,8 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measures", required=True)
     p.add_argument("--output", required=True, help="output path prefix")
     p.add_argument("--config", default=None)
-    _add_override_args(p, ("k_min", "k_max", "seed", "kmeans_restarts", "kmeans_max_iter",
-                           "kmeans_tol", "pivot_threshold", "connector_threshold", "orphan_threshold"))
+    _add_override_args(p, ("k_min", "k_max", "seed", "kmeans_restarts", "kmeans_max_iter", "kmeans_tol"))
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("capitalists", help="detect and band reciprocal-follow accounts")

@@ -160,7 +160,7 @@ def kmeans(mat, k, *, seed: int = 0, max_iter: int = 100, tol: float = 1e-6, res
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"k={k} must satisfy 1 <= k <= n={n}")
-    if restarts < 1 or max_iter < 1 or tol <= 0:
+    if restarts < 1 or max_iter < 1 or not tol > 0:
         raise ConfigError("restarts and max_iter must be >= 1 and tol > 0")
     order = np.lexsort(x.T[::-1])
     xc = x[order]
@@ -329,46 +329,35 @@ def renumber_by_size(result: ClusteringResult) -> ClusteringResult:
     return replace(result, assign=remap[result.assign], centroids=result.centroids[order])
 
 
-@dataclass(frozen=True)
-class RoleThresholds:
-    """Cut points, in standardized centroid space, for naming role groups.
-
-    These are reporting heuristics over the objective clustering, not ground
-    truth: pivot triggers on the internal intensities, connector on positive
-    external intensity plus a diversity excess, orphan on every mean being
-    large.
-    """
-
-    pivot: float = 1.0
-    connector: float = 0.5
-    orphan: float = 5.0
+# Cut points, in standardized centroid space, for naming role groups.  They
+# are reporting heuristics over the objective clustering, not ground truth:
+# pivot triggers on the internal intensities, connector on positive external
+# intensity plus a diversity excess, orphan on every mean being large.
+PIVOT_MIN = 1.0
+CONNECTOR_MIN = 0.5
+ORPHAN_MIN = 5.0
 
 
-DEFAULT_ROLE_THRESHOLDS = RoleThresholds()
-
-
-def label_role(centroid, thresholds: RoleThresholds | None = None) -> str:
+def label_role(centroid) -> str:
     """Rule-based role name for a group centroid (8-vector, measure column order).
 
-    The prefix is "pivot" when either internal intensity mean reaches the
-    pivot threshold, else "non-pivot".  The category is: orphan when every
-    mean is at least the orphan threshold; connector when both external
-    intensity means are positive and some diversity mean reaches the
-    connector threshold; ultra-peripheral when all eight means are negative;
-    peripheral otherwise, suffixed by the dominant diversity direction when
-    it is positive.
+    The prefix is "pivot" when either internal intensity mean reaches
+    PIVOT_MIN, else "non-pivot".  The category is: orphan when every mean is
+    at least ORPHAN_MIN; connector when both external intensity means are
+    positive and some diversity mean reaches CONNECTOR_MIN; ultra-peripheral
+    when all eight means are negative; peripheral otherwise, suffixed by the
+    dominant diversity direction when it is positive.
     """
-    th = thresholds if thresholds is not None else DEFAULT_ROLE_THRESHOLDS
     c = np.asarray(centroid, dtype=np.float64).ravel()
     if c.shape[0] != 8:
         raise ValueError("a role centroid has 8 components")
     i_int = c[0:2]
     d = c[2:4]
     i_ext = c[4:6]
-    prefix = "pivot" if i_int.max() >= th.pivot else "non-pivot"
-    if c.min() >= th.orphan:
+    prefix = "pivot" if i_int.max() >= PIVOT_MIN else "non-pivot"
+    if c.min() >= ORPHAN_MIN:
         return f"{prefix} orphelin"
-    if i_ext.min() > 0 and d.max() >= th.connector:
+    if i_ext.min() > 0 and d.max() >= CONNECTOR_MIN:
         return f"{prefix} connecteur"
     if c.max() < 0:
         return f"{prefix} ultra-périphérique"

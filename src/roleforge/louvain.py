@@ -214,7 +214,7 @@ def louvain_directed(
         raise UndefinedModularityError("cannot run community detection on a graph with no arcs")
     if order not in ORDERS:
         raise ValueError("order must be 'natural' or 'shuffled'")
-    if min_gain < 0:
+    if not min_gain >= 0:
         raise ValueError("min_gain must be non-negative")
     wts = g.out_weights
     if not ((wts > 0).all() and (wts == np.floor(wts)).all() and g.total_weight <= 2.0**53):

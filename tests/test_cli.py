@@ -72,16 +72,22 @@ def test_config_values_are_strict(tmp_path, capsys):
                  "--lambda-include-zeros", "--order", "shuffled", "--min-gain", "1e-8"]) == 0
     want = PipelineConfig(k_min=2, k_max=3, lambda_include_zeros=True, order="shuffled", min_gain=1e-8)
     assert json.loads((out / "manifest.json").read_text())["config_hash"] == config_hash(want)
-    with pytest.raises(SystemExit):
-        main(["run", "--input", str(g1), "--output-dir", str(out), "--order", "sideways"])
-    # a float key takes only finite values, from a mapping or a flag
-    for key in ("min_gain", "kmeans_tol", "overlap_min", "pivot_threshold", "connector_threshold",
-                "orphan_threshold"):
+    # a choice key is checked where a file line is: exit 1 and an error: line naming it
+    capsys.readouterr()
+    assert main(["run", "--input", str(g1), "--output-dir", str(out), "--order", "sideways"]) == 1
+    assert "error: order" in capsys.readouterr().err
+    cfg_file.write_text(f"input={g1}\norder=sideways\n")
+    assert main(["run", "--config", str(cfg_file), "--output-dir", str(out)]) == 1
+    assert "error: order" in capsys.readouterr().err
+    # a float key takes only finite values, from a mapping, a flag or Python
+    for key in ("min_gain", "kmeans_tol", "overlap_min"):
         for value in ("nan", "inf", "-inf"):
             with pytest.raises(ConfigError, match=key):
-                config_from_mapping({key: value})
+                validate_config(config_from_mapping({key: value}), for_run=False)
+            with pytest.raises(ConfigError, match=key):
+                validate_config(PipelineConfig(**{key: float(value)}), for_run=False)
     for flag, value in (("--min-gain", "nan"), ("--min-gain", "inf"), ("--kmeans-tol", "nan"),
-                        ("--pivot-threshold", "inf"), ("--orphan-threshold", "nan")):
+                        ("--overlap-min", "inf"), ("--kmeans-tol", "inf")):
         capsys.readouterr()
         assert main(["run", "--input", str(g1), "--output-dir", str(tmp_path / "nonfinite"),
                      flag, value]) == 1, flag
@@ -96,6 +102,10 @@ def test_config_validation(tmp_path):
     cfg = g1_config(tmp_path, k_min=5, k_max=3)
     with pytest.raises(ConfigError, match="k range"):
         run_pipeline(cfg)  # rejected before any computation
+    assert not (tmp_path / "out").exists()
+    cfg = g1_config(tmp_path, min_gain=float("nan"))
+    with pytest.raises(ConfigError, match="min_gain"):
+        run_pipeline(cfg)
     assert not (tmp_path / "out").exists()
     cfg = g1_config(tmp_path, in_degree_min=100)
     with pytest.raises(ConfigError, match="classification floor"):

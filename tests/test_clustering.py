@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from roleforge import clustering
-from roleforge.clustering import (ClusteringResult, RoleThresholds, _assign_step, davies_bouldin,
-                                  kmeans, label_role, renumber_by_size, select_k, standardize)
+from roleforge.clustering import (CONNECTOR_MIN, ORPHAN_MIN, PIVOT_MIN, ClusteringResult, _assign_step,
+                                  davies_bouldin, kmeans, label_role, renumber_by_size, select_k,
+                                  standardize)
 from roleforge.errors import ConfigError, DegenerateClusteringError, UndefinedValueError
 
 from oracles import oracle_davies_bouldin, oracle_kmeans
@@ -81,6 +82,13 @@ def test_kmeans_degenerate_k():
 def test_kmeans_k_exceeds_n():
     with pytest.raises(ConfigError):
         kmeans(np.zeros((3, 2)), 4)
+
+
+def test_kmeans_rejects_nan_tol():
+    # a NaN tol would never stop early: every fit would run all max_iter iterations
+    x = np.random.default_rng(0).normal(size=(200, 3))
+    with pytest.raises(ConfigError, match="tol"):
+        kmeans(x, 3, tol=float("nan"))
 
 
 def test_kmeans_fixed_point_and_nonempty():
@@ -342,8 +350,23 @@ def test_label_role(centroid, expected):
     assert label_role(centroid) == expected
 
 
-def test_label_role_thresholds_are_config():
-    c = (0.2, 0.2, 0.6, 0.2, 0.1, 0.1, 0.1, 0.1)
+def test_label_role_cut_points_are_inclusive():
+    # a mean exactly at its cut point reaches it; the next float below does not
+    def just_below(cut):
+        return float(np.nextafter(cut, -np.inf))
+
+    c = [0.2, 0.2, 0.6, 0.2, 0.1, 0.1, 0.1, 0.1]
     assert label_role(c) == "non-pivot connecteur"
-    assert label_role(c, RoleThresholds(pivot=0.1)) == "pivot connecteur"
-    assert label_role(c, RoleThresholds(connector=0.7)).startswith("non-pivot périphérique")
+    c[0] = PIVOT_MIN
+    assert label_role(c) == "pivot connecteur"
+    c[0] = just_below(PIVOT_MIN)
+    assert label_role(c) == "non-pivot connecteur"
+    c[0] = 0.2
+    c[2] = CONNECTOR_MIN
+    assert label_role(c) == "non-pivot connecteur"
+    c[2] = just_below(CONNECTOR_MIN)
+    assert label_role(c) == "non-pivot périphérique (sortant)"
+    c = [ORPHAN_MIN] * 8
+    assert label_role(c) == "pivot orphelin"
+    c[7] = just_below(ORPHAN_MIN)
+    assert label_role(c) == "pivot connecteur"

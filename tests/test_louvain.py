@@ -117,6 +117,14 @@ def test_louvain_rejects_empty_graph():
         louvain_directed(graph_from_edges([], 4))
 
 
+def test_louvain_rejects_nan_min_gain():
+    # NaN compares false with every gain, so no move would ever be made
+    g = graph_from_edges([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)], 6)
+    assert louvain_directed(g)[0].n_comms == 2
+    with pytest.raises(ValueError, match="min_gain"):
+        louvain_directed(g, min_gain=float("nan"))
+
+
 def test_louvain_trace_and_partition_invariants():
     rng = np.random.default_rng(5)
     for trial in range(15):
