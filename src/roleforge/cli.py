@@ -61,6 +61,9 @@ class PipelineConfig:
 _PATH_KEYS = ("input", "output_dir")
 _CONFIG_KEYS = tuple(f.name for f in fields(PipelineConfig))
 _FLOAT_KEYS = tuple(key for key in _CONFIG_KEYS if isinstance(getattr(PipelineConfig, key), float))
+# the flags that take a value: one per config key that is not a bool switch
+_VALUE_FLAGS = frozenset(f"--{key.replace('_', '-')}" for key in _CONFIG_KEYS
+                         if not isinstance(getattr(PipelineConfig, key), bool))
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
@@ -119,14 +122,19 @@ def validate_config(cfg: PipelineConfig, *, for_run: bool = True) -> None:
         raise ConfigError(f"direction must be one of {', '.join(CONVENTIONS)}, got {cfg.direction!r}")
     if cfg.order not in ORDERS:
         raise ConfigError(f"order must be one of {', '.join(ORDERS)}, got {cfg.order!r}")
-    if cfg.k_min < 2 or cfg.k_min > cfg.k_max:
-        raise ConfigError(f"invalid k range [{cfg.k_min}, {cfg.k_max}]")
+    if cfg.k_min < 2:
+        raise ConfigError(f"k_min must be at least 2, got {cfg.k_min}")
+    if cfg.k_max < cfg.k_min:
+        raise ConfigError(f"k_max must be at least k_min ({cfg.k_min}), got {cfg.k_max}")
     if not 0.0 <= cfg.overlap_min <= 1.0:
         raise ConfigError("overlap_min must lie in [0, 1]")
     if cfg.in_degree_min < IN_DEGREE_FLOOR:
         raise ConfigError(f"in_degree_min below {IN_DEGREE_FLOOR} conflicts with the classification floor")
-    if cfg.kmeans_restarts < 1 or cfg.kmeans_max_iter < 1 or cfg.kmeans_tol <= 0:
-        raise ConfigError("k-means needs restarts >= 1, max_iter >= 1, tol > 0")
+    for key in ("kmeans_restarts", "kmeans_max_iter"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+    if cfg.kmeans_tol <= 0:
+        raise ConfigError(f"kmeans_tol must be positive, got {cfg.kmeans_tol!r}")
     if cfg.min_gain < 0:
         raise ConfigError("min_gain must be non-negative")
     if for_run:
@@ -665,8 +673,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """`argv` with each `--key <value>` of a config key written `--key=<value>`
+    where the value is a negative number.  argparse reads a value such as
+    `-1e-9` or `-inf` as an option and rejects the flag for lacking one; so
+    joined, the value reaches validate_config as a config-file line does."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_FLAGS and arg.startswith("-") and _is_number(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (RoleForgeError, OSError) as exc:

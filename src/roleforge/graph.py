@@ -16,6 +16,14 @@ log = logging.getLogger(__name__)
 CONVENTIONS = ("src-follows-dst", "dst-follows-src")
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the elements of a sorted array that differ from the one before."""
+    first = np.empty(a.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
+
+
 @dataclass(frozen=True)
 class DirectedGraph:
     """Directed graph with per-node sorted neighbor lists in both directions.
@@ -60,38 +68,54 @@ class DirectedGraph:
                 raise ValueError("arc endpoint outside [0, n)")
         span = max(n, 1)
         arcs_in = src.size
-        if simple and not (keep := src != dst).all():
-            src, dst = src[keep], dst[keep]
-        uniq, inv = np.unique(src * span + dst, return_inverse=True)
         if simple:
+            if not (keep := src != dst).all():
+                src, dst = src[keep], dst[keep]
+            del keep
+            # sorted in place, with no inverse: the ingest path never needs one
+            keys = src * span + dst
+            keys.sort()
+            uniq = keys[_run_starts(keys)]
+            del keys
             loops, dups = arcs_in - src.size, src.size - uniq.size
             if loops or dups:
                 log.warning("ingest dropped %d self-loop(s) and %d duplicate arc(s)", loops, dups)
-            w = np.ones(uniq.size, dtype=np.float64)
         else:
+            uniq, inv = np.unique(src * span + dst, return_inverse=True)
             w0 = np.ones(src.size) if weights is None else np.asarray(weights, dtype=np.float64).ravel()
             w = np.bincount(inv, weights=w0, minlength=uniq.size)
-        src, dst = uniq // span, uniq % span
+        src, dst = np.divmod(uniq, span)
+        del uniq
 
-        # np.unique sorted by (src, dst), so this is a valid sorted out-CSR.
+        # the keys were sorted by (src, dst), so this is a valid sorted out-CSR.
         out_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=out_indptr[1:])
-        # the (dst, src) keys are distinct, so any sort of them gives the in-CSR order
-        order = np.argsort(dst * span + src)
         in_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(dst, minlength=n), out=in_indptr[1:])
+        # the (dst, src) keys are distinct, so any sort of them gives the in-CSR order
+        in_keys = dst * span + src
+        if simple:
+            # unit weights need no permutation, so the keys are sorted in place
+            # and both sides share one weight array, made once src is gone
+            del src
+            in_keys.sort()
+            in_indices = np.remainder(in_keys, span, out=in_keys)
+            w = in_w = np.ones(dst.size, dtype=np.float64)
+        else:
+            order = np.argsort(in_keys)
+            in_indices, in_w = src[order], w[order]
         ids = np.arange(n, dtype=np.int64) if node_ids is None else np.asarray(node_ids, dtype=np.int64)
         if ids.shape[0] != n:
             raise ValueError("node_ids must have length n")
         return cls(
             n=n,
-            m=int(src.size),
+            m=int(dst.size),
             out_indptr=out_indptr,
             out_indices=dst,
             out_weights=w,
             in_indptr=in_indptr,
-            in_indices=src[order],
-            in_weights=w[order],
+            in_indices=in_indices,
+            in_weights=in_w,
             node_ids=ids,
         )
 
@@ -113,11 +137,6 @@ class DirectedGraph:
     def arc_src(self) -> np.ndarray:
         """Source node of every arc, in out-CSR order."""
         return np.repeat(np.arange(self.n, dtype=np.int64), self.out_degrees)
-
-    @cached_property
-    def in_arc_dst(self) -> np.ndarray:
-        """Target node of every arc, in in-CSR order."""
-        return np.repeat(np.arange(self.n, dtype=np.int64), self.in_degrees)
 
     @cached_property
     def out_strengths(self) -> np.ndarray:
@@ -147,8 +166,8 @@ class DirectedGraph:
 
 
 # Edge lists are read in chunks of this many bytes: large enough that the
-# per-chunk numpy calls cost little, small enough to keep the peak RSS of
-# ingest where the id buffers put it.
+# per-chunk numpy calls cost little, small enough that a chunk's temporaries
+# are negligible beside the arc arrays of a large file.
 _CHUNK_BYTES = 1 << 16
 # At most 18 digits per id in a plain line keep it below 2**63.
 _PLAIN_DIGITS = 18
@@ -265,9 +284,21 @@ def load_edge_list(path, convention: str = "src-follows-dst") -> DirectedGraph:
     if convention == "dst-follows-src":
         srcs, dsts = dsts, srcs
     m = len(srcs)
-    ids, dense = np.unique(np.concatenate([np.frombuffer(srcs, dtype=np.int64),
-                                           np.frombuffer(dsts, dtype=np.int64)]), return_inverse=True)
-    return DirectedGraph.from_arcs(dense[:m], dense[m:], n=ids.size, node_ids=ids)
+    ends = np.concatenate([np.frombuffer(srcs, dtype=np.int64), np.frombuffer(dsts, dtype=np.int64)])
+    del srcs, dsts
+    # dense ids in place: each endpoint becomes the rank of its id among the
+    # distinct ids, written through the sorted copy's buffer (the mask is
+    # copied in first: a cumsum straight from bool would cast all of it at once)
+    order = np.argsort(ends)
+    sorted_ends = ends[order]
+    first = _run_starts(sorted_ends)
+    ids = sorted_ends[first]
+    first[:1] = False
+    sorted_ends[:] = first
+    np.cumsum(sorted_ends, out=sorted_ends)
+    ends[order] = sorted_ends
+    del order, sorted_ends, first
+    return DirectedGraph.from_arcs(ends[:m], ends[m:], n=ids.size, node_ids=ids)
 
 
 def save_edge_list(g: DirectedGraph, path) -> None:

@@ -68,11 +68,34 @@ def z_score_within_community(values, partition) -> np.ndarray:
     return z
 
 
-def _direction_profile(src, nbr, deg, assign, n, n_comms, include_zeros):
-    """Profile fields of one arc direction, plus its sorted external
-    (node, community) keys and their link counts as floats."""
+# community_profile works through node ranges of at most this many out- plus
+# in-arcs (a node with more forms a range alone), so its temporaries stay
+# O(slice) beside the length-n results.
+_PROFILE_ARCS = 1 << 16
+
+
+def _node_slices(arc_ends: np.ndarray, limit: int):
+    """(lo, hi) node ranges covering [0, n) in order, each of at most `limit`
+    arcs or of one node; `arc_ends` is the cumulative arc count per node, as
+    an indptr is.  With n = 0 the one range is (0, 0)."""
+    lo, n = 0, arc_ends.size - 1
+    while True:
+        hi = max(int(np.searchsorted(arc_ends, arc_ends[lo] + limit, side="right")) - 1, min(lo + 1, n))
+        yield lo, hi
+        if hi == n:
+            return
+        lo = hi
+
+
+def _direction_profile(nbr, deg, own, assign, n_comms, include_zeros):
+    """Profile fields of one arc direction for the nodes of a slice, plus its
+    sorted external (slice node, community) keys and their link counts as
+    floats.  `nbr` is the slice's neighbour column, `deg` and `own` the
+    degree and community of each slice node."""
+    n = own.size
+    src = np.repeat(np.arange(n), deg)
     nbr_comm = assign[nbr]
-    internal = nbr_comm == assign[src]
+    internal = nbr_comm == own[src]
     k_int = np.bincount(src[internal], minlength=n)
     k_ext = deg - k_int
     key = src[~internal] * np.int64(n_comms) + nbr_comm[~internal]
@@ -110,21 +133,24 @@ def community_profile(g: DirectedGraph, partition, *, lambda_include_zeros: bool
         raise ValueError("partition does not cover the graph")
     a = partition.assign
     nc = partition.n_comms
-    ko_int, ko_ext, eps_o, lam_o, keys_o, counts_o = _direction_profile(
-        g.arc_src, g.out_indices, g.out_degrees, a, g.n, nc, lambda_include_zeros)
-    ki_int, ki_ext, eps_i, lam_i, keys_i, counts_i = _direction_profile(
-        g.in_arc_dst, g.in_indices, g.in_degrees, a, g.n, nc, lambda_include_zeros)
-    # both directions' external links per distinct (node, community) pair; every
-    # sum here is of exact integers, so the summation order cannot matter
-    pairs, inverse = np.unique(np.concatenate([keys_o, keys_i]), return_inverse=True)
-    ext = np.bincount(inverse, weights=np.concatenate([counts_o, counts_i]))
-    k_int = (ko_int + ki_int).astype(np.float64)
-    link_sq = np.bincount(pairs // nc, weights=ext * ext, minlength=g.n) + k_int * k_int
-    return NodeCommunityProfile(
-        k_int_out=ko_int, k_ext_out=ko_ext, eps_out=eps_o, lambda_out=lam_o,
-        k_int_in=ki_int, k_ext_in=ki_ext, eps_in=eps_i, lambda_in=lam_i,
-        link_sq=link_sq,
-    )
+    parts = []
+    for lo, hi in _node_slices(g.out_indptr + g.in_indptr, _PROFILE_ARCS):
+        ko_int, ko_ext, eps_o, lam_o, keys_o, counts_o = _direction_profile(
+            g.out_indices[g.out_indptr[lo]:g.out_indptr[hi]], g.out_degrees[lo:hi], a[lo:hi], a, nc,
+            lambda_include_zeros)
+        ki_int, ki_ext, eps_i, lam_i, keys_i, counts_i = _direction_profile(
+            g.in_indices[g.in_indptr[lo]:g.in_indptr[hi]], g.in_degrees[lo:hi], a[lo:hi], a, nc,
+            lambda_include_zeros)
+        # both directions' external links per distinct (node, community) pair; every
+        # sum here is of exact integers, so neither the slicing nor the summation
+        # order can matter, and each pair falls in the one slice that holds its node
+        pairs, inverse = np.unique(np.concatenate([keys_o, keys_i]), return_inverse=True)
+        ext = np.bincount(inverse, weights=np.concatenate([counts_o, counts_i]))
+        k_int = (ko_int + ki_int).astype(np.float64)
+        link_sq = np.bincount(pairs // nc, weights=ext * ext, minlength=hi - lo) + k_int * k_int
+        parts.append((ko_int, ko_ext, eps_o, lam_o, ki_int, ki_ext, eps_i, lam_i, link_sq))
+    # the tuple follows the field order of NodeCommunityProfile
+    return NodeCommunityProfile(*(np.concatenate(column) for column in zip(*parts)))
 
 
 def measures_from_profile(profile: NodeCommunityProfile, partition) -> np.ndarray:

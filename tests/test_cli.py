@@ -96,13 +96,25 @@ def test_config_values_are_strict(tmp_path, capsys):
     assert main(["communities", "--input", str(g1), "--output", str(tmp_path / "p.tsv"),
                  "--min-gain", "nan"]) == 1
     assert "error: min_gain" in capsys.readouterr().err
+    # a negative value in exponent form or -inf is a value, not an option
+    for value, message in (("-1e-9", "min_gain must be non-negative"), ("-inf", "min_gain must be a finite")):
+        assert main(["communities", "--input", str(g1), "--output", str(tmp_path / "p.tsv"),
+                     "--min-gain", value]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+    assert main(["run", "--input", str(g1), "--output-dir", str(tmp_path / "neg"),
+                 "--kmeans-max-iter", "0"]) == 1
+    assert "error: kmeans_max_iter" in capsys.readouterr().err
 
 
 def test_config_validation(tmp_path):
     cfg = g1_config(tmp_path, k_min=5, k_max=3)
-    with pytest.raises(ConfigError, match="k range"):
+    with pytest.raises(ConfigError, match="k_max must be at least k_min"):
         run_pipeline(cfg)  # rejected before any computation
     assert not (tmp_path / "out").exists()
+    # each range message names the key that is out of range
+    for key, value in (("k_min", 1), ("kmeans_restarts", 0), ("kmeans_max_iter", 0), ("kmeans_tol", 0.0)):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            validate_config(g1_config(tmp_path, **{key: value}))
     cfg = g1_config(tmp_path, min_gain=float("nan"))
     with pytest.raises(ConfigError, match="min_gain"):
         run_pipeline(cfg)

@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from roleforge import measures
 from roleforge.louvain import Partition
 from roleforge.measures import (community_profile, embeddedness_values, ga_role,
                                 participation_coefficients, role_measures,
@@ -205,6 +207,36 @@ def test_participation_matches_oracle_and_vectorized():
         for u in range(n):
             assert vec[u] == pytest.approx(oracle_participation(edges, n, assign, u), abs=1e-12)
             assert 0.0 <= vec[u] < 1.0
+
+
+@pytest.mark.parametrize("include_zeros", [False, True])
+def test_profile_slices_match_oracle_and_one_slice(monkeypatch, include_zeros):
+    """Node slices of a few arcs give the oracle's counts and, bit for bit, the one-slice profile."""
+    rng = np.random.default_rng(61)
+    for trial in range(8):
+        n = int(rng.integers(8, 40))
+        # node n - 1 stays isolated; node 0 is a hub with more arcs than a slice holds
+        arcs = set(random_edges(rng, n - 1, 2 * n))
+        arcs |= {(0, v) for v in range(1, n - 1, 2)} | {(v, 0) for v in range(2, n - 1, 3)}
+        edges = sorted(arcs)
+        g = graph_from_edges(edges, n)
+        assign = random_assign(rng, n, int(rng.integers(2, 6)))
+        p = Partition.from_labels(assign)
+        monkeypatch.setattr(measures, "_PROFILE_ARCS", 1 << 40)
+        whole = community_profile(g, p, lambda_include_zeros=include_zeros)
+        monkeypatch.setattr(measures, "_PROFILE_ARCS", 5)
+        sliced = community_profile(g, p, lambda_include_zeros=include_zeros)
+        for f in fields(sliced):
+            a, b = getattr(sliced, f.name), getattr(whole, f.name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        oracle = oracle_profile(edges, n, assign, include_zeros=include_zeros)
+        for d in ("out", "in"):
+            for key in ("k_int", "k_ext", "eps"):
+                assert getattr(sliced, f"{key}_{d}").tolist() == [oracle[u][d][key] for u in range(n)]
+            assert getattr(sliced, f"lambda_{d}") == pytest.approx([oracle[u][d]["lam"] for u in range(n)],
+                                                                   abs=1e-12)
+        part = participation_coefficients(sliced)
+        assert part == pytest.approx([oracle_participation(edges, n, assign, u) for u in range(n)], abs=1e-12)
 
 
 def test_ga_role_branches():
