@@ -47,46 +47,10 @@ def standardize(mat) -> np.ndarray:
     return out
 
 
-def _init_centroids(x, k, rng):
-    # Seeded sampling of k distinct rows, each new one weighted by squared
-    # distance to the nearest already-chosen center.
-    n = x.shape[0]
-    chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = int(rng.integers(n))
-    d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            remaining = np.setdiff1d(np.arange(n), chosen[:j])
-            idx = int(remaining[0]) if remaining.size else int(rng.integers(n))
-        chosen[j] = idx
-        d2 = np.minimum(d2, ((x - x[idx]) ** 2).sum(axis=1))
-    return x[chosen].copy()
-
-
-def _assign_step(x, x_sq, c):
-    """Nearest centroid of every row, as narrow unsigned labels, and its squared distance.
-
-    Works on a k x n distance matrix so every pass runs over a contiguous
-    length-n row rather than n rows of length k.  The values are bitwise
-    those of x_sq + |c|^2 - 2 x.c: scaling c by -2 is exact, the product is
-    the same n x k BLAS call, and the addition is commutative.  Any other
-    BLAS layout (`c @ x.T`, or writing through `out=d.T`) may round
-    differently, since BLAS kernels for the tail rows of a block need not
-    accumulate in the same order.
-    """
-    k = c.shape[0]
-    d = (c * c).sum(axis=1)[:, None] + x_sq[None, :]
-    d += (x @ (-2.0 * c).T).T
-    np.maximum(d, 0.0, out=d)
-    point_d = np.minimum.reduce(d, axis=0)
-    # Ties resolve to the lowest group id: a match in row j scores k - j and
-    # the highest score wins.
-    score = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
-    assign = k - np.maximum.reduce((d == point_d) * score, axis=0)
-    return assign, point_d
+def _as_rows(mat) -> np.ndarray:
+    """mat as a float64 matrix of row vectors; 1-D input is one column."""
+    x = np.asarray(mat, dtype=np.float64)
+    return x[:, None] if x.ndim == 1 else x
 
 
 def _repair_empty(x, c, assign, point_d, counts):
@@ -111,37 +75,129 @@ def _repair_empty(x, c, assign, point_d, counts):
     return changed
 
 
-def _lloyd(x, k, rng, max_iter, tol):
-    # x rows are in canonical (lexicographic) order, so every choice below is
-    # invariant under permutations of the caller's input rows.
-    n = x.shape[0]
-    x_sq = (x * x).sum(axis=1)
-    c = _init_centroids(x, k, rng)
-    trace = []
-    for _ in range(max_iter):
-        assign, point_d = _assign_step(x, x_sq, c)
-        counts = np.bincount(assign, minlength=k)
-        _repair_empty(x, c, assign, point_d, counts)
-        trace.append(float(point_d.sum()))
-        # group sums in canonical row order: deterministic reduction.  A stable
-        # sort has one result, so sorting the narrow labels (radix-sorted by
-        # NumPy) gives the permutation the int64 labels would.
-        idx = np.argsort(assign, kind="stable")
-        starts = np.cumsum(counts) - counts
-        sums = np.add.reduceat(x.take(idx, axis=0), starts, axis=0)
-        new_c = sums / counts[:, None]
-        shift = np.sqrt(((new_c - c) ** 2).sum(axis=1)).max()
-        c = new_c
-        if shift < tol:
-            break
-    assign, point_d = _assign_step(x, x_sq, c)
-    for _ in range(k):
-        counts = np.bincount(assign, minlength=k)
-        if not _repair_empty(x, c, assign, point_d, counts):
-            break
-        assign, point_d = _assign_step(x, x_sq, c)
-    trace.append(float(point_d.sum()))
-    return assign, c, float(point_d.sum()), tuple(trace)
+class _Workspace:
+    """Rows in canonical (lexicographic) order, and the buffers their k-means fits reuse.
+
+    Every choice a fit makes is taken on the canonical rows, so permuting the
+    caller's rows permutes the labels and changes nothing else.  The buffers
+    are sized for k_max groups and serve every restart and Lloyd iteration
+    of every fit at k <= k_max.
+    """
+
+    def __init__(self, x, k_max):
+        self.order = np.lexsort(x.T[::-1])
+        self.x = x[self.order]
+        n, dim = self.x.shape
+        self.x_sq = (self.x * self.x).sum(axis=1)
+        self.rows = np.empty((n, dim))  # seeding differences, then the rows gathered by group
+        self.point_d = np.empty(n)
+        self.labels = np.empty(n, dtype=np.min_scalar_type(k_max))
+        self._d = np.empty(k_max * n)
+        self._xc = np.empty(n * k_max)
+        self._ties = np.empty(k_max * n, dtype=self.labels.dtype)
+
+    def _sq_dist(self, i, out):
+        np.subtract(self.x, self.x[i], out=self.rows)
+        np.multiply(self.rows, self.rows, out=self.rows)
+        return self.rows.sum(axis=1, out=out)
+
+    def _seed_rows(self, k, rng) -> np.ndarray:
+        """Seeded k-means++ rows: k distinct rows, each new one weighted by
+        squared distance to the nearest already-chosen center.
+
+        No draw depends on k, so the rows for k are the first k of the rows
+        for any larger k from the same rng state.
+        """
+        n = self.x.shape[0]
+        chosen = np.empty(k, dtype=np.int64)
+        chosen[0] = int(rng.integers(n))
+        d2 = self._sq_dist(chosen[0], np.empty(n))
+        near = np.empty(n)
+        for j in range(1, k):
+            total = d2.sum()
+            if total > 0:
+                idx = int(rng.choice(n, p=d2 / total))
+            else:
+                remaining = np.setdiff1d(np.arange(n), chosen[:j], assume_unique=True)
+                idx = int(remaining[0]) if remaining.size else int(rng.integers(n))
+            chosen[j] = idx
+            np.minimum(d2, self._sq_dist(idx, near), out=d2)
+        return chosen
+
+    def assign(self, c):
+        """Nearest centroid of every row, as narrow unsigned labels, and its squared distance.
+
+        Works on a k x n distance matrix so every pass runs over a contiguous
+        length-n row rather than n rows of length k.  The values are bitwise
+        those of x_sq + |c|^2 - 2 x.c: scaling c by -2 is exact, the product
+        is the same n x k BLAS call, and the addition is commutative.  Any
+        other BLAS layout (`c @ x.T`, or writing through `out=d.T`) may round
+        differently, since BLAS kernels for the tail rows of a block need not
+        accumulate in the same order.  Only the minimum is clamped at 0:
+        min_j max(d_j, 0) = max(min_j d_j, 0), and the entries that reach it
+        are those with d_j <= it.  Both returned arrays are buffers the next
+        call overwrites.
+        """
+        k, n = c.shape[0], self.x.shape[0]
+        d = self._d[:k * n].reshape(k, n)
+        xc = self._xc[:n * k].reshape(n, k)
+        np.add((c * c).sum(axis=1)[:, None], self.x_sq, out=d)
+        d += np.matmul(self.x, (-2.0 * c).T, out=xc).T
+        point_d = np.minimum.reduce(d, axis=0, out=self.point_d)
+        np.maximum(point_d, 0.0, out=point_d)
+        # Ties resolve to the lowest group id: a match in row j scores k - j and
+        # the highest score wins.
+        ties = np.less_equal(d, point_d, out=self._ties[:k * n].reshape(k, n))
+        ties *= np.arange(k, 0, -1, dtype=ties.dtype)[:, None]
+        labels = np.maximum.reduce(ties, axis=0, out=self.labels)
+        return np.subtract(k, labels, out=labels), point_d
+
+    def _lloyd(self, c, max_iter, tol):
+        x, k = self.x, c.shape[0]
+        trace = []
+        for _ in range(max_iter):
+            assign, point_d = self.assign(c)
+            counts = np.bincount(assign, minlength=k)
+            _repair_empty(x, c, assign, point_d, counts)
+            trace.append(float(point_d.sum()))
+            # group sums in canonical row order: deterministic reduction.  A stable
+            # sort has one result, so sorting the narrow labels (radix-sorted by
+            # NumPy) gives the permutation the int64 labels would.
+            idx = np.argsort(assign, kind="stable")
+            starts = np.cumsum(counts) - counts
+            # mode="clip" writes straight into out; idx is always in range
+            sums = np.add.reduceat(x.take(idx, axis=0, out=self.rows, mode="clip"), starts, axis=0)
+            new_c = sums / counts[:, None]
+            shift = np.sqrt(((new_c - c) ** 2).sum(axis=1)).max()
+            c = new_c
+            if shift < tol:
+                break
+        assign, point_d = self.assign(c)
+        for _ in range(k):
+            counts = np.bincount(assign, minlength=k)
+            if not _repair_empty(x, c, assign, point_d, counts):
+                break
+            assign, point_d = self.assign(c)
+        inertia = float(point_d.sum())
+        trace.append(inertia)
+        return assign, c, inertia, tuple(trace)
+
+    def fit(self, seeds, max_iter, tol) -> ClusteringResult:
+        """The lowest-inertia Lloyd run over restarts seeded with the given row ids."""
+        best = None
+        for chosen in seeds:
+            assign_c, c, inertia, trace = self._lloyd(self.x[chosen], max_iter, tol)
+            if best is None or inertia < best[0]:
+                best = (inertia, assign_c.copy(), c, trace)
+        inertia, assign_c, c, trace = best
+        assign = np.empty(assign_c.size, dtype=np.int64)
+        assign[self.order] = assign_c
+        return ClusteringResult(k=c.shape[0], assign=assign, centroids=c, inertia=inertia,
+                                inertia_trace=trace)
+
+    def seeds(self, k, seed, restarts) -> list[np.ndarray]:
+        """The seed row ids of every restart; restart r draws from default_rng([seed, r])."""
+        return [self._seed_rows(k, np.random.default_rng([seed, r])) for r in range(restarts)]
 
 
 def kmeans(mat, k, *, seed: int = 0, max_iter: int = 100, tol: float = 1e-6, restarts: int = 10) -> ClusteringResult:
@@ -154,26 +210,14 @@ def kmeans(mat, k, *, seed: int = 0, max_iter: int = 100, tol: float = 1e-6, res
     (lexicographically sorted) row order, so permuting input rows yields the
     same clustering up to the row permutation.
     """
-    x = np.asarray(mat, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_rows(mat)
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"k={k} must satisfy 1 <= k <= n={n}")
     if restarts < 1 or max_iter < 1 or not tol > 0:
         raise ConfigError("restarts and max_iter must be >= 1 and tol > 0")
-    order = np.lexsort(x.T[::-1])
-    xc = x[order]
-    best = None
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        assign_c, c, inertia, trace = _lloyd(xc, k, rng, max_iter, tol)
-        if best is None or inertia < best[0]:
-            best = (inertia, assign_c, c, trace)
-    inertia, assign_c, c, trace = best
-    assign = np.empty(n, dtype=np.int64)
-    assign[order] = assign_c
-    return ClusteringResult(k=k, assign=assign, centroids=c, inertia=inertia, inertia_trace=trace)
+    ws = _Workspace(x, k)
+    return ws.fit(ws.seeds(k, seed, restarts), max_iter, tol)
 
 
 def davies_bouldin(mat, result: ClusteringResult) -> float:
@@ -183,9 +227,7 @@ def davies_bouldin(mat, result: ClusteringResult) -> float:
     centroid) over Euclidean centroid separation.  Raises on fewer than two
     groups, and flags coincident centroids as a degenerate clustering.
     """
-    x = np.asarray(mat, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_rows(mat)
     k = result.k
     if k < 2:
         raise UndefinedValueError("the Davies-Bouldin index needs at least 2 groups")
@@ -205,10 +247,12 @@ def davies_bouldin(mat, result: ClusteringResult) -> float:
 
 
 # select_k fits its k range in worker processes once n * (number of k) *
-# restarts reaches this.  A worker is a fresh interpreter that takes about
-# 0.25 s to import this module; k-means costs 6-9 us per unit of that work
-# (roles-6k matrix, 2 vCPU), so two workers break even near 80,000 units.
-# The test fixtures (at most 45,000) stay inline; roles-6k is 848,400.
+# restarts reaches this.  A worker is a fresh interpreter that takes
+# 0.07-0.25 s to start and import this module, depending on machine load.
+# Inline k-means costs 0.9-1.1 us per unit of that work (row subsets of the
+# roles-6k matrix, 2 vCPU), and two workers break even near 200,000 units:
+# 0.19 s either way at n=1,430.  The test fixtures (at most 45,000) stay
+# inline; roles-6k is 848,400 units, 0.91 s inline against 0.64 s in workers.
 _WORKER_MIN_WORK = 200_000
 
 # Each worker runs its BLAS on one thread: workers that each start a
@@ -225,19 +269,29 @@ _WORKER_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); "
                 "from roleforge.clustering import _serve_fits; _serve_fits()")
 
 
-def _fit_k(x, k, *, seed, max_iter, tol, restarts) -> ClusteringResult | None:
-    """The k-means fit at k carrying its db_index, or None when it is degenerate."""
-    try:
-        res = kmeans(x, k, seed=seed, max_iter=max_iter, tol=tol, restarts=restarts)
-        return replace(res, db_index=davies_bouldin(x, res))
-    except DegenerateClusteringError:
-        return None
+def _fit_chunk(x, ks, *, seed, max_iter, tol, restarts) -> list[ClusteringResult | None]:
+    """The k-means fit at each k of ks carrying its db_index, or None when it is degenerate.
+
+    Each restart is seeded once, for the largest k, and every k starts from
+    the first k of those rows: the fits equal `kmeans` at each k.
+    """
+    x = _as_rows(x)
+    ws = _Workspace(x, max(ks))
+    seeds = ws.seeds(max(ks), seed, restarts)
+    fits = []
+    for k in ks:
+        try:
+            res = ws.fit([chosen[:k] for chosen in seeds], max_iter, tol)
+            fits.append(replace(res, db_index=davies_bouldin(x, res)))
+        except DegenerateClusteringError:
+            fits.append(None)
+    return fits
 
 
 def _serve_fits() -> None:
     """Worker entry point: fit the k values sent on stdin, reply on stdout."""
     x, ks, params = pickle.load(sys.stdin.buffer)
-    pickle.dump([_fit_k(x, k, **params) for k in ks], sys.stdout.buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickle.dump(_fit_chunk(x, ks, **params), sys.stdout.buffer, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _usable_cpus() -> int:
@@ -247,7 +301,7 @@ def _usable_cpus() -> int:
 
 
 def _fit_in_workers(x, ks, params, n_workers) -> list:
-    """_fit_k over ks in n_workers worker processes, in the order of ks.
+    """_fit_chunk over ks split into n_workers worker processes, in the order of ks.
 
     Raises ChildProcessError, quoting the end of its stderr, when a worker
     exits non-zero.
@@ -296,9 +350,7 @@ def select_k(mat, k_min: int = 2, k_max: int = 15, *, seed: int = 0, max_iter: i
     worker process per CPU, each with single-threaded BLAS; the result is
     the same as fitting them inline.
     """
-    x = np.asarray(mat, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_rows(mat)
     n = x.shape[0]
     if k_min < 2 or k_min > k_max:
         raise ConfigError(f"invalid k range [{k_min}, {k_max}]")
@@ -310,7 +362,7 @@ def select_k(mat, k_min: int = 2, k_max: int = 15, *, seed: int = 0, max_iter: i
     if n_workers > 1:
         fits = _fit_in_workers(x, ks, params, n_workers)
     else:
-        fits = (_fit_k(x, k, **params) for k in ks)
+        fits = _fit_chunk(x, ks, **params)
     best = None
     for res in fits:
         if res is not None and (best is None or res.db_index < best.db_index):

@@ -51,8 +51,8 @@ class DirectedGraph:
     def from_arcs(cls, src, dst, n, *, weights=None, node_ids=None, simple=True) -> "DirectedGraph":
         """Build a graph from parallel arc endpoint arrays.
 
-        With simple=True (the ingest path) self-loops and duplicate arcs are
-        dropped with a counted warning and every kept arc gets weight 1.
+        With simple=True (the ingest and synth path) self-loops and duplicate
+        arcs are dropped and every kept arc gets weight 1.
         With simple=False (the aggregation path) self-loops are kept and the
         weights of coincident arcs are summed.
         """
@@ -67,7 +67,6 @@ class DirectedGraph:
             if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n:
                 raise ValueError("arc endpoint outside [0, n)")
         span = max(n, 1)
-        arcs_in = src.size
         if simple:
             if not (keep := src != dst).all():
                 src, dst = src[keep], dst[keep]
@@ -77,13 +76,11 @@ class DirectedGraph:
             keys.sort()
             uniq = keys[_run_starts(keys)]
             del keys
-            loops, dups = arcs_in - src.size, src.size - uniq.size
-            if loops or dups:
-                log.warning("ingest dropped %d self-loop(s) and %d duplicate arc(s)", loops, dups)
         else:
             uniq, inv = np.unique(src * span + dst, return_inverse=True)
             w0 = np.ones(src.size) if weights is None else np.asarray(weights, dtype=np.float64).ravel()
-            w = np.bincount(inv, weights=w0, minlength=uniq.size)
+            # float64 also with no arc: bincount of an empty input is int64
+            w = np.bincount(inv, weights=w0, minlength=uniq.size).astype(np.float64, copy=False)
         src, dst = np.divmod(uniq, span)
         del uniq
 
@@ -258,7 +255,8 @@ def load_edge_list(path, convention: str = "src-follows-dst") -> DirectedGraph:
     yields the arc a->b (a follows b); "dst-follows-src" reverses this.  Node
     ids may be arbitrary non-negative integers; they are remapped to dense
     ids [0, n) in ascending order and the original ids are kept on the graph
-    for reporting.
+    for reporting.  Self-loops and duplicate arcs are dropped with one
+    counted warning.
 
     Raises EdgeListParseError (with the line number) on malformed lines and
     RoleForgeError (with the line number) on a line that is not UTF-8 text;
@@ -298,7 +296,12 @@ def load_edge_list(path, convention: str = "src-follows-dst") -> DirectedGraph:
     np.cumsum(sorted_ends, out=sorted_ends)
     ends[order] = sorted_ends
     del order, sorted_ends, first
-    return DirectedGraph.from_arcs(ends[:m], ends[m:], n=ids.size, node_ids=ids)
+    loops = int(np.count_nonzero(ends[:m] == ends[m:]))
+    g = DirectedGraph.from_arcs(ends[:m], ends[m:], n=ids.size, node_ids=ids)
+    dups = m - loops - g.m
+    if loops or dups:
+        log.warning("ingest dropped %d self-loop(s) and %d duplicate arc(s)", loops, dups)
+    return g
 
 
 def save_edge_list(g: DirectedGraph, path) -> None:

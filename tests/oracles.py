@@ -6,11 +6,13 @@ shared with the package's CSR/vectorized code paths.  The k-means oracle is
 the exception: it keeps the straightforward n x k NumPy form of the Lloyd
 step, because the package must reproduce its arithmetic bit for bit.  The
 edge-list oracle is the other one: it is the per-line text-mode reader, and
-builds its graph with the package's `DirectedGraph.from_arcs`.  The
+builds its graph with the package's `DirectedGraph.from_arcs`, counting
+the dropped self-loops and duplicate arcs itself.  The
 local-move oracle is the sweep loop that recomputes every node's
 neighbour-community weights from its arcs on each visit.
 """
 
+import logging
 from array import array
 from math import sqrt
 
@@ -426,4 +428,9 @@ def oracle_load_edge_list(path, convention="src-follows-dst"):
     m = len(srcs)
     ids, dense = np.unique(np.concatenate([np.frombuffer(srcs, dtype=np.int64),
                                            np.frombuffer(dsts, dtype=np.int64)]), return_inverse=True)
+    loops = sum(a == b for a, b in zip(srcs, dsts))
+    dups = m - loops - len({(a, b) for a, b in zip(srcs, dsts) if a != b})
+    if loops or dups:
+        logging.getLogger("roleforge.graph").warning(
+            "ingest dropped %d self-loop(s) and %d duplicate arc(s)", loops, dups)
     return DirectedGraph.from_arcs(dense[:m], dense[m:], n=ids.size, node_ids=ids)

@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from roleforge import cli
+from roleforge import cli, clustering, synth
 from roleforge.cli import (PipelineConfig, config_from_mapping, config_hash, main,
                            parse_config_file, read_tsv, run_pipeline, validate_config)
 from roleforge.errors import ConfigError, PipelineStageError
+from roleforge.graph import save_edge_list
 
 from conftest import G1_EDGES
 
@@ -165,6 +166,23 @@ def test_run_pipeline_row_slices_do_not_change_outputs(tmp_path, monkeypatch):
     for rows_per_slice in (1, 4):
         monkeypatch.setattr(cli, "_ROW_SLICE", rows_per_slice)
         assert run_pipeline(g1_config(tmp_path, outdir=f"slice{rows_per_slice}")) == want
+
+
+def test_run_pipeline_same_outputs_inline_and_in_workers(tmp_path, monkeypatch):
+    # on this graph the chosen k depends on the k-means seed (k=6 at seed 0, k=4 at seed 1)
+    g, _, _ = synth.capitalist_community_network(n_comms=4, comm_size=60, n_capitalists=8,
+                                                 cap_ext_out=80, seed=3)
+    save_edge_list(g, tmp_path / "edges.txt")
+
+    def run(outdir):
+        run_pipeline(PipelineConfig(input=str(tmp_path / "edges.txt"), output_dir=str(tmp_path / outdir),
+                                    k_min=4, k_max=8, kmeans_restarts=3))
+        return (tmp_path / outdir / "manifest.json").read_bytes()
+
+    inline = run("inline")
+    monkeypatch.setattr(clustering, "_WORKER_MIN_WORK", 0)
+    monkeypatch.setattr(clustering, "_usable_cpus", lambda: 2)
+    assert run("workers") == inline
 
 
 def test_run_pipeline_partition_and_measures_content(tmp_path):

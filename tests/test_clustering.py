@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from roleforge import clustering
-from roleforge.clustering import (CONNECTOR_MIN, ORPHAN_MIN, PIVOT_MIN, ClusteringResult, _assign_step,
+from roleforge.clustering import (CONNECTOR_MIN, ORPHAN_MIN, PIVOT_MIN, ClusteringResult,
                                   davies_bouldin, kmeans, label_role, renumber_by_size, select_k,
                                   standardize)
 from roleforge.errors import ConfigError, DegenerateClusteringError, UndefinedValueError
 
-from oracles import oracle_davies_bouldin, oracle_kmeans
+from oracles import _oracle_assign_step, _oracle_init_centroids, oracle_davies_bouldin, oracle_kmeans
 
 
 def blobs(k, n_per, seed, sigma=0.1, sep=6.0, dim=8):
@@ -188,7 +188,7 @@ def test_worker_fits_match_inline(name, seed, forced_workers):
     x = oracle_inputs()[name]
     params = dict(seed=seed, max_iter=100, tol=1e-6, restarts=10)
     ks = list(range(2, 16))
-    inline = [clustering._fit_k(x, k, **params) for k in ks]
+    inline = clustering._fit_chunk(x, ks, **params)
     for k, a, b in zip(ks, inline, clustering._fit_in_workers(x, ks, params, 3)):
         assert (a is None) == (b is None), k
         if a is None:
@@ -203,6 +203,49 @@ def test_worker_fits_match_inline(name, seed, forced_workers):
     res = select_k(x, 2, 15, **params)
     assert (res.k, res.db_index) == (chosen.k, chosen.db_index)
     assert np.array_equal(res.assign, chosen.assign)
+
+
+def few_distinct_rows():
+    """30 rows with 3 distinct values: seeding for k > 3 runs out of rows off the centers."""
+    return np.repeat(np.arange(3.0)[:, None] * [1.0, 2.0], 10, axis=0)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "ties", "one_dim", "few_distinct"])
+def test_seeding_for_k_is_a_prefix_of_the_seeding_for_k_max(name):
+    x = few_distinct_rows() if name == "few_distinct" else oracle_inputs()[name]
+    ws = clustering._Workspace(clustering._as_rows(x), 15)
+    for seed in (0, 7):
+        full = ws.seeds(15, seed, restarts=3)
+        for k in range(1, 16):
+            for r, (chosen, longer) in enumerate(zip(ws.seeds(k, seed, restarts=3), full)):
+                assert chosen.tolist() == longer[:k].tolist(), (k, r)
+                want = _oracle_init_centroids(ws.x, k, np.random.default_rng([seed, r]))
+                assert ws.x[chosen].tobytes() == want.tobytes(), (k, r)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "ties", "one_dim"])
+@pytest.mark.parametrize("path", ["inline", "workers"])
+def test_chunk_fits_equal_kmeans(name, path, forced_workers):
+    x = oracle_inputs()[name]
+    params = dict(seed=3, max_iter=100, tol=1e-6, restarts=4)
+    ks = list(range(2, 16))
+    if path == "inline":
+        fits = clustering._fit_chunk(x, ks, **params)
+    else:
+        fits = clustering._fit_in_workers(x, ks, params, 3)
+    for k, fit in zip(ks, fits):
+        try:
+            want = kmeans(x, k, **params)
+            db = davies_bouldin(x, want)
+        except DegenerateClusteringError:
+            assert fit is None, k
+            continue
+        assert fit.k == k
+        assert np.array_equal(fit.assign, want.assign), k
+        assert fit.centroids.tobytes() == want.centroids.tobytes(), k
+        assert np.float64(fit.inertia).tobytes() == np.float64(want.inertia).tobytes(), k
+        assert np.array(fit.inertia_trace).tobytes() == np.array(want.inertia_trace).tobytes(), k
+        assert np.float64(fit.db_index).tobytes() == np.float64(db).tobytes(), k
 
 
 @pytest.mark.parametrize("code", [
@@ -253,14 +296,30 @@ def test_select_k_skips_k_above_the_distinct_rows():
 
 def test_assign_step_ties_to_lowest_group():
     x = np.array([[0.0], [1.0], [2.0]])
-    x_sq = (x * x).sum(axis=1)
     cases = (([[0.0], [2.0]], [0, 0, 1], [0.0, 1.0, 0.0]),
              ([[2.0], [0.0]], [1, 0, 0], [0.0, 1.0, 0.0]),
              ([[2.0], [1.0], [1.0], [0.0]], [3, 1, 0], [0.0, 0.0, 0.0]))
     for c, want_assign, want_d in cases:
-        assign, point_d = _assign_step(x, x_sq, np.array(c))
+        assign, point_d = clustering._Workspace(x, len(c)).assign(np.array(c))
         assert assign.tolist() == want_assign
         assert point_d.tolist() == want_d
+
+
+def test_assign_step_matches_oracle_when_distances_round_below_zero():
+    # rows of norm ~1.7e8 a few units apart: x_sq + |c|^2 - 2 x.c cancels to
+    # -8, 0 or 8 for centroids equal to nearby rows, so several entries of a
+    # row are <= 0 and the most negative is not always the lowest group id
+    x = 1e8 + np.random.default_rng(31).integers(0, 4, size=(64, 3)).astype(float)
+    ws = clustering._Workspace(x, 6)
+    c = ws.x[[0, 5, 17, 30, 31, 63]].copy()
+    raw = ws.x_sq[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (ws.x @ c.T)
+    nonpositive = raw <= 0
+    assert (nonpositive.sum(axis=1) > 1).any()
+    assert (nonpositive.any(axis=1) & (raw.argmin(axis=1) != nonpositive.argmax(axis=1))).any()
+    assign, point_d = ws.assign(c)
+    want_assign, want_d = _oracle_assign_step(ws.x, ws.x_sq, c)
+    assert assign.tolist() == want_assign.tolist()
+    assert point_d.tobytes() == want_d.tobytes()
 
 
 def test_kmeans_restarts_never_hurt():

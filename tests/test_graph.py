@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from roleforge import graph
+from roleforge import graph, synth
 from roleforge.errors import EdgeListParseError, RoleForgeError
 from roleforge.graph import CONVENTIONS, load_edge_list, save_edge_list
 from roleforge.louvain import Partition
@@ -111,7 +111,9 @@ def _load_outcome(load, path, convention, caplog):
         g = load(path, convention)
     except (RoleForgeError, ValueError) as exc:
         return type(exc), str(exc)
-    return tuple(getattr(g, f).tobytes() for f in GRAPH_ARRAYS), caplog.text
+    # the logged records, without the file and line that logged them
+    return (tuple(getattr(g, f).tobytes() for f in GRAPH_ARRAYS),
+            [(r.name, r.levelname, r.getMessage()) for r in caplog.records])
 
 
 def test_load_matches_oracle(tmp_path, monkeypatch, caplog):
@@ -151,10 +153,7 @@ def test_load_equals_oracle_array_for_array(tmp_path):
                     a, b = getattr(got, f), getattr(want, f)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, end, conv, f)
                 # the aggregation path builds the same arrays from the distinct
-                # non-loop arcs, densified here in Python (with no arc at all,
-                # its weight sum comes back as an int64 array)
-                if not lines:
-                    continue
+                # non-loop arcs, densified here in Python
                 pairs = [tuple(map(int, line.split())) for line in lines
                          if line.strip() and line.strip()[0] not in "#%"]
                 if conv == "dst-follows-src":
@@ -180,6 +179,23 @@ def test_load_counts_dropped_arcs(tmp_path, caplog):
     with caplog.at_level("WARNING", logger="roleforge.graph"):
         load_edge_list(write_lines(tmp_path, ["0 1", "1 0"]))
     assert caplog.text == ""
+
+
+def test_graph_weights_are_float64_with_no_arc():
+    e = np.empty(0, dtype=np.int64)
+    for simple in (True, False):
+        g = graph.DirectedGraph.from_arcs(e, e, 3, simple=simple)
+        assert g.m == 0
+        assert g.out_weights.dtype == g.in_weights.dtype == np.float64, simple
+
+
+def test_synth_graphs_log_nothing(caplog):
+    # the generator draws self-loops and duplicate arcs, and drops them quietly
+    with caplog.at_level("WARNING", logger="roleforge"):
+        g, _, _ = synth.capitalist_community_network(n_comms=4, comm_size=100, n_capitalists=10,
+                                                     cap_ext_out=150, seed=7)
+    assert g.m > 0
+    assert caplog.records == []
 
 
 def test_load_empty_file(tmp_path):
