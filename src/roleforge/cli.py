@@ -48,7 +48,6 @@ class PipelineConfig:
     seed: int = 0
     min_gain: float = 1e-9
     order: str = "natural"
-    lambda_include_zeros: bool = False
     k_min: int = 2
     k_max: int = 15
     kmeans_restarts: int = 10
@@ -61,11 +60,8 @@ class PipelineConfig:
 _PATH_KEYS = ("input", "output_dir")
 _CONFIG_KEYS = tuple(f.name for f in fields(PipelineConfig))
 _FLOAT_KEYS = tuple(key for key in _CONFIG_KEYS if isinstance(getattr(PipelineConfig, key), float))
-# the flags that take a value: one per config key that is not a bool switch
-_VALUE_FLAGS = frozenset(f"--{key.replace('_', '-')}" for key in _CONFIG_KEYS
-                         if not isinstance(getattr(PipelineConfig, key), bool))
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
+# the flag of each config key; every one takes a value
+_VALUE_FLAGS = frozenset(f"--{key.replace('_', '-')}" for key in _CONFIG_KEYS)
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -94,15 +90,9 @@ def config_from_mapping(data: dict[str, str], base: PipelineConfig | None = None
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         current = getattr(cfg, key)
-        if isinstance(current, bool):
-            word = value.strip().lower()
-            if word not in _TRUE_WORDS + _FALSE_WORDS:
-                raise ConfigError(f"{key} must be one of {'/'.join(_TRUE_WORDS + _FALSE_WORDS)}, "
-                                  f"got {value!r}")
-            parsed: object = word in _TRUE_WORDS
-        elif isinstance(current, (int, float)):
+        if isinstance(current, (int, float)):
             try:
-                parsed = type(current)(value)
+                parsed: object = type(current)(value)
             except ValueError:
                 raise ConfigError(f"{key} expects {type(current).__name__}, got {value!r}") from None
         else:
@@ -122,6 +112,8 @@ def validate_config(cfg: PipelineConfig, *, for_run: bool = True) -> None:
         raise ConfigError(f"direction must be one of {', '.join(CONVENTIONS)}, got {cfg.direction!r}")
     if cfg.order not in ORDERS:
         raise ConfigError(f"order must be one of {', '.join(ORDERS)}, got {cfg.order!r}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     if cfg.k_min < 2:
         raise ConfigError(f"k_min must be at least 2, got {cfg.k_min}")
     if cfg.k_max < cfg.k_min:
@@ -260,8 +252,8 @@ def _communities_stage(cfg: PipelineConfig, g: DirectedGraph):
     return part, trace, tables
 
 
-def _measures_stage(cfg: PipelineConfig, g: DirectedGraph, part: Partition):
-    profile = community_profile(g, part, lambda_include_zeros=cfg.lambda_include_zeros)
+def _measures_stage(g: DirectedGraph, part: Partition):
+    profile = community_profile(g, part)
     mat = measures_from_profile(profile, part)
     emb = embeddedness_values(profile)
     pcs = participation_coefficients(profile)
@@ -398,7 +390,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
               f"Q={trace.modularity[-1]:.6f}")
 
         stage = "measures"
-        mat, tables = _measures_stage(cfg, g, part)
+        mat, tables = _measures_stage(g, part)
         _write_tables(tables, chash, artifact)
         print(f"[measures] rows={g.n} columns={len(MEASURE_COLUMNS) + 2}")
 
@@ -521,7 +513,7 @@ def cmd_measures(args) -> int:
     cfg = _make_config(args)
     g = _ingest_stage(cfg)
     part = Partition.from_labels(_labels_for(args.partition, g.node_ids, "partition"))
-    _, tables = _measures_stage(cfg, g, part)
+    _, tables = _measures_stage(g, part)
     _write_tables(tables, config_hash(cfg), lambda stem: args.output)
     print(f"[measures] rows={g.n} -> {args.output}")
     return 0
@@ -600,13 +592,9 @@ def cmd_run(args) -> int:
 
 def _add_override_args(p: argparse.ArgumentParser, keys) -> None:
     # one flag per key, its text parsed by config_from_mapping and checked by
-    # validate_config, as a config-file line is; a bool key is a switch
+    # validate_config, as a config-file line is
     for key in keys:
-        flag = f"--{key.replace('_', '-')}"
-        if isinstance(getattr(PipelineConfig, key), bool):
-            p.add_argument(flag, dest=key, action="store_const", const="true")
-        else:
-            p.add_argument(flag, dest=key)
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -629,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--config", default=None)
-    _add_override_args(p, ("direction", "lambda_include_zeros"))
+    _add_override_args(p, ("direction",))
     p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser("cluster", help="standardize, k-means over a k range, Davies-Bouldin selection")

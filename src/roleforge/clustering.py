@@ -200,6 +200,13 @@ class _Workspace:
         return [self._seed_rows(k, np.random.default_rng([seed, r])) for r in range(restarts)]
 
 
+def _check_fit_params(seed, max_iter, tol, restarts) -> None:
+    """Raise ConfigError unless the k-means parameters can drive a fit."""
+    if restarts < 1 or max_iter < 1 or not tol > 0 or seed < 0:
+        raise ConfigError(f"k-means needs restarts >= 1, max_iter >= 1, tol > 0 and seed >= 0, got "
+                          f"restarts={restarts}, max_iter={max_iter}, tol={tol!r}, seed={seed}")
+
+
 def kmeans(mat, k, *, seed: int = 0, max_iter: int = 100, tol: float = 1e-6, restarts: int = 10) -> ClusteringResult:
     """Lloyd's algorithm with seeded restarts; the lowest-inertia run wins.
 
@@ -214,8 +221,7 @@ def kmeans(mat, k, *, seed: int = 0, max_iter: int = 100, tol: float = 1e-6, res
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"k={k} must satisfy 1 <= k <= n={n}")
-    if restarts < 1 or max_iter < 1 or not tol > 0:
-        raise ConfigError("restarts and max_iter must be >= 1 and tol > 0")
+    _check_fit_params(seed, max_iter, tol, restarts)
     ws = _Workspace(x, k)
     return ws.fit(ws.seeds(k, seed, restarts), max_iter, tol)
 
@@ -356,6 +362,7 @@ def select_k(mat, k_min: int = 2, k_max: int = 15, *, seed: int = 0, max_iter: i
         raise ConfigError(f"invalid k range [{k_min}, {k_max}]")
     if k_max > n:
         raise ConfigError(f"k_max={k_max} exceeds the number of points n={n}")
+    _check_fit_params(seed, max_iter, tol, restarts)
     ks = list(range(k_min, k_max + 1))
     params = dict(seed=seed, max_iter=max_iter, tol=tol, restarts=restarts)
     n_workers = min(_usable_cpus(), len(ks)) if n * len(ks) * restarts >= _WORKER_MIN_WORK else 1

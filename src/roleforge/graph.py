@@ -52,10 +52,13 @@ class DirectedGraph:
         """Build a graph from parallel arc endpoint arrays.
 
         With simple=True (the ingest and synth path) self-loops and duplicate
-        arcs are dropped and every kept arc gets weight 1.
+        arcs are dropped and every kept arc gets weight 1, so passing
+        `weights` is a ValueError.
         With simple=False (the aggregation path) self-loops are kept and the
         weights of coincident arcs are summed.
         """
+        if simple and weights is not None:
+            raise ValueError("weights need simple=False: a simple graph has unit weights")
         src = np.asarray(src, dtype=np.int64).ravel()
         dst = np.asarray(dst, dtype=np.int64).ravel()
         if src.shape != dst.shape:

@@ -7,8 +7,8 @@ own community:
   internal intensity  I_int = Z(k_int)    links kept inside the community
   diversity           D     = Z(eps)      distinct external communities reached
   external intensity  I_ext = Z(k_ext)    links leaving the community
-  heterogeneity       H     = Z(lambda)   spread of the per-external-community
-                                          link counts
+  heterogeneity       H     = Z(lambda)   spread of the link counts over the
+                                          external communities reached
 
 All standard deviations are population ones: the community is the whole
 population of interest.  Constant (or singleton) communities z-score to 0.
@@ -87,7 +87,7 @@ def _node_slices(arc_ends: np.ndarray, limit: int):
         lo = hi
 
 
-def _direction_profile(nbr, deg, own, assign, n_comms, include_zeros):
+def _direction_profile(nbr, deg, own, assign, n_comms):
     """Profile fields of one arc direction for the nodes of a slice, plus its
     sorted external (slice node, community) keys and their link counts as
     floats.  `nbr` is the slice's neighbour column, `deg` and `own` the
@@ -105,29 +105,24 @@ def _direction_profile(nbr, deg, own, assign, n_comms, include_zeros):
     counts = counts.astype(np.float64)
     csum = np.bincount(unode, weights=counts, minlength=n)
     csum2 = np.bincount(unode, weights=counts * counts, minlength=n)
-    if include_zeros:
-        denom = np.full(n, float(max(n_comms - 1, 0)))
-    else:
-        denom = eps.astype(np.float64)
-    ok = denom > 0
+    ok = eps > 0
     mean = np.zeros(n)
-    mean[ok] = csum[ok] / denom[ok]
+    mean[ok] = csum[ok] / eps[ok]
     var = np.zeros(n)
-    var[ok] = csum2[ok] / denom[ok] - mean[ok] ** 2
+    var[ok] = csum2[ok] / eps[ok] - mean[ok] ** 2
     lam = np.sqrt(np.maximum(var, 0.0))
     return k_int, k_ext, eps, lam, uniq, counts
 
 
-def community_profile(g: DirectedGraph, partition, *, lambda_include_zeros: bool = False) -> NodeCommunityProfile:
+def community_profile(g: DirectedGraph, partition) -> NodeCommunityProfile:
     """Internal/external degree split, community reach, and spread per node.
 
     For each node and arc direction: k_int and k_ext partition the degree by
     the neighbor's community; eps counts the distinct external communities
     reached; lambda is the population standard deviation of the link counts
-    per connected external community.  With lambda_include_zeros=True the
-    deviation is instead taken over all n_comms - 1 other communities,
-    zero-count ones included.  link_sq sums, over every community, the
-    square of the node's in- plus out-link count to it.
+    over those eps communities (0 when eps is 0), so an external community
+    the node never links to does not count.  link_sq sums, over every
+    community, the square of the node's in- plus out-link count to it.
     """
     if partition.assign.shape[0] != g.n:
         raise ValueError("partition does not cover the graph")
@@ -136,11 +131,9 @@ def community_profile(g: DirectedGraph, partition, *, lambda_include_zeros: bool
     parts = []
     for lo, hi in _node_slices(g.out_indptr + g.in_indptr, _PROFILE_ARCS):
         ko_int, ko_ext, eps_o, lam_o, keys_o, counts_o = _direction_profile(
-            g.out_indices[g.out_indptr[lo]:g.out_indptr[hi]], g.out_degrees[lo:hi], a[lo:hi], a, nc,
-            lambda_include_zeros)
+            g.out_indices[g.out_indptr[lo]:g.out_indptr[hi]], g.out_degrees[lo:hi], a[lo:hi], a, nc)
         ki_int, ki_ext, eps_i, lam_i, keys_i, counts_i = _direction_profile(
-            g.in_indices[g.in_indptr[lo]:g.in_indptr[hi]], g.in_degrees[lo:hi], a[lo:hi], a, nc,
-            lambda_include_zeros)
+            g.in_indices[g.in_indptr[lo]:g.in_indptr[hi]], g.in_degrees[lo:hi], a[lo:hi], a, nc)
         # both directions' external links per distinct (node, community) pair; every
         # sum here is of exact integers, so neither the slicing nor the summation
         # order can matter, and each pair falls in the one slice that holds its node
@@ -164,15 +157,13 @@ def measures_from_profile(profile: NodeCommunityProfile, partition) -> np.ndarra
     return np.column_stack([z_score_within_community(c, partition) for c in cols])
 
 
-def role_measures(g: DirectedGraph, partition, *, lambda_include_zeros: bool = False) -> np.ndarray:
+def role_measures(g: DirectedGraph, partition) -> np.ndarray:
     """The eight directional role measures as an n x 8 matrix.
 
     Columns follow MEASURE_COLUMNS: each is the within-community z-score of
     the matching raw profile field.
     """
-    return measures_from_profile(
-        community_profile(g, partition, lambda_include_zeros=lambda_include_zeros), partition
-    )
+    return measures_from_profile(community_profile(g, partition), partition)
 
 
 def embeddedness_values(profile: NodeCommunityProfile) -> np.ndarray:

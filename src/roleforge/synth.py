@@ -13,19 +13,13 @@ def planted_partition_graph(n_comms: int, comm_size: int, intra_out: int = 8,
     """Directed planted-community graph plus its ground-truth partition.
 
     Every node draws intra_out targets inside its community and inter_out
-    targets anywhere, so communities are much denser inside than between.
+    targets anywhere, so communities are much denser inside than between:
+    the members of `capitalist_community_network` with no planted accounts.
     """
-    n = n_comms * comm_size
-    rng = np.random.default_rng(seed)
-    labels = np.repeat(np.arange(n_comms), comm_size)
-    src_intra = np.repeat(np.arange(n), intra_out)
-    dst_intra = labels[src_intra] * comm_size + rng.integers(0, comm_size, size=src_intra.size)
-    src_inter = np.repeat(np.arange(n), inter_out)
-    dst_inter = rng.integers(0, n, size=src_inter.size)
-    g = DirectedGraph.from_arcs(
-        np.concatenate([src_intra, src_inter]), np.concatenate([dst_intra, dst_inter]), n
-    )
-    return g, Partition.from_labels(labels)
+    g, truth, _ = capitalist_community_network(n_comms, comm_size, n_capitalists=0,
+                                               member_intra_out=intra_out, member_inter_out=inter_out,
+                                               seed=seed)
+    return g, truth
 
 
 def planted_capitalist_graph(n: int = 10000, n_capitalists: int = 50, partner_count: int = 600,

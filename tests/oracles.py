@@ -9,7 +9,9 @@ edge-list oracle is the other one: it is the per-line text-mode reader, and
 builds its graph with the package's `DirectedGraph.from_arcs`, counting
 the dropped self-loops and duplicate arcs itself.  The
 local-move oracle is the sweep loop that recomputes every node's
-neighbour-community weights from its arcs on each visit.
+neighbour-community weights from its arcs on each visit.  The
+planted-partition oracle draws its arcs on its own, with no planted
+accounts in the loop, and returns them for `from_arcs`.
 """
 
 import logging
@@ -44,10 +46,10 @@ def _pop_std(values):
     return sqrt(sum((v - mu) ** 2 for v in values) / len(values))
 
 
-def oracle_profile(edges, n, assign, include_zeros=False):
-    """Per node: dict of k_int/k_ext/eps/lam for both directions."""
+def oracle_profile(edges, n, assign):
+    """Per node: dict of k_int/k_ext/eps/lam for both directions; lam is the
+    spread of the link counts over the external communities reached."""
     out_nb, in_nb = neighbor_lists(edges, n)
-    n_comms = max(assign) + 1 if n else 0
     prof = []
     for u in range(n):
         entry = {}
@@ -57,15 +59,11 @@ def oracle_profile(edges, n, assign, include_zeros=False):
             for v in nbrs:
                 if assign[v] != assign[u]:
                     ext_counts[assign[v]] = ext_counts.get(assign[v], 0) + 1
-            if include_zeros:
-                values = [ext_counts.get(c, 0) for c in range(n_comms) if c != assign[u]]
-            else:
-                values = list(ext_counts.values())
             entry[direction] = {
                 "k_int": k_int,
                 "k_ext": len(nbrs) - k_int,
                 "eps": len(ext_counts),
-                "lam": _pop_std(values),
+                "lam": _pop_std(list(ext_counts.values())),
             }
         prof.append(entry)
     return prof
@@ -86,10 +84,10 @@ def oracle_z(values, assign):
     return z
 
 
-def oracle_measures(edges, n, assign, include_zeros=False):
+def oracle_measures(edges, n, assign):
     """n x 8 rows in the order I_int_out, I_int_in, D_out, D_in, I_ext_out,
     I_ext_in, H_out, H_in."""
-    prof = oracle_profile(edges, n, assign, include_zeros)
+    prof = oracle_profile(edges, n, assign)
     raw_cols = []
     for direction_field in (("out", "k_int"), ("in", "k_int"), ("out", "eps"), ("in", "eps"),
                             ("out", "k_ext"), ("in", "k_ext"), ("out", "lam"), ("in", "lam")):
@@ -434,3 +432,17 @@ def oracle_load_edge_list(path, convention="src-follows-dst"):
         logging.getLogger("roleforge.graph").warning(
             "ingest dropped %d self-loop(s) and %d duplicate arc(s)", loops, dups)
     return DirectedGraph.from_arcs(dense[:m], dense[m:], n=ids.size, node_ids=ids)
+
+
+def oracle_planted_partition_arcs(n_comms, comm_size, intra_out=8, inter_out=2, seed=0):
+    """(src, dst, labels) of a planted-partition draw: every node draws
+    intra_out targets inside its community, then every node inter_out
+    targets anywhere, all from one default_rng(seed)."""
+    n = n_comms * comm_size
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(n_comms), comm_size)
+    src_intra = np.repeat(np.arange(n), intra_out)
+    dst_intra = labels[src_intra] * comm_size + rng.integers(0, comm_size, size=src_intra.size)
+    src_inter = np.repeat(np.arange(n), inter_out)
+    dst_inter = rng.integers(0, n, size=src_inter.size)
+    return np.concatenate([src_intra, src_inter]), np.concatenate([dst_intra, dst_inter]), labels

@@ -51,10 +51,9 @@ def test_config_file_parse_and_overrides(tmp_path):
 
 
 def test_config_values_are_strict(tmp_path, capsys):
-    assert config_from_mapping({"lambda_include_zeros": " Yes"}).lambda_include_zeros is True
-    assert config_from_mapping({"lambda_include_zeros": "off"}).lambda_include_zeros is False
-    with pytest.raises(ConfigError, match="lambda_include_zeros"):
-        config_from_mapping({"lambda_include_zeros": "ture"})
+    # heterogeneity has one definition, so the key that chose another is gone
+    with pytest.raises(ConfigError, match="unknown config key 'lambda_include_zeros'"):
+        config_from_mapping({"lambda_include_zeros": "true"})
     for key, value in (("k_max", "abc"), ("seed", "1.5"), ("kmeans_tol", "small")):
         with pytest.raises(ConfigError, match=key):
             config_from_mapping({key: value})
@@ -67,11 +66,11 @@ def test_config_values_are_strict(tmp_path, capsys):
     g1 = write_g1(tmp_path)
     assert main(["run", "--input", str(g1), "--output-dir", str(tmp_path / "out"), "--k-max", "abc"]) == 1
     assert "error: k_max expects int, got 'abc'" in capsys.readouterr().err
-    # a switch sets its bool and a choice flag passes its value through
+    # a choice flag passes its value through
     out = tmp_path / "flags"
     assert main(["run", "--input", str(g1), "--output-dir", str(out), "--k-min", "2", "--k-max", "3",
-                 "--lambda-include-zeros", "--order", "shuffled", "--min-gain", "1e-8"]) == 0
-    want = PipelineConfig(k_min=2, k_max=3, lambda_include_zeros=True, order="shuffled", min_gain=1e-8)
+                 "--order", "shuffled", "--min-gain", "1e-8"]) == 0
+    want = PipelineConfig(k_min=2, k_max=3, order="shuffled", min_gain=1e-8)
     assert json.loads((out / "manifest.json").read_text())["config_hash"] == config_hash(want)
     # a choice key is checked where a file line is: exit 1 and an error: line naming it
     capsys.readouterr()
@@ -105,6 +104,33 @@ def test_config_values_are_strict(tmp_path, capsys):
     assert main(["run", "--input", str(g1), "--output-dir", str(tmp_path / "neg"),
                  "--kmeans-max-iter", "0"]) == 1
     assert "error: kmeans_max_iter" in capsys.readouterr().err
+    # the removed key is unknown in a file and its flag is unknown to argparse
+    cfg_file.write_text(f"input={g1}\nlambda_include_zeros=true\n")
+    assert main(["run", "--config", str(cfg_file), "--output-dir", str(out)]) == 1
+    assert "error: unknown config key 'lambda_include_zeros'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as stop:
+        main(["measures", "--input", str(g1), "--partition", str(tmp_path / "p.tsv"),
+              "--output", str(tmp_path / "m.tsv"), "--lambda-include-zeros"])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --lambda-include-zeros" in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    g1 = write_g1(tmp_path)
+    part, meas = tmp_path / "partition.tsv", tmp_path / "measures.tsv"
+    assert main(["communities", "--input", str(g1), "--output", str(part)]) == 0
+    assert main(["measures", "--input", str(g1), "--partition", str(part), "--output", str(meas)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for argv in (["run", "--input", str(g1), "--output-dir", str(out), "--k-max", "3", "--seed=-1"],
+                 ["cluster", "--measures", str(meas), "--output", str(tmp_path / "roles"), "--k-max", "3",
+                  "--seed", "-1"],
+                 ["communities", "--input", str(g1), "--output", str(tmp_path / "p.tsv"), "--seed", "-1",
+                  "--order", "shuffled"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n", argv
+    assert not out.exists()
+    assert not (tmp_path / "p.tsv").exists()
 
 
 def test_config_validation(tmp_path):

@@ -262,6 +262,21 @@ def test_failing_worker_raises_promptly(code, forced_workers, monkeypatch):
     assert time.monotonic() - t0 < 60
 
 
+@pytest.mark.parametrize("bad", [dict(restarts=0), dict(max_iter=0), dict(tol=float("nan")), dict(tol=-1.0),
+                                 dict(tol=0.0), dict(seed=-1)])
+@pytest.mark.parametrize("path", ["inline", "workers"])
+def test_fit_params_are_checked_before_any_fit(bad, path, monkeypatch, request):
+    x = np.random.default_rng(4).standard_normal((60, 3))
+    if path == "workers":
+        request.getfixturevalue("forced_workers")
+        # a worker that started would surface as ChildProcessError
+        monkeypatch.setattr(clustering, "_WORKER_CODE", "import sys; sys.exit('worker started')")
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        select_k(x, 2, 5, **bad)
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        kmeans(x, 3, **bad)
+
+
 def test_workers_start_from_a_stdin_script():
     script = "\n".join([
         "import numpy as np",

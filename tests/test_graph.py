@@ -10,7 +10,8 @@ from roleforge.louvain import Partition
 from roleforge.measures import community_profile
 
 from conftest import G1_EDGES, graph_from_edges, random_assign, random_edges
-from oracles import oracle_degrees, oracle_load_edge_list, oracle_profile
+from oracles import (oracle_degrees, oracle_load_edge_list, oracle_planted_partition_arcs,
+                     oracle_profile)
 
 GRAPH_ARRAYS = ("out_indptr", "out_indices", "out_weights", "in_indptr", "in_indices", "in_weights",
                 "node_ids")
@@ -187,6 +188,29 @@ def test_graph_weights_are_float64_with_no_arc():
         g = graph.DirectedGraph.from_arcs(e, e, 3, simple=simple)
         assert g.m == 0
         assert g.out_weights.dtype == g.in_weights.dtype == np.float64, simple
+
+
+def test_weights_of_a_simple_graph_are_rejected():
+    with pytest.raises(ValueError, match="simple=False"):
+        graph.DirectedGraph.from_arcs([0, 1], [1, 0], 2, weights=[5.0, 7.0])
+    g = graph.DirectedGraph.from_arcs([0, 1], [1, 0], 2, weights=[5.0, 7.0], simple=False)
+    assert g.out_weights.tolist() == [5.0, 7.0]
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((20, 1500), dict(seed=1)),  # the communities-30k benchmark graph
+    ((5, 200), dict(seed=1)),  # its toy size
+    ((10, 20), dict(intra_out=3, seed=4)),
+])
+def test_planted_partition_graph_matches_its_draw(args, kwargs):
+    g, truth = synth.planted_partition_graph(*args, **kwargs)
+    src, dst, labels = oracle_planted_partition_arcs(*args, **kwargs)
+    want = graph.DirectedGraph.from_arcs(src, dst, labels.size)
+    for name in ("out_indptr", "out_indices", "out_weights", "in_indptr", "in_indices", "in_weights",
+                 "node_ids"):
+        a, b = getattr(g, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert truth.assign.dtype == labels.dtype and truth.assign.tobytes() == labels.tobytes()
 
 
 def test_synth_graphs_log_nothing(caplog):

@@ -88,23 +88,14 @@ def test_profile_two_external_communities():
 
 
 def test_profile_lambda_including_zero_communities():
+    # node 0 links 3 times to community 1 and once to community 2; a third
+    # external community it never reaches does not enter lambda
     edges = [(0, 1), (0, 2), (0, 3), (0, 4)]
-    assign = [0, 1, 1, 1, 2]
-    g = graph_from_edges(edges, 5)
-    # eps invariant under the flag; lambda now spans {3, 1} plus nothing else
-    # (communities 1 and 2 are the only external ones), so values agree here
-    base = community_profile(g, Partition.from_labels(assign))
-    incl = community_profile(g, Partition.from_labels(assign), lambda_include_zeros=True)
-    assert incl.eps_out[0] == base.eps_out[0] == 2
-    assert incl.lambda_out[0] == pytest.approx(base.lambda_out[0], abs=1e-12)
-    # with a third, unreached external community the two readings differ
-    assign2 = [0, 1, 1, 1, 2, 3]
-    g2 = graph_from_edges(edges, 6)
-    base2 = community_profile(g2, Partition.from_labels(assign2))
-    incl2 = community_profile(g2, Partition.from_labels(assign2), lambda_include_zeros=True)
-    assert base2.lambda_out[0] == pytest.approx(1.0, abs=1e-12)
-    oracle = oracle_profile(edges, 6, assign2, include_zeros=True)
-    assert incl2.lambda_out[0] == pytest.approx(oracle[0]["out"]["lam"], abs=1e-12)
+    assign = [0, 1, 1, 1, 2, 3]
+    prof = community_profile(graph_from_edges(edges, 6), Partition.from_labels(assign))
+    oracle = oracle_profile(edges, 6, assign)
+    assert prof.eps_out[0] == oracle[0]["out"]["eps"] == 2
+    assert prof.lambda_out[0] == oracle[0]["out"]["lam"] == 1.0  # population sd of {3, 1}
 
 
 def test_role_measures_g1(g1, g1_partition):
@@ -201,16 +192,12 @@ def test_participation_matches_oracle_and_vectorized():
         assign = random_assign(rng, n, 5)
         p = Partition.from_labels(assign)
         vec = participation_coefficients(community_profile(g, p))
-        # link_sq does not depend on how lambda is taken
-        with_zeros = participation_coefficients(community_profile(g, p, lambda_include_zeros=True))
-        assert with_zeros.tolist() == vec.tolist()
         for u in range(n):
             assert vec[u] == pytest.approx(oracle_participation(edges, n, assign, u), abs=1e-12)
             assert 0.0 <= vec[u] < 1.0
 
 
-@pytest.mark.parametrize("include_zeros", [False, True])
-def test_profile_slices_match_oracle_and_one_slice(monkeypatch, include_zeros):
+def test_profile_slices_match_oracle_and_one_slice(monkeypatch):
     """Node slices of a few arcs give the oracle's counts and, bit for bit, the one-slice profile."""
     rng = np.random.default_rng(61)
     for trial in range(8):
@@ -223,13 +210,13 @@ def test_profile_slices_match_oracle_and_one_slice(monkeypatch, include_zeros):
         assign = random_assign(rng, n, int(rng.integers(2, 6)))
         p = Partition.from_labels(assign)
         monkeypatch.setattr(measures, "_PROFILE_ARCS", 1 << 40)
-        whole = community_profile(g, p, lambda_include_zeros=include_zeros)
+        whole = community_profile(g, p)
         monkeypatch.setattr(measures, "_PROFILE_ARCS", 5)
-        sliced = community_profile(g, p, lambda_include_zeros=include_zeros)
+        sliced = community_profile(g, p)
         for f in fields(sliced):
             a, b = getattr(sliced, f.name), getattr(whole, f.name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
-        oracle = oracle_profile(edges, n, assign, include_zeros=include_zeros)
+        oracle = oracle_profile(edges, n, assign)
         for d in ("out", "in"):
             for key in ("k_int", "k_ext", "eps"):
                 assert getattr(sliced, f"{key}_{d}").tolist() == [oracle[u][d][key] for u in range(n)]
