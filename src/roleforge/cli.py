@@ -13,10 +13,13 @@ identical artifact checksums.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
+import warnings
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -158,18 +161,42 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@functools.lru_cache(maxsize=64)  # a table's rows come in a few combinations of types
+def _row_template(kinds: tuple) -> str | None:
+    """The %-template that writes a row of values of these types as `_fmt`
+    does, bar a NaN float; None if a value is None, which `_fmt` writes blank.
+    `"%.12g" % v` is `f"{v:.12g}"` for every float, and `"%s" % v` is `str(v)`."""
+    if type(None) in kinds:
+        return None
+    return "\t".join("%.12g" if issubclass(kind, float) else "%s" for kind in kinds) + "\n"
+
+
+def _format_row(row) -> str:
+    row = tuple(row)
+    template = _row_template(tuple(map(type, row)))
+    if template is not None:
+        line = template % row
+        # a NaN float, which _fmt writes NA; a string holding "nan" only costs the slower join
+        if "nan" not in line:
+            return line
+    return "\t".join(map(_fmt, row)) + "\n"
+
+
+# rows converted to Python values and written per slice, so no per-node list
+# is held at once; a slice of 4096 measures rows held 1.6 MB of text, which
+# raised the peak of a 6k-node `run`
+_ROW_SLICE = 512
+
+
 def write_tsv(path, columns, rows, chash: str, extra=()) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# config_hash={chash}\n")
         for line in extra:
             fh.write(f"# {line}\n")
         fh.write("\t".join(columns) + "\n")
-        for row in rows:
-            fh.write("\t".join(_fmt(v) for v in row) + "\n")
-
-
-# rows converted to Python values per slice, so no per-node list is held at once
-_ROW_SLICE = 4096
+        rows = iter(rows)
+        while batch := list(itertools.islice(rows, _ROW_SLICE)):
+            fh.write("".join(map(_format_row, batch)))
 
 
 def _column_rows(*columns):
@@ -445,8 +472,64 @@ def _reject_repeated_ids(path, file_ids, what: str) -> None:
         raise RoleForgeError(f"{what} file {path} lists id {repeated} more than once")
 
 
+# Bytes of a table the bulk reader parses: printable ASCII, tabs and line ends.
+# np.loadtxt strips \x1c-\x1f around a number, which int() and float() reject,
+# and reads some non-ASCII text as digits; a table with any other byte is read
+# row by row.
+_TABLE_BYTES = bytes(range(32, 127)) + b"\t\n\r"
+
+
+def _bulk_table(path, usecols, dtype: np.dtype):
+    """(header, body) of an artifact, the body's `usecols` parsed by np.loadtxt
+    into records of `dtype`, or None wherever read_tsv must decide: an
+    unreadable file, a byte outside _TABLE_BYTES, no header, and any body
+    np.loadtxt rejects.  That covers a short row, a table with no rows and,
+    as column 0 is an integer id, a comment line.
+
+    On a table it parses, np.loadtxt keeps every row that read_tsv keeps, and
+    reads each field as int() or float() does.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        return None
+    if data.translate(None, _TABLE_BYTES):
+        return None
+    # line ends translated as text-mode reading translates them
+    lines = data.decode("ascii").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    del data
+    # the header is the first line that is neither blank nor a comment
+    head = next((i for i, s in enumerate(lines) if s and not s.startswith("#")), None)
+    if head is None:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # such as "input contained no data"
+            body = np.loadtxt(lines, dtype=dtype, comments=None, delimiter="\t",
+                              skiprows=head + 1, usecols=usecols, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    return lines[head].split("\t"), body
+
+
+def _has_repeats(sorted_ids: np.ndarray) -> bool:
+    return bool((sorted_ids[1:] == sorted_ids[:-1]).any())
+
+
+_LABELS_ROW = np.dtype([("id", np.int64), ("label", np.int64)])
+
+
 def _labels_for(path, ids, what: str) -> np.ndarray:
     """Second column of the artifact at `path`, joined on original id, in the order of `ids`."""
+    table = _bulk_table(path, (0, 1), _LABELS_ROW)
+    if table is not None:
+        body = table[1]
+        order = np.argsort(body["id"])
+        file_ids = body["id"][order]
+        at = np.minimum(np.searchsorted(file_ids, ids), file_ids.size - 1)
+        if not _has_repeats(file_ids) and (file_ids[at] == ids).all():
+            return body["label"][order[at]]
+    # the row path, which names the bad line, the repeated id or the missing node
     _, rows, _ = read_tsv(path, parse=lambda r: (int(r[0]), int(r[1])))
     _reject_repeated_ids(path, [u for u, _ in rows], what)
     label_of = dict(rows)
@@ -474,10 +557,23 @@ def _measure_row(r):
     return int(r[0]), values
 
 
+_MEASURES_HEADER = ("original_id", "community", *MEASURE_COLUMNS)
+# the id and the measure columns of a measures row; the community is not read
+_MEASURES_ROW = np.dtype([("id", np.int64), ("values", np.float64, (len(MEASURE_COLUMNS),))])
+
+
 def _load_measures(path):
-    want = ("original_id", "community", *MEASURE_COLUMNS)
+    table = _bulk_table(path, (0, *range(2, len(_MEASURES_HEADER))), _MEASURES_ROW)
+    if table is not None:
+        header, body = table
+        ids = np.ascontiguousarray(body["id"])
+        mat = np.ascontiguousarray(body["values"])
+        if (tuple(header[:len(_MEASURES_HEADER)]) == _MEASURES_HEADER and np.isfinite(mat).all()
+                and not _has_repeats(np.sort(ids))):
+            return ids, mat
+    # the row path, which names the bad line or the repeated id
     header, rows, _ = read_tsv(path, parse=_measure_row)
-    if tuple(header[: len(want)]) != want:
+    if tuple(header[:len(_MEASURES_HEADER)]) != _MEASURES_HEADER:
         raise RoleForgeError(f"unexpected measures header in {path}")
     file_ids = [u for u, _ in rows]
     _reject_repeated_ids(path, file_ids, "measures")

@@ -169,8 +169,14 @@ class DirectedGraph:
 # per-chunk numpy calls cost little, small enough that a chunk's temporaries
 # are negligible beside the arc arrays of a large file.
 _CHUNK_BYTES = 1 << 16
-# At most 18 digits per id in a plain line keep it below 2**63.
-_PLAIN_DIGITS = 18
+# A plain line's ids have at most 19 digits, and a 19-digit id starts with
+# 0-8, which keeps it below 9 * 10**18 < 2**63 - 1.  A longer run, or one of
+# 19 digits from 9, goes to the line rule: np.fromstring would saturate an id
+# of 2**63 or more to 2**63 - 1 instead of rejecting it.
+_PLAIN_DIGITS = 19
+# Endpoints are rewritten to dense ids in slices of this many, so the
+# rewrite's temporary is one slice, not a second array over all of them.
+_RANK_ENDS = 1 << 16
 # Edge lists are written in slices of this many arcs, one join each, so the
 # text of the whole file is never held at once.
 _SAVE_ARCS = 1 << 16
@@ -203,11 +209,12 @@ def _plain_arcs(buf: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Ids of the plain lines of a block of whole lines, and the other lines.
 
     A plain line holds only ASCII digits, spaces and tabs, in exactly two
-    digit runs of at most 18 digits each.  The line rule accepts such a line
-    with the same two values and never rejects it, so the plain lines are
-    converted in bulk.  Returns an (k, 2) int64 array with the ids of the k
-    plain lines in file order, and the 0-based indices of the other lines
-    that hold anything but spaces and tabs, for `_parse_line`.
+    digit runs of at most 19 digits each, a run of 19 starting with 0-8.  The
+    line rule accepts such a line with the same two values and never rejects
+    it, so the plain lines are converted in bulk.  Returns an (k, 2) int64
+    array with the ids of the k plain lines in file order, and the 0-based
+    indices of the other lines that hold anything but spaces and tabs, for
+    `_parse_line`.
     """
     a = np.frombuffer(buf, dtype=np.uint8)
     digit = (a - 48) < 10  # uint8 arithmetic wraps every byte below "0" above 9
@@ -219,7 +226,9 @@ def _plain_arcs(buf: bytes) -> tuple[np.ndarray, np.ndarray]:
     odd = np.searchsorted(ends, np.flatnonzero(~digit & (a != 32) & (a != 9) & (a != 10)))
     plain[odd] = False
     other[odd] = True
-    plain[np.searchsorted(ends, starts[stops - starts > _PLAIN_DIGITS])] = False
+    width = stops - starts
+    too_long = (width > _PLAIN_DIGITS) | ((width == _PLAIN_DIGITS) & (a[starts] == ord("9")))
+    plain[np.searchsorted(ends, starts[too_long])] = False
     other &= ~plain
     if not plain.any():  # np.fromstring reads a text of whitespace alone as [0]
         return np.empty((0, 2), dtype=np.int64), np.flatnonzero(other)
@@ -248,6 +257,39 @@ def _parse_line(path, line_no: int, raw: bytes) -> tuple[int, int] | None:
     if max(a, b) >= 2**63:
         raise EdgeListParseError(line_no, "node id above 2**63 - 1")
     return a, b
+
+
+def _densify(ends: np.ndarray) -> np.ndarray:
+    """Rewrite each endpoint in place as the rank of its id among the distinct
+    ids, and return those ids in ascending order."""
+    if ends.size and (top := int(ends.max())) < ends.size:
+        # ids below the number of endpoints: a presence table over [0, top]
+        # ranks them with no sort, in at most 9 bytes per endpoint
+        present = np.zeros(top + 1, dtype=bool)
+        present[ends] = True
+        ids = np.flatnonzero(present)
+        # the mask is copied in first: a cumsum straight from bool would cast
+        # all of it at once; the cumsum counts from -1, so the first id gets 0
+        rank = np.empty(top + 1, dtype=np.int64)
+        rank[:] = present
+        del present
+        rank[0] -= 1
+        np.cumsum(rank, out=rank)
+        for lo in range(0, ends.size, _RANK_ENDS):
+            part = ends[lo:lo + _RANK_ENDS]
+            part[:] = rank[part]
+        return ids
+    # sparse ids: the rank of each endpoint comes from a sort, written through
+    # the sorted copy's buffer
+    order = np.argsort(ends)
+    sorted_ends = ends[order]
+    first = _run_starts(sorted_ends)
+    ids = sorted_ends[first]
+    first[:1] = False
+    sorted_ends[:] = first
+    np.cumsum(sorted_ends, out=sorted_ends)
+    ends[order] = sorted_ends
+    return ids
 
 
 def load_edge_list(path, convention: str = "src-follows-dst") -> DirectedGraph:
@@ -287,18 +329,7 @@ def load_edge_list(path, convention: str = "src-follows-dst") -> DirectedGraph:
     m = len(srcs)
     ends = np.concatenate([np.frombuffer(srcs, dtype=np.int64), np.frombuffer(dsts, dtype=np.int64)])
     del srcs, dsts
-    # dense ids in place: each endpoint becomes the rank of its id among the
-    # distinct ids, written through the sorted copy's buffer (the mask is
-    # copied in first: a cumsum straight from bool would cast all of it at once)
-    order = np.argsort(ends)
-    sorted_ends = ends[order]
-    first = _run_starts(sorted_ends)
-    ids = sorted_ends[first]
-    first[:1] = False
-    sorted_ends[:] = first
-    np.cumsum(sorted_ends, out=sorted_ends)
-    ends[order] = sorted_ends
-    del order, sorted_ends, first
+    ids = _densify(ends)
     loops = int(np.count_nonzero(ends[:m] == ends[m:]))
     g = DirectedGraph.from_arcs(ends[:m], ends[m:], n=ids.size, node_ids=ids)
     dups = m - loops - g.m

@@ -1,13 +1,16 @@
 import hashlib
 import json
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from roleforge import cli, clustering, synth
 from roleforge.cli import (PipelineConfig, config_from_mapping, config_hash, main,
                            parse_config_file, read_tsv, run_pipeline, validate_config)
-from roleforge.errors import ConfigError, PipelineStageError
+from roleforge.errors import ConfigError, PipelineStageError, RoleForgeError
+from roleforge.measures import MEASURE_COLUMNS
 from roleforge.graph import save_edge_list
 
 from conftest import G1_EDGES
@@ -444,3 +447,169 @@ def test_cli_reports_errors(tmp_path, capsys):
     same = bad_file("meas_same.tsv", "\n".join(measures[:2] + ["\t".join([str(i)] + row[1:]) for i in range(30)]))
     assert main(["cluster", *dest, "--k-max", "4", "--measures", same]) == 1
     assert "error: every k in the range produced a degenerate clustering" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# bulk artifact I/O: the bytes, arrays and errors of the per-value and per-row paths
+
+def test_write_tsv_matches_per_value_format(tmp_path, monkeypatch):
+    nan = float("nan")
+    rows = [
+        (1, 0.5, "a", None, 1 / 3),
+        (2**53 + 1, nan, "banana", 1.0, None),  # a string holding "nan" next to a NaN
+        (-0.0, float("inf"), float("-inf"), 1e-300, 2**64),
+        (np.float64(0.1), np.float32(0.1), np.int64(-7), np.bool_(True), np.float64(nan)),
+        (np.float64(-0.0), np.float64(np.inf), np.float32(nan), np.int32(2**31 - 1), 5e-324),
+        (True, "100%", "%s", 123456789012.5, "nan"),
+        [7, 0.1, "list row", 1e300, -1.5e-7],
+        (1.0, 2, "kinds swapped", 3, 0.5),
+        (),
+    ]
+    want = "".join("\t".join(map(cli._fmt, row)) + "\n" for row in rows)
+    assert {"-0", "NA", "inf", "", "9007199254740993", "1e-300"} <= set(want.replace("\n", "\t").split("\t"))
+    for rows_per_slice in (1, 2, 4096):
+        monkeypatch.setattr(cli, "_ROW_SLICE", rows_per_slice)
+        path = tmp_path / f"t{rows_per_slice}.tsv"
+        cli.write_tsv(path, ("a", "b", "c", "d", "e"), iter(rows), "h", ("k=1",))
+        assert path.read_bytes() == ("# config_hash=h\n# k=1\na\tb\tc\td\te\n" + want).encode()
+
+
+def _read_outcome(read, *args):
+    try:
+        got = read(*args)
+    except RoleForgeError as exc:
+        return type(exc), str(exc)
+    return [(a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes())
+            for a in (got if isinstance(got, tuple) else (got,))]
+
+
+def _bulk_read(monkeypatch, read, path, *args) -> bool:
+    """Assert `read` gives the outcome of its row path; True if the bulk parser's table was returned."""
+    tables = []
+    parse = cli._bulk_table
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_bulk_table", lambda *a: tables.append(parse(*a)) or tables[-1])
+        got = _read_outcome(read, path, *args)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_bulk_table", lambda *a: None)
+        assert got == _read_outcome(read, path, *args), path.read_bytes() if path.exists() else path
+    return tables[0] is not None and not isinstance(got, tuple)
+
+
+def _label_cases():
+    rows = ["5\t1", "3\t2", "9\t1", "7\t3"]
+
+    def swap(line):
+        return rows[:1] + [line] + rows[2:]
+
+    return {
+        "plain": rows,
+        "leading plus": swap("+3\t+2"),
+        "padding spaces": swap(" 3 \t 2 "),
+        "leading zeros and a negative label": swap("0003\t-2"),
+        "extra columns": swap("3\t2\tx\t\t"),
+        "blank lines": ["", *rows[:2], "", "", *rows[2:], ""],
+        "short row": swap("3"),
+        "whitespace-only line": rows[:2] + ["  "] + rows[2:],
+        "tab-only line": rows[:2] + ["\t"] + rows[2:],
+        "comment line": rows[:2] + ["# note=1"] + rows[2:],
+        "inline #": swap("3\t2 # two"),
+        "underscore": swap("3\t1_0"),
+        "arabic-indic digit": swap("3\t\u0661"),
+        "information separator": swap("3\x1c\t2"),
+        "em space": swap("3\u2003\t2"),
+        "NA": swap("3\tNA"),
+        "inf": swap("3\tinf"),
+        "float label": swap("3\t2.0"),
+        "hex label": swap("3\t0x10"),
+        "label 2**63": swap("3\t9223372036854775808"),
+        "label 2**63 of an uncovered id": rows + ["11\t9223372036854775808"],
+        "repeated id": rows + ["3\t4"],
+        "uncovered node": rows[:3],
+        "header only": [],
+    }
+
+
+def test_bulk_labels_equal_the_row_path(tmp_path, monkeypatch):
+    # fresh files throughout: truncating one in place can be slow
+    ids = np.array([3, 5, 7, 9], dtype=np.int64)
+    read_in_bulk = set()
+    ends = {"LF": "\n", "CRLF": "\r\n", "CR": "\r"}
+    for i, (name, rows) in enumerate(_label_cases().items()):
+        # blank lines before the header too: the bulk parser must skip to the same row
+        lines = ["", "# config_hash=x", "", "original_id\tgroup", *rows]
+        for end_name, end in ends.items():
+            path = tmp_path / f"labels{i}_{end_name}.tsv"
+            path.write_text("".join(line + end for line in lines), newline="")
+            if _bulk_read(monkeypatch, cli._labels_for, path, ids, "clusters"):
+                read_in_bulk.add((name, end_name))
+    assert read_in_bulk == {(name, end_name) for end_name in ends for name in (
+        "plain", "leading plus", "padding spaces", "leading zeros and a negative label", "extra columns",
+        "blank lines")}
+    odd = {"latin1": b"original_id\tgroup\n3\t1\n# caf\xe9\n5\t2\n7\t2\n9\t1\n",
+           "empty": b"", "comments only": b"# only a comment\n\n"}
+    for name, content in odd.items():
+        (tmp_path / f"{name}.tsv").write_bytes(content)
+        assert not _bulk_read(monkeypatch, cli._labels_for, tmp_path / f"{name}.tsv", ids, "clusters")
+    assert not _bulk_read(monkeypatch, cli._labels_for, tmp_path / "absent.tsv", ids, "clusters")
+
+
+def test_bulk_measures_equal_the_row_path(tmp_path, monkeypatch):
+    header = "\t".join(("original_id", "community", *MEASURE_COLUMNS, "embeddedness", "participation"))
+    rng = np.random.default_rng(4)
+    rows = [[str(u), "0", *(f"{v:.12g}" for v in rng.normal(size=len(MEASURE_COLUMNS))), "", "0.5"]
+            for u in (5, 3, 9, 7)]
+
+    def swap(j, value):
+        return [rows[0][:j] + [value] + rows[0][j + 1:]] + rows[1:]
+
+    cases = {f"measure {value!r}": swap(4, value) for value in (
+        "+1.5", " 1.5 ", "-0", "1e-300", "inf", "-Infinity", "nan", "1e400", "1_0.5",
+        "\u0661.\u0665", "NA", "", "0x1p3", "1.5\x1c")}
+    cases.update({
+        "plain": rows,
+        "community not a number": swap(1, "abc"),
+        "id with a leading plus": swap(0, "+5"),
+        "id 2**63": swap(0, str(2**63)),
+        "id as a float": swap(0, "5.0"),
+        "short row": [rows[0][:9]] + rows[1:],
+        "repeated id": rows + rows[:1],
+        "whitespace-only line": rows + [[" "]],
+        "comment line": rows[:1] + [["# x=1"]] + rows[1:],
+    })
+    read_in_bulk = set()
+    for i, (name, table) in enumerate(cases.items()):
+        for j, head in enumerate((header, header + "\textra", header.replace("community", "comm"))):
+            path = tmp_path / f"measures{i}_{j}.tsv"
+            path.write_text("\n".join([head] + ["\t".join(r) for r in table]) + "\n")
+            if _bulk_read(monkeypatch, cli._load_measures, path):
+                read_in_bulk.add((name, j))
+    assert read_in_bulk == {(name, j) for j in (0, 1) for name in (
+        "plain", "community not a number", "id with a leading plus", "measure '+1.5'",
+        "measure ' 1.5 '", "measure '-0'", "measure '1e-300'")}
+
+
+def test_bulk_readers_fuzz_equal_the_row_path(tmp_path, monkeypatch):
+    tokens = ["0", "1", "7", "12", "+3", "-2", " 4", "5 ", "007", "1.5", "-0.25", "1e3", "inf", "nan", "NA",
+              "", " ", "1_0", "\u0661", "#", "x", "2.0", "9223372036854775807", "9223372036854775808",
+              "\x0b1", "1\x1d", "1e400"]
+    rng = random.Random(11)
+    ids = np.array([0, 1, 7, 12], dtype=np.int64)
+    header = "\t".join(("original_id", "community", *MEASURE_COLUMNS))
+    read_in_bulk = 0
+    for i in range(200):
+        table = [[str(u)] + [f"{rng.uniform(-3, 3):.6g}" for _ in range(len(MEASURE_COLUMNS) + 1)]
+                 for u in ids.tolist()]
+        for _ in range(rng.randrange(3)):  # up to two odd fields, and maybe one short row
+            row = rng.choice(table)
+            row[rng.randrange(len(row))] = rng.choice(tokens)
+        if rng.random() < 0.2:
+            row = rng.choice(table)
+            del row[rng.randrange(1, len(row)):]
+        lines = ["\t".join(row) for row in table]
+        rng.shuffle(lines)
+        path = tmp_path / f"fuzz{i}.tsv"
+        path.write_text("\n".join([header] + lines) + "\n")
+        read_in_bulk += _bulk_read(monkeypatch, cli._labels_for, path, ids, "partition")
+        read_in_bulk += _bulk_read(monkeypatch, cli._load_measures, path)
+    assert read_in_bulk > 20

@@ -141,6 +141,11 @@ def test_load_equals_oracle_array_for_array(tmp_path):
         "comments and blanks": ["# a comment", "% 1 2", "", "3 1", "  ", "1\t3", "2 3"],
         "ids near 2**63 - 1": ["9223372036854775807 9223372036854775806", "0 9223372036854775807",
                                "9223372036854775806 0", "9223372036854775807 9223372036854775807"],
+        "19-digit ids": ["8999999999999999999 1000000000000000000", "0999999999999999999 8999999999999999999",
+                         "9223372036854775807 1000000000000000000"],
+        # the presence table ranks ids below the 2m endpoints, a sort the others
+        "largest id 2m - 1": ["0 3", "1 3", "3 0"],
+        "largest id 2m": ["0 6", "1 6", "6 0"],
         "empty": [],
     }
     for name, lines in cases.items():
@@ -169,6 +174,24 @@ def test_load_equals_oracle_array_for_array(tmp_path):
                 for f in GRAPH_ARRAYS:
                     a, b = getattr(got, f), getattr(agg, f)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, conv, f)
+
+
+def test_load_reads_19_digit_ids_in_bulk(tmp_path, monkeypatch):
+    # a 19-digit id from 0-8 is below 2**63 - 1, so no line goes to the line rule
+    lines = ["8999999999999999999 1000000000000000000", "1234567890123456789 0999999999999999999"]
+
+    def line_rule(*args):
+        raise AssertionError(f"line rule called with {args}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graph, "_parse_line", line_rule)
+        g = load_edge_list(write_lines(tmp_path, lines))
+    assert g.node_ids.tolist() == [999999999999999999, 10**18, 1234567890123456789, 8999999999999999999]
+    # a run of 19 digits from 9 takes the line rule, which rejects 2**63 with its line
+    g = load_edge_list(write_lines(tmp_path, lines + ["9223372036854775807 0"]))
+    assert g.node_ids.tolist()[-1] == 2**63 - 1
+    with pytest.raises(EdgeListParseError, match="line 3: node id above 2"):
+        load_edge_list(write_lines(tmp_path, lines + ["9223372036854775808 0"]))
 
 
 def test_load_counts_dropped_arcs(tmp_path, caplog):
