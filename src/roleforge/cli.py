@@ -472,22 +472,24 @@ def _reject_repeated_ids(path, file_ids, what: str) -> None:
         raise RoleForgeError(f"{what} file {path} lists id {repeated} more than once")
 
 
-# Bytes of a table the bulk reader parses: printable ASCII, tabs and line ends.
+# Bytes of a table the bulk reader parses: printable ASCII, tabs and LF.
 # np.loadtxt strips \x1c-\x1f around a number, which int() and float() reject,
 # and reads some non-ASCII text as digits; a table with any other byte is read
 # row by row.
-_TABLE_BYTES = bytes(range(32, 127)) + b"\t\n\r"
+_TABLE_BYTES = bytes(range(32, 127)) + b"\t\n"
 
 
 def _bulk_table(path, usecols, dtype: np.dtype):
-    """(header, body) of an artifact, the body's `usecols` parsed by np.loadtxt
-    into records of `dtype`, or None wherever read_tsv must decide: an
-    unreadable file, a byte outside _TABLE_BYTES, no header, and any body
-    np.loadtxt rejects.  That covers a short row, a table with no rows and,
-    as column 0 is an integer id, a comment line.
+    """(header, body) of an artifact in the layout write_tsv writes, the body's
+    `usecols` parsed by np.loadtxt into records of `dtype`; None for any other
+    table, which read_tsv reads.
 
-    On a table it parses, np.loadtxt keeps every row that read_tsv keeps, and
-    reads each field as int() or float() does.
+    That layout is `#` lines, then the header, then one row per line, with LF
+    line ends, no blank line and only the bytes of _TABLE_BYTES.  A table is
+    also left to read_tsv when it cannot be read or np.loadtxt rejects its
+    body, as it does a short row, a whitespace-only line and a table with no
+    rows.  On the rows it parses, np.loadtxt reads each field as int() or
+    float() does.
     """
     try:
         data = Path(path).read_bytes()
@@ -495,21 +497,25 @@ def _bulk_table(path, usecols, dtype: np.dtype):
         return None
     if data.translate(None, _TABLE_BYTES):
         return None
-    # line ends translated as text-mode reading translates them
-    lines = data.decode("ascii").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    text = data.decode("ascii")
     del data
-    # the header is the first line that is neither blank nor a comment
-    head = next((i for i, s in enumerate(lines) if s and not s.startswith("#")), None)
-    if head is None:
+    head = 0
+    while text.startswith("#", head):
+        head = text.find("\n", head) + 1
+        if not head:
+            return None
+    if text.startswith("\n") or "\n\n" in text or text.find("\n#", head) >= 0:
         return None
+    lines = text[head:].split("\n")
+    del text
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # such as "input contained no data"
             body = np.loadtxt(lines, dtype=dtype, comments=None, delimiter="\t",
-                              skiprows=head + 1, usecols=usecols, ndmin=1)
+                              skiprows=1, usecols=usecols, ndmin=1)
     except (ValueError, Warning):
         return None
-    return lines[head].split("\t"), body
+    return lines[0].split("\t"), body
 
 
 def _has_repeats(sorted_ids: np.ndarray) -> bool:

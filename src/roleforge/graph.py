@@ -174,9 +174,6 @@ _CHUNK_BYTES = 1 << 16
 # 19 digits from 9, goes to the line rule: np.fromstring would saturate an id
 # of 2**63 or more to 2**63 - 1 instead of rejecting it.
 _PLAIN_DIGITS = 19
-# Endpoints are rewritten to dense ids in slices of this many, so the
-# rewrite's temporary is one slice, not a second array over all of them.
-_RANK_ENDS = 1 << 16
 # Edge lists are written in slices of this many arcs, one join each, so the
 # text of the whole file is never held at once.
 _SAVE_ARCS = 1 << 16
@@ -259,39 +256,6 @@ def _parse_line(path, line_no: int, raw: bytes) -> tuple[int, int] | None:
     return a, b
 
 
-def _densify(ends: np.ndarray) -> np.ndarray:
-    """Rewrite each endpoint in place as the rank of its id among the distinct
-    ids, and return those ids in ascending order."""
-    if ends.size and (top := int(ends.max())) < ends.size:
-        # ids below the number of endpoints: a presence table over [0, top]
-        # ranks them with no sort, in at most 9 bytes per endpoint
-        present = np.zeros(top + 1, dtype=bool)
-        present[ends] = True
-        ids = np.flatnonzero(present)
-        # the mask is copied in first: a cumsum straight from bool would cast
-        # all of it at once; the cumsum counts from -1, so the first id gets 0
-        rank = np.empty(top + 1, dtype=np.int64)
-        rank[:] = present
-        del present
-        rank[0] -= 1
-        np.cumsum(rank, out=rank)
-        for lo in range(0, ends.size, _RANK_ENDS):
-            part = ends[lo:lo + _RANK_ENDS]
-            part[:] = rank[part]
-        return ids
-    # sparse ids: the rank of each endpoint comes from a sort, written through
-    # the sorted copy's buffer
-    order = np.argsort(ends)
-    sorted_ends = ends[order]
-    first = _run_starts(sorted_ends)
-    ids = sorted_ends[first]
-    first[:1] = False
-    sorted_ends[:] = first
-    np.cumsum(sorted_ends, out=sorted_ends)
-    ends[order] = sorted_ends
-    return ids
-
-
 def load_edge_list(path, convention: str = "src-follows-dst") -> DirectedGraph:
     """Read a directed graph from a two-integers-per-line text file.
 
@@ -329,7 +293,18 @@ def load_edge_list(path, convention: str = "src-follows-dst") -> DirectedGraph:
     m = len(srcs)
     ends = np.concatenate([np.frombuffer(srcs, dtype=np.int64), np.frombuffer(dsts, dtype=np.int64)])
     del srcs, dsts
-    ids = _densify(ends)
+    # dense ids in place: each endpoint becomes the rank of its id among the
+    # distinct ids, written through the sorted copy's buffer (the mask is
+    # copied in first: a cumsum straight from bool would cast all of it at once)
+    order = np.argsort(ends)
+    sorted_ends = ends[order]
+    first = _run_starts(sorted_ends)
+    ids = sorted_ends[first]
+    first[:1] = False
+    sorted_ends[:] = first
+    np.cumsum(sorted_ends, out=sorted_ends)
+    ends[order] = sorted_ends
+    del order, sorted_ends, first
     loops = int(np.count_nonzero(ends[:m] == ends[m:]))
     g = DirectedGraph.from_arcs(ends[:m], ends[m:], n=ids.size, node_ids=ids)
     dups = m - loops - g.m

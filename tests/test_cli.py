@@ -530,22 +530,43 @@ def _label_cases():
     }
 
 
+def test_bulk_table_reads_only_the_write_tsv_layout(tmp_path):
+    # text columns, so that no layout check is left to a number failing to parse
+    dtype = np.dtype([("a", "U4"), ("b", "U4")])
+    path = tmp_path / "written.tsv"
+    cli.write_tsv(path, ("a", "b"), [("x", "y"), ("z", 1)], "h", ("k=1",))
+    header, body = cli._bulk_table(path, (0, 1), dtype)
+    assert header == ["a", "b"] and body.tolist() == [("x", "y"), ("z", "1")]
+    written = path.read_text()
+    rows = written[written.index("a\tb"):]
+    for i, text in enumerate([written.replace("\n", "\r\n"), "\n" + rows, written.replace("a\tb\n", "a\tb\n\n"),
+                              written.replace("x\ty\n", "x\ty\n#\tk\n"), written + "\n", "# a comment",
+                              "# a comment\n"]):
+        (tmp_path / f"{i}.tsv").write_text(text, newline="")
+        assert cli._bulk_table(tmp_path / f"{i}.tsv", (0, 1), dtype) is None, text
+
+
 def test_bulk_labels_equal_the_row_path(tmp_path, monkeypatch):
     # fresh files throughout: truncating one in place can be slow
     ids = np.array([3, 5, 7, 9], dtype=np.int64)
     read_in_bulk = set()
-    ends = {"LF": "\n", "CRLF": "\r\n", "CR": "\r"}
+    head = ["# config_hash=x", "# k=1", "original_id\tgroup"]
+    layouts = {  # (lines, line end, last line end)
+        "write_tsv": (head, "\n", "\n"), "no comments": (head[2:], "\n", "\n"),
+        "no last line end": (head, "\n", ""),
+        # read_tsv's rule reads these too; the bulk parser leaves them to it
+        "blank lines around the header": (["", *head[:2], "", head[2], ""], "\n", "\n"),
+        "CRLF": (head, "\r\n", "\r\n"), "CR": (head, "\r", "\r"),
+    }
     for i, (name, rows) in enumerate(_label_cases().items()):
-        # blank lines before the header too: the bulk parser must skip to the same row
-        lines = ["", "# config_hash=x", "", "original_id\tgroup", *rows]
-        for end_name, end in ends.items():
-            path = tmp_path / f"labels{i}_{end_name}.tsv"
-            path.write_text("".join(line + end for line in lines), newline="")
+        for layout, (lines, end, last) in layouts.items():
+            path = tmp_path / f"labels{i}_{layout}.tsv"
+            path.write_text(end.join(lines + rows) + last, newline="")
             if _bulk_read(monkeypatch, cli._labels_for, path, ids, "clusters"):
-                read_in_bulk.add((name, end_name))
-    assert read_in_bulk == {(name, end_name) for end_name in ends for name in (
-        "plain", "leading plus", "padding spaces", "leading zeros and a negative label", "extra columns",
-        "blank lines")}
+                read_in_bulk.add((name, layout))
+    assert read_in_bulk == {(name, layout) for layout in ("write_tsv", "no comments", "no last line end")
+                            for name in ("plain", "leading plus", "padding spaces",
+                                         "leading zeros and a negative label", "extra columns")}
     odd = {"latin1": b"original_id\tgroup\n3\t1\n# caf\xe9\n5\t2\n7\t2\n9\t1\n",
            "empty": b"", "comments only": b"# only a comment\n\n"}
     for name, content in odd.items():

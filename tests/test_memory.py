@@ -1,12 +1,10 @@
 """Peak traced memory of ingest and the community profile, in bytes per arc.
 
-On this graph, with ids below the number of endpoints, ingest ranks them in
-a presence table and peaks at 41.0 B/arc; with ids spread over [0, 2**62) it
-sorts them and peaks at 50.4 B/arc.  Either way it returns a graph that holds
-25.0 B/arc, and the profile adds 10.9 B/arc.  The bounds leave room for
-allocator noise, and fail when ingest holds one more int64 array over the m
-arcs on dense ids, or over all 2m endpoints on spread ids, or when the
-profile holds one more int64 array over the m arcs.
+On this graph ingest peaks at 50.3 B/arc with ids below 10n and at 50.4
+B/arc with ids of up to 19 digits, returning a graph that holds 25.0 B/arc,
+and the profile adds 10.9 B/arc.  The bounds leave room for allocator
+noise, and fail when ingest or the profile holds one more int64 array over
+the m arcs.
 """
 
 import tracemalloc
@@ -17,8 +15,7 @@ from roleforge import synth
 from roleforge.graph import load_edge_list
 from roleforge.measures import community_profile
 
-DENSE_LOAD_PEAK_B_PER_ARC = 45
-SPREAD_LOAD_PEAK_B_PER_ARC = 60
+LOAD_PEAK_B_PER_ARC = 55
 PROFILE_PEAK_B_PER_ARC = 16
 
 
@@ -48,13 +45,12 @@ def _traced_peaks(tmp_path, id_range):
 
 
 def test_ingest_and_profile_peak_bytes_per_arc(tmp_path):
-    # ids below 10 n, fewer than the 2m endpoints: the presence-table path
     h, load_peak, profile_peak = _traced_peaks(tmp_path, 10 * 10_100)
-    assert load_peak / h.m <= DENSE_LOAD_PEAK_B_PER_ARC, load_peak / h.m
+    assert load_peak / h.m <= LOAD_PEAK_B_PER_ARC, load_peak / h.m
     assert profile_peak / h.m <= PROFILE_PEAK_B_PER_ARC, profile_peak / h.m
 
 
 def test_ingest_peak_bytes_per_arc_with_spread_ids(tmp_path):
-    # ids of up to 19 digits: the sort path
+    # ids of up to 19 digits, parsed in bulk like short ones
     h, load_peak, _ = _traced_peaks(tmp_path, 2**62)
-    assert load_peak / h.m <= SPREAD_LOAD_PEAK_B_PER_ARC, load_peak / h.m
+    assert load_peak / h.m <= LOAD_PEAK_B_PER_ARC, load_peak / h.m
