@@ -113,16 +113,17 @@ def _load_outcome(load, path, convention, caplog):
     except (RoleForgeError, ValueError) as exc:
         return type(exc), str(exc)
     # the logged records, without the file and line that logged them
-    return (tuple(getattr(g, f).tobytes() for f in GRAPH_ARRAYS),
+    return (tuple((getattr(g, f).dtype, getattr(g, f).tobytes()) for f in GRAPH_ARRAYS),
             [(r.name, r.levelname, r.getMessage()) for r in caplog.records])
 
 
 def test_load_matches_oracle(tmp_path, monkeypatch, caplog):
     rng = random.Random(5)
-    path = tmp_path / "fuzz.txt"
     caplog.set_level("WARNING", logger="roleforge.graph")
     kinds = set()
-    for _ in range(120):
+    for i in range(120):
+        # a fresh file per case: rewriting one file in place is slow on some file systems
+        path = tmp_path / f"fuzz{i}.txt"
         path.write_bytes(_random_edge_list(rng))
         expected = {conv: _load_outcome(oracle_load_edge_list, path, conv, caplog) for conv in CONVENTIONS}
         first = expected[CONVENTIONS[0]][0]
@@ -145,9 +146,9 @@ def test_load_equals_oracle_array_for_array(tmp_path):
                          "9223372036854775807 1000000000000000000"],
         "empty": [],
     }
-    for name, lines in cases.items():
+    for i, (name, lines) in enumerate(cases.items()):
         for end in ("\n", "\r\n"):
-            path = tmp_path / "edges.txt"
+            path = tmp_path / f"edges{i}{len(end)}.txt"
             path.write_bytes("".join(line + end for line in lines).encode())
             for conv in CONVENTIONS:
                 got, want = load_edge_list(path, conv), oracle_load_edge_list(path, conv)
@@ -171,6 +172,33 @@ def test_load_equals_oracle_array_for_array(tmp_path):
                 for f in GRAPH_ARRAYS:
                     a, b = getattr(got, f), getattr(agg, f)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, conv, f)
+
+
+def test_densify_chunk_boundaries_match_oracle(tmp_path, monkeypatch, caplog):
+    rng = random.Random(11)
+    cases = {"empty": [], "one arc": ["3 8"], "self-loops only": ["4 4", "9 9", "4 4"],
+             "duplicates only": ["1 2"] * 5,
+             "19-digit ids": ["8999999999999999999 1000000000000000000", "1000000000000000000 5",
+                              "5 8999999999999999999", "1000000000000000000 1000000000000000000"]}
+    for t in range(6):
+        # a few ids over many arcs: one id's run of endpoints spans several chunks
+        pool = [rng.randrange(rng.choice([10**2, 10**10, 2**63])) for _ in range(rng.randrange(2, 8))]
+        lines = [f"{pool[0] if rng.random() < 0.7 else rng.choice(pool)} {rng.choice(pool)}"
+                 for _ in range(rng.randrange(40, 80))]
+        ends = [x for line in lines for x in line.split()]
+        assert max(map(ends.count, set(ends))) > 3 * 7
+        cases[f"seeded {t}"] = lines
+
+    caplog.set_level("WARNING", logger="roleforge.graph")
+    for i, (name, lines) in enumerate(cases.items()):
+        path = write_lines(tmp_path, lines, f"chunks{i}.txt")
+        expected = {conv: _load_outcome(oracle_load_edge_list, path, conv, caplog) for conv in CONVENTIONS}
+        for chunk in (1, 2, 3, 7, graph._DENSIFY_CHUNK):
+            with monkeypatch.context() as patch:
+                patch.setattr(graph, "_DENSIFY_CHUNK", chunk)
+                for conv in CONVENTIONS:
+                    got = _load_outcome(load_edge_list, path, conv, caplog)
+                    assert got == expected[conv], (name, chunk, conv)
 
 
 def test_load_reads_19_digit_ids_in_bulk(tmp_path, monkeypatch):
@@ -329,6 +357,7 @@ def test_round_trip(tmp_path):
     g = load_edge_list(write_lines(tmp_path, lines))
     out = tmp_path / "canon.txt"
     save_edge_list(g, out)
+    assert "arc_src" not in vars(g)  # the save leaves no per-arc array cached on the graph
     ids = g.node_ids
     assert out.read_bytes() == "".join(f"{ids[u]} {ids[v]}\n" for u, v in
                                        zip(g.arc_src.tolist(), g.out_indices.tolist())).encode()
@@ -338,3 +367,15 @@ def test_round_trip(tmp_path):
     assert g2.out_indptr.tolist() == g.out_indptr.tolist()
     assert g2.out_indices.tolist() == g.out_indices.tolist()
     assert g2.in_indices.tolist() == g.in_indices.tolist()
+
+
+def test_save_edge_list_slices_skip_nodes_without_arcs(tmp_path, monkeypatch):
+    # sources without out-arcs, and slices that start inside and between their runs
+    g = graph_from_edges([(1, 0), (1, 4), (1, 5), (4, 2), (7, 1), (7, 3), (7, 4), (7, 6), (9, 8)], 11)
+    want = "".join(f"{u} {int(v)}\n" for u in range(g.n) for v in g.out_neighbors(u)).encode()
+    for arcs in (1, 2, 3, 4, graph._SAVE_ARCS):
+        monkeypatch.setattr(graph, "_SAVE_ARCS", arcs)
+        out = tmp_path / f"canon{arcs}.txt"
+        save_edge_list(g, out)
+        assert out.read_bytes() == want, arcs
+    assert "arc_src" not in vars(g)

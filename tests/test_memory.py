@@ -1,10 +1,11 @@
 """Peak traced memory of ingest and the community profile, in bytes per arc.
 
-On this graph ingest peaks at 50.3 B/arc with ids below 10n and at 50.4
-B/arc with ids of up to 19 digits, returning a graph that holds 25.0 B/arc,
-and the profile adds 10.9 B/arc.  The bounds leave room for allocator
-noise, and fail when ingest or the profile holds one more int64 array over
-the m arcs.
+On this graph ingest peaks at 36.2 B/arc, with ids below 10n and with ids
+of up to 19 digits alike, returning a graph that holds 25.0 B/arc, and the
+profile adds 10.9 B/arc.  The ingest peak is the densify: the 2m endpoints,
+their argsort and a bool mask, 34 B/arc, plus one chunk's temporaries.  The
+bounds leave room for allocator noise, and fail when ingest or the profile
+holds one more int64 array over the m arcs.
 """
 
 import tracemalloc
@@ -15,7 +16,7 @@ from roleforge import synth
 from roleforge.graph import load_edge_list
 from roleforge.measures import community_profile
 
-LOAD_PEAK_B_PER_ARC = 55
+LOAD_PEAK_B_PER_ARC = 39
 PROFILE_PEAK_B_PER_ARC = 16
 
 
