@@ -18,9 +18,9 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import sys
 import warnings
-from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -459,67 +459,68 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 # ---------------------------------------------------------------------------
 # artifact readers used by the standalone subcommands
 
-def _int64_array(values, path) -> np.ndarray:
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise RoleForgeError(f"{path} holds a value outside the int64 range") from None
+# Bytes a data row of a node table may hold, besides the line end: printable
+# ASCII and tabs.  np.loadtxt strips \x1c-\x1f around a number and reads some
+# non-ASCII characters as digits.
+_ROW_BYTES = bytes(range(32, 127)) + b"\t\n"
+# the row np.loadtxt names in its error: counted from 0 for a value it cannot
+# convert, from 1 for a row short of a column
+_LOADTXT_ROW = re.compile(r"(.*) at row (\d+)(, column \d+\.| with \d+ columns)")
 
 
-def _reject_repeated_ids(path, file_ids, what: str) -> None:
-    if len(set(file_ids)) < len(file_ids):
-        repeated = next(u for u, count in Counter(file_ids).items() if count > 1)
-        raise RoleForgeError(f"{what} file {path} lists id {repeated} more than once")
+def _node_table(path, usecols, dtype: np.dtype):
+    """(header, body, bad_row) of the node table at `path`: its header's
+    fields, its data rows' `usecols` parsed by np.loadtxt into records of
+    `dtype`, and `bad_row(j, reason)`, the error naming data row j's line.
 
-
-# Bytes of a table the bulk reader parses: printable ASCII, tabs and LF.
-# np.loadtxt strips \x1c-\x1f around a number, which int() and float() reject,
-# and reads some non-ASCII text as digits; a table with any other byte is read
-# row by row.
-_TABLE_BYTES = bytes(range(32, 127)) + b"\t\n"
-
-
-def _bulk_table(path, usecols, dtype: np.dtype):
-    """(header, body) of an artifact in the layout write_tsv writes, the body's
-    `usecols` parsed by np.loadtxt into records of `dtype`; None for any other
-    table, which read_tsv reads.
-
-    That layout is `#` lines, then the header, then one row per line, with LF
-    line ends, no blank line and only the bytes of _TABLE_BYTES.  A table is
-    also left to read_tsv when it cannot be read or np.loadtxt rejects its
-    body, as it does a short row, a whitespace-only line and a table with no
-    rows.  On the rows it parses, np.loadtxt reads each field as int() or
-    float() does.
+    A node table is UTF-8 text with \\n, \\r\\n or \\r line ends.  Empty lines
+    and lines starting with `#` are skipped anywhere; the first other line is
+    the header, and each line after it a data row of printable ASCII and tabs,
+    whose fields np.loadtxt reads.  Any other table raises RoleForgeError
+    naming the file, and the line where there is one.
     """
+    if not Path(path).exists():
+        raise RoleForgeError(f"missing artifact: {path}")
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        data = Path(path).read_bytes()
-    except OSError:
-        return None
-    if data.translate(None, _TABLE_BYTES):
-        return None
-    text = data.decode("ascii")
-    del data
-    head = 0
-    while text.startswith("#", head):
-        head = text.find("\n", head) + 1
-        if not head:
-            return None
-    if text.startswith("\n") or "\n\n" in text or text.find("\n#", head) >= 0:
-        return None
-    lines = text[head:].split("\n")
-    del text
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise RoleForgeError(f"{path}:{line_no}: not UTF-8 text") from None
+    kept = [i for i, s in enumerate(lines) if s and s[0] != "#"]
+    if len(kept) < 2:
+        raise RoleForgeError(f"empty table: {path}")
+    header = lines[kept[0]].split("\t")
+    rows = [lines[i] for i in kept[1:]]
+
+    def bad_row(j: int, reason: str) -> RoleForgeError:
+        fields = rows[j].split("\t")
+        return RoleForgeError(f"{path}:{kept[j + 1] + 1}: cannot parse row {fields}: {reason}")
+
+    # the rows are looked at one by one only if some line, a comment or the header too, holds another byte
+    if data.translate(None, _ROW_BYTES):
+        for j, row in enumerate(rows):
+            if row.encode().translate(None, _ROW_BYTES):
+                raise bad_row(j, "not printable ASCII")
+    del data, lines
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # such as "input contained no data"
-            body = np.loadtxt(lines, dtype=dtype, comments=None, delimiter="\t",
-                              skiprows=1, usecols=usecols, ndmin=1)
-    except (ValueError, Warning):
-        return None
-    return lines[0].split("\t"), body
+            warnings.simplefilter("error")
+            body = np.loadtxt(rows, dtype=dtype, comments=None, delimiter="\t", usecols=usecols, ndmin=1)
+    except (ValueError, Warning) as exc:
+        found = _LOADTXT_ROW.fullmatch(str(exc))
+        j = int(found[2]) - found[3].startswith(" with") if found else -1
+        if not 0 <= j < len(rows):
+            raise RoleForgeError(f"{path}: cannot parse table: {exc}") from None
+        raise bad_row(j, found[1]) from None
+    return header, body, bad_row
 
 
-def _has_repeats(sorted_ids: np.ndarray) -> bool:
-    return bool((sorted_ids[1:] == sorted_ids[:-1]).any())
+def _check_once(path, sorted_ids: np.ndarray, what: str) -> None:
+    """Raise unless each id of a node table, `sorted_ids` sorted, is listed once."""
+    repeated = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
+    if repeated.size:
+        raise RoleForgeError(f"{what} file {path} lists id {repeated[0]} more than once")
 
 
 _LABELS_ROW = np.dtype([("id", np.int64), ("label", np.int64)])
@@ -527,40 +528,25 @@ _LABELS_ROW = np.dtype([("id", np.int64), ("label", np.int64)])
 
 def _labels_for(path, ids, what: str) -> np.ndarray:
     """Second column of the artifact at `path`, joined on original id, in the order of `ids`."""
-    table = _bulk_table(path, (0, 1), _LABELS_ROW)
-    if table is not None:
-        body = table[1]
-        order = np.argsort(body["id"])
-        file_ids = body["id"][order]
-        at = np.minimum(np.searchsorted(file_ids, ids), file_ids.size - 1)
-        if not _has_repeats(file_ids) and (file_ids[at] == ids).all():
-            return body["label"][order[at]]
-    # the row path, which names the bad line, the repeated id or the missing node
-    _, rows, _ = read_tsv(path, parse=lambda r: (int(r[0]), int(r[1])))
-    _reject_repeated_ids(path, [u for u, _ in rows], what)
-    label_of = dict(rows)
-    try:
-        return _int64_array([label_of[int(v)] for v in ids], path)
-    except KeyError as missing:
-        raise RoleForgeError(f"{what} file {path} does not cover node {missing}") from None
+    _, body, _ = _node_table(path, (0, 1), _LABELS_ROW)
+    order = np.argsort(body["id"])
+    file_ids = body["id"][order]
+    _check_once(path, file_ids, what)
+    at = np.minimum(np.searchsorted(file_ids, ids), file_ids.size - 1)
+    missing = ids[file_ids[at] != ids]
+    if missing.size:
+        raise RoleForgeError(f"{what} file {path} does not cover node {missing[0]}")
+    return body["label"][order[at]]
 
 
 def _load_groups(path, ids):
     """0-based group labels of a clusters file aligned to `ids`, and k."""
     assign = _labels_for(path, ids, "clusters") - 1
-    if assign.size and assign.min() < 0:
+    if assign.min() < 0:
         raise RoleForgeError(f"clusters file {path} has group labels below 1")
-    if assign.size and assign.max() >= assign.size:
+    if assign.max() >= assign.size:
         raise RoleForgeError(f"clusters file {path} has group labels above its node count {assign.size}")
-    return assign, int(assign.max()) + 1 if assign.size else 1
-
-
-def _measure_row(r):
-    values = [float(r[j]) for j in range(2, 2 + len(MEASURE_COLUMNS))]
-    # a non-finite measure would turn its whole standardized column into zeros
-    if not all(map(math.isfinite, values)):
-        raise ValueError("non-finite measure")
-    return int(r[0]), values
+    return assign, int(assign.max()) + 1
 
 
 _MEASURES_HEADER = ("original_id", "community", *MEASURE_COLUMNS)
@@ -569,22 +555,16 @@ _MEASURES_ROW = np.dtype([("id", np.int64), ("values", np.float64, (len(MEASURE_
 
 
 def _load_measures(path):
-    table = _bulk_table(path, (0, *range(2, len(_MEASURES_HEADER))), _MEASURES_ROW)
-    if table is not None:
-        header, body = table
-        ids = np.ascontiguousarray(body["id"])
-        mat = np.ascontiguousarray(body["values"])
-        if (tuple(header[:len(_MEASURES_HEADER)]) == _MEASURES_HEADER and np.isfinite(mat).all()
-                and not _has_repeats(np.sort(ids))):
-            return ids, mat
-    # the row path, which names the bad line or the repeated id
-    header, rows, _ = read_tsv(path, parse=_measure_row)
+    header, body, bad_row = _node_table(path, (0, *range(2, len(_MEASURES_HEADER))), _MEASURES_ROW)
+    ids = np.ascontiguousarray(body["id"])
+    mat = np.ascontiguousarray(body["values"])
+    # a non-finite measure would turn its whole standardized column into zeros
+    nonfinite = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+    if nonfinite.size:
+        raise bad_row(nonfinite[0], "non-finite measure")
     if tuple(header[:len(_MEASURES_HEADER)]) != _MEASURES_HEADER:
         raise RoleForgeError(f"unexpected measures header in {path}")
-    file_ids = [u for u, _ in rows]
-    _reject_repeated_ids(path, file_ids, "measures")
-    ids = _int64_array(file_ids, path)
-    mat = np.array([values for _, values in rows], dtype=np.float64)
+    _check_once(path, np.sort(ids), "measures")
     return ids, mat
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -386,6 +387,12 @@ def test_cli_reports_errors(tmp_path, capsys):
     huge_id = "\t".join([str(2**63)] + measures[2].split("\t")[1:])
     clusters = str(out / "clusters.tsv")
     dest = ["--output", str(tmp_path / "bad")]
+    nan_row = "\t".join(measures[2].split("\t")[:4] + ["nan"] + measures[2].split("\t")[5:])
+    # a bad value and a short row after a good row, `#` and blank lines
+    part_gap = "# c=1\n\noriginal_id\tcommunity\n0\t0\n# x\n\n1\tx\n"
+    one_col_gap = "# c=1\n\noriginal_id\tgroup\n0\t1\n\n# x\n1\n"
+    read_partition = ["measures", "--input", cfg.input, *dest, "--partition"]
+    read_clusters = ["stats", "--measures", str(out / "measures.tsv"), *dest, "--clusters"]
     report = ["report", "--measures", str(out / "measures.tsv"), "--clusters", str(out / "clusters.tsv"),
               "--centroids", str(out / "centroids.tsv"), *dest, "--capitalists"]
     for argv, names in (
@@ -420,6 +427,20 @@ def test_cli_reports_errors(tmp_path, capsys):
             (["cluster", *dest,
               "--measures", bad_file("meas_twice.tsv", "\n".join(measures + measures[2:3]))],
              ["meas_twice.tsv", f"id {measures[2].split()[0]}"]),
+            (read_partition + [bad_file("part_gap.tsv", part_gap)], ["part_gap.tsv:7:", "'x'"]),
+            (read_clusters + [bad_file("one_col_gap.tsv", one_col_gap)], ["one_col_gap.tsv:7:"]),
+            (read_partition + [bad_file("part_gap_crlf.tsv", part_gap.replace("\n", "\r\n").encode())],
+             ["part_gap_crlf.tsv:7:", "'x'"]),
+            (read_clusters + [bad_file("one_col_gap_crlf.tsv", one_col_gap.replace("\n", "\r\n").encode())],
+             ["one_col_gap_crlf.tsv:7:"]),
+            (["cluster", *dest, "--measures", bad_file("meas_nan_gap.tsv", "\n".join(
+                measures[:2] + ["# x", nan_row] + measures[3:]))], ["meas_nan_gap.tsv:4:", "non-finite"]),
+            (read_clusters + [bad_file("empty.tsv", "")], ["empty table", "empty.tsv"]),
+            (["cluster", *dest, "--measures", bad_file("meas_comm.tsv", "\n".join(
+                [measures[0], measures[1].replace("community", "comm")] + measures[2:]))],
+             ["meas_comm.tsv", "unexpected measures header"]),
+            (["cluster", *dest, "--measures", bad_file("comments_only.tsv", "# only a comment\n\n")],
+             ["empty table", "comments_only.tsv"]),
             (["communities", "--input", bad_file("huge.txt", "0 1\n1 9223372036854775808\n"), *dest],
              ["line 2"]),
             (["communities", "--input", bad_file("latin1.txt", b"0 1\n# caf\xe9\n"), *dest],
@@ -450,7 +471,7 @@ def test_cli_reports_errors(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# bulk artifact I/O: the bytes, arrays and errors of the per-value and per-row paths
+# artifact I/O: the bytes write_tsv writes, and the node tables the subcommands read
 
 def test_write_tsv_matches_per_value_format(tmp_path, monkeypatch):
     nan = float("nan")
@@ -474,153 +495,129 @@ def test_write_tsv_matches_per_value_format(tmp_path, monkeypatch):
         assert path.read_bytes() == ("# config_hash=h\n# k=1\na\tb\tc\td\te\n" + want).encode()
 
 
-def _read_outcome(read, *args):
+# Node tables (partition, clusters, measures), all read by cli._node_table.
+# The labels of ids 3, 5, 7, 9 in _LABEL_ROWS are 2, 1, 3, 1.  A case given
+# one row replaces node 3's, the second data row, at file line 6.
+_LABEL_ROWS = ["5\t1", "3\t2", "9\t1", "7\t3"]
+_LABEL_CASES = {  # rows -> the labels of 3, 5, 7, 9, or the file line the error names, or its text
+    "plain": (_LABEL_ROWS, [2, 1, 3, 1]),
+    "leading plus": ("+3\t+2", [2, 1, 3, 1]),
+    "padding spaces": (" 3 \t 2 ", [2, 1, 3, 1]),
+    "leading zeros and a negative label": ("0003\t-2", [-2, 1, 3, 1]),
+    "extra columns": ("3\t2\tx\t\t", [2, 1, 3, 1]),
+    "blank and # lines": (["", "# a=1", *_LABEL_ROWS[:2], "", "#", *_LABEL_ROWS[2:], ""], [2, 1, 3, 1]),
+    "short row": ("3", 6),
+    "whitespace-only line": (_LABEL_ROWS[:1] + ["  "] + _LABEL_ROWS[1:], 6),
+    "tab-only line": (_LABEL_ROWS[:1] + ["\t"] + _LABEL_ROWS[1:], 6),
+    "inline #": ("3\t2 # two", 6),
+    "information separator": ("3\x1c\t2", 6),
+    "NA": ("3\tNA", 6),
+    "inf": ("3\tinf", 6),
+    "float label": ("3\t2.0", 6),
+    "hex label": ("3\t0x10", 6),
+    "label 2**63": ("3\t9223372036854775808", 6),
+    # int() reads these, and the row-by-row reader of earlier versions accepted them
+    "underscore": ("3\t1_0", 6),
+    "arabic-indic digit": ("3\t\u0661", 6),
+    "em space": ("3\u2003\t2", 6),
+    "label 2**63 of an uncovered id": (_LABEL_ROWS + ["11\t9223372036854775808"], 9),
+    "repeated id": (_LABEL_ROWS + ["3\t4"], "lists id 3 more than once"),
+    "uncovered node": (_LABEL_ROWS[:3], "does not cover node 7"),
+    "header only": ([], "empty table"),
+}
+
+
+_MEASURE_ROWS = [[str(u), "0", *(f"{v:.12g}" for v in values), "", "0.5"]
+                 for u, values in zip((5, 3, 9, 7), np.random.default_rng(4).normal(size=(4, len(MEASURE_COLUMNS))))]
+_MEASURES_HEADER = "\t".join(("original_id", "community", *MEASURE_COLUMNS, "embeddedness", "participation"))
+
+
+def _swap_field(j, value):  # field j of id 5's row, at file line 2
+    return [_MEASURE_ROWS[0][:j] + [value] + _MEASURE_ROWS[0][j + 1:]] + _MEASURE_ROWS[1:]
+
+
+_MEASURES_CASES = {  # rows -> None if read, else the file line the error names, or its text
+    **{f"measure {value!r}": (_swap_field(4, value), None) for value in ("+1.5", " 1.5 ", "-0", "1e-300")},
+    **{f"measure {value!r}": (_swap_field(4, value), 2) for value in (
+        "inf", "-Infinity", "nan", "1e400", "NA", "", "0x1p3", "1.5\x1c",
+        "1_0.5", "\u0661.\u0665")},  # float() reads the last two
+    "plain": (_MEASURE_ROWS, None),
+    "community not a number": (_swap_field(1, "abc"), None),
+    "id with a leading plus": (_swap_field(0, "+5"), None),
+    "comment and blank lines": (_MEASURE_ROWS[:1] + [["# x=1"], [""]] + _MEASURE_ROWS[1:], None),
+    "id 2**63": (_swap_field(0, str(2**63)), 2),
+    "id as a float": (_swap_field(0, "5.0"), 2),
+    "short row": ([_MEASURE_ROWS[0][:9]] + _MEASURE_ROWS[1:], 2),
+    "whitespace-only line": (_MEASURE_ROWS + [[" "]], 6),
+    "repeated id": (_MEASURE_ROWS + _MEASURE_ROWS[:1], "lists id 5 more than once"),
+}
+
+
+def _expect_error(capsys, argv, path, want):
+    """`main(argv)` exits 1 with one error line naming `path`, and its line `want` or the text `want`."""
+    capsys.readouterr()
+    assert main(argv + [str(path), "--output", str(path.parent / "out")]) == 1
+    err = capsys.readouterr().err
+    expect = f"{path}:{want}: cannot parse row" if isinstance(want, int) else want
+    assert err.startswith("error: ") and err.count("\n") == 1 and expect in err and str(path) in err, err
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("rows, want", _LABEL_CASES.values(), ids=_LABEL_CASES)
+def test_label_table(tmp_path, capsys, rows, want, end):
+    rows = [_LABEL_ROWS[0], rows, *_LABEL_ROWS[2:]] if isinstance(rows, str) else rows
+    path = tmp_path / "labels.tsv"
+    path.write_text(end.join(["# config_hash=x", "", "# k=1", "original_id\tgroup", *rows]) + end, newline="")
+    if isinstance(want, list):
+        assert cli._labels_for(path, np.array([3, 5, 7, 9]), "partition").tolist() == want
+    else:
+        graph = tmp_path / "g.txt"
+        graph.write_text("3 5\n5 7\n7 9\n9 3\n")
+        _expect_error(capsys, ["measures", "--input", str(graph), "--partition"], path, want)
+
+
+@pytest.mark.parametrize("head, end, last", [
+    (_MEASURES_HEADER, "\n", "\n"),
+    (_MEASURES_HEADER + "\textra", "\r\n", "\r\n"),
+    (_MEASURES_HEADER, "\r", ""),
+], ids=["LF", "extra column, CRLF", "CR, no last line end"])
+@pytest.mark.parametrize("rows, want", _MEASURES_CASES.values(), ids=_MEASURES_CASES)
+def test_measures_table(tmp_path, capsys, rows, want, head, end, last):
+    path = tmp_path / "measures.tsv"
+    path.write_text(end.join([head] + ["\t".join(r) for r in rows]) + last, newline="")
+    if want is None:
+        ids, mat = cli._load_measures(path)
+        kept = [r for r in rows if r[0][:1] not in ("", "#")]
+        assert ids.dtype == np.int64 and ids.tolist() == [int(r[0]) for r in kept]
+        assert mat.tobytes() == np.array([[float(v) for v in r[2:10]] for r in kept]).tobytes()
+        assert ids.flags.c_contiguous and mat.flags.c_contiguous
+    else:
+        _expect_error(capsys, ["cluster", "--measures"], path, want)
+
+
+def _row_values(line, kinds):
+    """The numbers in `kinds`' columns of a data row, None if the node-table
+    rule rejects the row: printable ASCII and tabs, each number read as int()
+    or float() reads it but for an underscore, an int within int64, a float finite."""
     try:
-        got = read(*args)
-    except RoleForgeError as exc:
-        return type(exc), str(exc)
-    return [(a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes())
-            for a in (got if isinstance(got, tuple) else (got,))]
+        values = [kind(line.split("\t")[j].replace("_", "x")) for j, kind in kinds.items()]
+    except (ValueError, IndexError):
+        return None
+    in_range = all(-2**63 <= v < 2**63 if kind is int else np.isfinite(v) for v, kind in zip(values, kinds.values()))
+    return values if in_range and all(c == "\t" or " " <= c <= "~" for c in line) else None
 
 
-def _bulk_read(monkeypatch, read, path, *args) -> bool:
-    """Assert `read` gives the outcome of its row path; True if the bulk parser's table was returned."""
-    tables = []
-    parse = cli._bulk_table
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "_bulk_table", lambda *a: tables.append(parse(*a)) or tables[-1])
-        got = _read_outcome(read, path, *args)
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "_bulk_table", lambda *a: None)
-        assert got == _read_outcome(read, path, *args), path.read_bytes() if path.exists() else path
-    return tables[0] is not None and not isinstance(got, tuple)
-
-
-def _label_cases():
-    rows = ["5\t1", "3\t2", "9\t1", "7\t3"]
-
-    def swap(line):
-        return rows[:1] + [line] + rows[2:]
-
-    return {
-        "plain": rows,
-        "leading plus": swap("+3\t+2"),
-        "padding spaces": swap(" 3 \t 2 "),
-        "leading zeros and a negative label": swap("0003\t-2"),
-        "extra columns": swap("3\t2\tx\t\t"),
-        "blank lines": ["", *rows[:2], "", "", *rows[2:], ""],
-        "short row": swap("3"),
-        "whitespace-only line": rows[:2] + ["  "] + rows[2:],
-        "tab-only line": rows[:2] + ["\t"] + rows[2:],
-        "comment line": rows[:2] + ["# note=1"] + rows[2:],
-        "inline #": swap("3\t2 # two"),
-        "underscore": swap("3\t1_0"),
-        "arabic-indic digit": swap("3\t\u0661"),
-        "information separator": swap("3\x1c\t2"),
-        "em space": swap("3\u2003\t2"),
-        "NA": swap("3\tNA"),
-        "inf": swap("3\tinf"),
-        "float label": swap("3\t2.0"),
-        "hex label": swap("3\t0x10"),
-        "label 2**63": swap("3\t9223372036854775808"),
-        "label 2**63 of an uncovered id": rows + ["11\t9223372036854775808"],
-        "repeated id": rows + ["3\t4"],
-        "uncovered node": rows[:3],
-        "header only": [],
-    }
-
-
-def test_bulk_table_reads_only_the_write_tsv_layout(tmp_path):
-    # text columns, so that no layout check is left to a number failing to parse
-    dtype = np.dtype([("a", "U4"), ("b", "U4")])
-    path = tmp_path / "written.tsv"
-    cli.write_tsv(path, ("a", "b"), [("x", "y"), ("z", 1)], "h", ("k=1",))
-    header, body = cli._bulk_table(path, (0, 1), dtype)
-    assert header == ["a", "b"] and body.tolist() == [("x", "y"), ("z", "1")]
-    written = path.read_text()
-    rows = written[written.index("a\tb"):]
-    for i, text in enumerate([written.replace("\n", "\r\n"), "\n" + rows, written.replace("a\tb\n", "a\tb\n\n"),
-                              written.replace("x\ty\n", "x\ty\n#\tk\n"), written + "\n", "# a comment",
-                              "# a comment\n"]):
-        (tmp_path / f"{i}.tsv").write_text(text, newline="")
-        assert cli._bulk_table(tmp_path / f"{i}.tsv", (0, 1), dtype) is None, text
-
-
-def test_bulk_labels_equal_the_row_path(tmp_path, monkeypatch):
-    # fresh files throughout: truncating one in place can be slow
-    ids = np.array([3, 5, 7, 9], dtype=np.int64)
-    read_in_bulk = set()
-    head = ["# config_hash=x", "# k=1", "original_id\tgroup"]
-    layouts = {  # (lines, line end, last line end)
-        "write_tsv": (head, "\n", "\n"), "no comments": (head[2:], "\n", "\n"),
-        "no last line end": (head, "\n", ""),
-        # read_tsv's rule reads these too; the bulk parser leaves them to it
-        "blank lines around the header": (["", *head[:2], "", head[2], ""], "\n", "\n"),
-        "CRLF": (head, "\r\n", "\r\n"), "CR": (head, "\r", "\r"),
-    }
-    for i, (name, rows) in enumerate(_label_cases().items()):
-        for layout, (lines, end, last) in layouts.items():
-            path = tmp_path / f"labels{i}_{layout}.tsv"
-            path.write_text(end.join(lines + rows) + last, newline="")
-            if _bulk_read(monkeypatch, cli._labels_for, path, ids, "clusters"):
-                read_in_bulk.add((name, layout))
-    assert read_in_bulk == {(name, layout) for layout in ("write_tsv", "no comments", "no last line end")
-                            for name in ("plain", "leading plus", "padding spaces",
-                                         "leading zeros and a negative label", "extra columns")}
-    odd = {"latin1": b"original_id\tgroup\n3\t1\n# caf\xe9\n5\t2\n7\t2\n9\t1\n",
-           "empty": b"", "comments only": b"# only a comment\n\n"}
-    for name, content in odd.items():
-        (tmp_path / f"{name}.tsv").write_bytes(content)
-        assert not _bulk_read(monkeypatch, cli._labels_for, tmp_path / f"{name}.tsv", ids, "clusters")
-    assert not _bulk_read(monkeypatch, cli._labels_for, tmp_path / "absent.tsv", ids, "clusters")
-
-
-def test_bulk_measures_equal_the_row_path(tmp_path, monkeypatch):
-    header = "\t".join(("original_id", "community", *MEASURE_COLUMNS, "embeddedness", "participation"))
-    rng = np.random.default_rng(4)
-    rows = [[str(u), "0", *(f"{v:.12g}" for v in rng.normal(size=len(MEASURE_COLUMNS))), "", "0.5"]
-            for u in (5, 3, 9, 7)]
-
-    def swap(j, value):
-        return [rows[0][:j] + [value] + rows[0][j + 1:]] + rows[1:]
-
-    cases = {f"measure {value!r}": swap(4, value) for value in (
-        "+1.5", " 1.5 ", "-0", "1e-300", "inf", "-Infinity", "nan", "1e400", "1_0.5",
-        "\u0661.\u0665", "NA", "", "0x1p3", "1.5\x1c")}
-    cases.update({
-        "plain": rows,
-        "community not a number": swap(1, "abc"),
-        "id with a leading plus": swap(0, "+5"),
-        "id 2**63": swap(0, str(2**63)),
-        "id as a float": swap(0, "5.0"),
-        "short row": [rows[0][:9]] + rows[1:],
-        "repeated id": rows + rows[:1],
-        "whitespace-only line": rows + [[" "]],
-        "comment line": rows[:1] + [["# x=1"]] + rows[1:],
-    })
-    read_in_bulk = set()
-    for i, (name, table) in enumerate(cases.items()):
-        for j, head in enumerate((header, header + "\textra", header.replace("community", "comm"))):
-            path = tmp_path / f"measures{i}_{j}.tsv"
-            path.write_text("\n".join([head] + ["\t".join(r) for r in table]) + "\n")
-            if _bulk_read(monkeypatch, cli._load_measures, path):
-                read_in_bulk.add((name, j))
-    assert read_in_bulk == {(name, j) for j in (0, 1) for name in (
-        "plain", "community not a number", "id with a leading plus", "measure '+1.5'",
-        "measure ' 1.5 '", "measure '-0'", "measure '1e-300'")}
-
-
-def test_bulk_readers_fuzz_equal_the_row_path(tmp_path, monkeypatch):
+def test_node_table_fuzz_matches_the_rule_row_by_row(tmp_path):
     tokens = ["0", "1", "7", "12", "+3", "-2", " 4", "5 ", "007", "1.5", "-0.25", "1e3", "inf", "nan", "NA",
               "", " ", "1_0", "\u0661", "#", "x", "2.0", "9223372036854775807", "9223372036854775808",
               "\x0b1", "1\x1d", "1e400"]
     rng = random.Random(11)
-    ids = np.array([0, 1, 7, 12], dtype=np.int64)
-    header = "\t".join(("original_id", "community", *MEASURE_COLUMNS))
-    read_in_bulk = 0
+    ids = [0, 1, 7, 12]
+    readers = {"partition": ({0: int, 1: int}, lambda path: cli._labels_for(path, np.array(ids), "partition")),
+               "measures": ({0: int, **{j: float for j in range(2, 10)}}, cli._load_measures)}
+    outcomes = set()
     for i in range(200):
-        table = [[str(u)] + [f"{rng.uniform(-3, 3):.6g}" for _ in range(len(MEASURE_COLUMNS) + 1)]
-                 for u in ids.tolist()]
+        table = [[str(u)] + [f"{rng.uniform(-3, 3):.6g}" for _ in range(len(MEASURE_COLUMNS) + 1)] for u in ids]
         for _ in range(rng.randrange(3)):  # up to two odd fields, and maybe one short row
             row = rng.choice(table)
             row[rng.randrange(len(row))] = rng.choice(tokens)
@@ -630,7 +627,25 @@ def test_bulk_readers_fuzz_equal_the_row_path(tmp_path, monkeypatch):
         lines = ["\t".join(row) for row in table]
         rng.shuffle(lines)
         path = tmp_path / f"fuzz{i}.tsv"
-        path.write_text("\n".join([header] + lines) + "\n")
-        read_in_bulk += _bulk_read(monkeypatch, cli._labels_for, path, ids, "partition")
-        read_in_bulk += _bulk_read(monkeypatch, cli._load_measures, path)
-    assert read_in_bulk > 20
+        path.write_text("\n".join([_MEASURES_HEADER] + lines) + "\n")
+        for what, (kinds, read) in readers.items():
+            rows = {n: _row_values(line, kinds) for n, line in enumerate(lines, 2) if line and line[0] != "#"}
+            file_ids = [values[0] for values in rows.values() if values]
+            try:
+                got = read(path)
+            except RoleForgeError as exc:
+                line = re.match(rf"{re.escape(str(path))}:(\d+): cannot parse row", str(exc))
+                if line:
+                    assert rows[int(line[1])] is None, (i, exc)
+                else:  # a repeated id, or a node the partition does not cover, in a table of good rows
+                    uncovered = what == "partition" and set(ids) - set(file_ids)
+                    assert None not in rows.values() and (len(set(file_ids)) < len(file_ids) or uncovered), exc
+                outcomes.add("row" if line else "ids")
+            else:
+                assert None not in rows.values(), i
+                if what == "partition":
+                    assert got.tolist() == [dict(rows.values())[u] for u in ids], i
+                else:
+                    assert got[0].tolist() == file_ids and got[1].tolist() == [v[1:] for v in rows.values()], i
+                outcomes.add("read")
+    assert outcomes == {"row", "ids", "read"}

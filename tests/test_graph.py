@@ -49,33 +49,37 @@ def test_load_comments_blanks_and_tabs(tmp_path):
 
 
 def test_load_malformed_line_reports_number(tmp_path):
-    path = write_lines(tmp_path, ["0 1", "0 1 2"])
+    # a fresh file per case: rewriting one file in place is slow on some file systems
+    path = write_lines(tmp_path, ["0 1", "0 1 2"], "three_fields.txt")
     with pytest.raises(EdgeListParseError, match="line 2"):
         load_edge_list(path)
-    path = write_lines(tmp_path, ["0 1", "", "x 1"])
+    path = write_lines(tmp_path, ["0 1", "", "x 1"], "not_a_number.txt")
     with pytest.raises(EdgeListParseError, match="line 3"):
         load_edge_list(path)
     with pytest.raises(EdgeListParseError, match="negative"):
-        load_edge_list(write_lines(tmp_path, ["-1 2"]))
+        load_edge_list(write_lines(tmp_path, ["-1 2"], "negative.txt"))
     # ids must fit int64: 2**63 - 1 loads, 2**63 is a parse error with its line
-    assert load_edge_list(write_lines(tmp_path, ["9223372036854775807 0"])).node_ids.tolist() == \
-        [0, 2**63 - 1]
+    path = write_lines(tmp_path, ["9223372036854775807 0"], "max_id.txt")
+    assert load_edge_list(path).node_ids.tolist() == [0, 2**63 - 1]
     with pytest.raises(EdgeListParseError, match="line 2"):
-        load_edge_list(write_lines(tmp_path, ["0 1", "1 9223372036854775808"]))
+        load_edge_list(write_lines(tmp_path, ["0 1", "1 9223372036854775808"], "over_max_id.txt"))
     # bytes that are not UTF-8 name the file and the line
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"0 1\n# caf\xe9\n")
     with pytest.raises(RoleForgeError, match=r"latin1.txt is not UTF-8 text \(line 2: "):
         load_edge_list(path)
     # the first bad line in file order decides, whichever its kind
+    path = tmp_path / "latin1_after_bad.txt"
     path.write_bytes(b"x 1\n0 1\n# caf\xe9\n")
     with pytest.raises(EdgeListParseError, match="line 1"):
         load_edge_list(path)
     # "\r\n" and a lone "\r" end a line, as in text-mode reading
-    for end in (b"\r\n", b"\r"):
+    for i, end in enumerate((b"\r\n", b"\r")):
+        path = tmp_path / f"bad_line_end{i}.txt"
         path.write_bytes(end.join([b"0 1", b"1 2", b"", b"x 1", b""]))
         with pytest.raises(EdgeListParseError, match="line 4"):
             load_edge_list(path)
+        path = tmp_path / f"line_end{i}.txt"
         path.write_bytes(end.join([b"0 1", b"1 2", b"2 0"]))
         assert load_edge_list(path).m == 3
 
