@@ -468,16 +468,17 @@ _ROW_BYTES = bytes(range(32, 127)) + b"\t\n"
 _LOADTXT_ROW = re.compile(r"(.*) at row (\d+)(, column \d+\.| with \d+ columns)")
 
 
-def _node_table(path, usecols, dtype: np.dtype):
-    """(header, body, bad_row) of the node table at `path`: its header's
-    fields, its data rows' `usecols` parsed by np.loadtxt into records of
-    `dtype`, and `bad_row(j, reason)`, the error naming data row j's line.
+def _node_table(path, usecols, dtype: np.dtype, finite: str | None = None):
+    """(header, body) of the node table at `path`: its header's fields, and
+    its data rows' `usecols` parsed by np.loadtxt into records of `dtype`.
 
     A node table is UTF-8 text with \\n, \\r\\n or \\r line ends.  Empty lines
     and lines starting with `#` are skipped anywhere; the first other line is
     the header, and each line after it a data row of printable ASCII and tabs,
-    whose fields np.loadtxt reads.  Any other table raises RoleForgeError
-    naming the file, and the line where there is one.
+    whose fields np.loadtxt reads, with finite numbers in the array field of
+    `dtype` named `finite`, if one is.  Any other table raises RoleForgeError naming
+    the file, and the line where there is one; with several bad rows the
+    first in the file decides, as in `load_edge_list`.
     """
     if not Path(path).exists():
         raise RoleForgeError(f"missing artifact: {path}")
@@ -493,27 +494,43 @@ def _node_table(path, usecols, dtype: np.dtype):
     header = lines[kept[0]].split("\t")
     rows = [lines[i] for i in kept[1:]]
 
-    def bad_row(j: int, reason: str) -> RoleForgeError:
-        fields = rows[j].split("\t")
-        return RoleForgeError(f"{path}:{kept[j + 1] + 1}: cannot parse row {fields}: {reason}")
-
-    # the rows are looked at one by one only if some line, a comment or the header too, holds another byte
-    if data.translate(None, _ROW_BYTES):
-        for j, row in enumerate(rows):
-            if row.encode().translate(None, _ROW_BYTES):
-                raise bad_row(j, "not printable ASCII")
-    del data, lines
-    try:
+    def parse(k: int) -> np.ndarray:
+        """The first k rows, read."""
+        if not k:  # np.loadtxt warns on no rows
+            return np.empty(0, dtype=dtype)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            body = np.loadtxt(rows, dtype=dtype, comments=None, delimiter="\t", usecols=usecols, ndmin=1)
+            return np.loadtxt(rows[:k], dtype=dtype, comments=None, delimiter="\t", usecols=usecols, ndmin=1)
+
+    # bad = (first bad row, reason); each check below reads only the rows before the one found so far
+    bad = None
+    end = len(rows)
+    # the rows are looked at one by one only if some line, a comment or the header too, holds another byte
+    if data.translate(None, _ROW_BYTES):
+        end = next((j for j, row in enumerate(rows) if row.encode().translate(None, _ROW_BYTES)), end)
+        if end < len(rows):
+            bad = (end, "not printable ASCII")
+    del data, lines
+    try:
+        body = parse(end)
     except (ValueError, Warning) as exc:
         found = _LOADTXT_ROW.fullmatch(str(exc))
-        j = int(found[2]) - found[3].startswith(" with") if found else -1
-        if not 0 <= j < len(rows):
+        short = bool(found) and found[3].startswith(" with")
+        j = int(found[2]) - short if found else -1
+        if not 0 <= j < end:
             raise RoleForgeError(f"{path}: cannot parse table: {exc}") from None
-        raise bad_row(j, found[1]) from None
-    return header, body, bad_row
+        width = len(rows[j].split("\t"))
+        bad = (j, f"{width} field(s), the table needs {max(usecols) + 1}" if short else found[1])
+        body = parse(j)
+    if finite:
+        nonfinite = np.flatnonzero(~np.isfinite(body[finite]).all(axis=1))
+        if nonfinite.size:
+            bad = (nonfinite[0], f"non-finite {finite}")
+    if bad:
+        j, reason = bad
+        fields = rows[j].split("\t")
+        raise RoleForgeError(f"{path}:{kept[j + 1] + 1}: cannot parse row {fields}: {reason}")
+    return header, body
 
 
 def _check_once(path, sorted_ids: np.ndarray, what: str) -> None:
@@ -528,7 +545,7 @@ _LABELS_ROW = np.dtype([("id", np.int64), ("label", np.int64)])
 
 def _labels_for(path, ids, what: str) -> np.ndarray:
     """Second column of the artifact at `path`, joined on original id, in the order of `ids`."""
-    _, body, _ = _node_table(path, (0, 1), _LABELS_ROW)
+    _, body = _node_table(path, (0, 1), _LABELS_ROW)
     order = np.argsort(body["id"])
     file_ids = body["id"][order]
     _check_once(path, file_ids, what)
@@ -551,17 +568,14 @@ def _load_groups(path, ids):
 
 _MEASURES_HEADER = ("original_id", "community", *MEASURE_COLUMNS)
 # the id and the measure columns of a measures row; the community is not read
-_MEASURES_ROW = np.dtype([("id", np.int64), ("values", np.float64, (len(MEASURE_COLUMNS),))])
+_MEASURES_ROW = np.dtype([("id", np.int64), ("measure", np.float64, (len(MEASURE_COLUMNS),))])
 
 
 def _load_measures(path):
-    header, body, bad_row = _node_table(path, (0, *range(2, len(_MEASURES_HEADER))), _MEASURES_ROW)
-    ids = np.ascontiguousarray(body["id"])
-    mat = np.ascontiguousarray(body["values"])
     # a non-finite measure would turn its whole standardized column into zeros
-    nonfinite = np.flatnonzero(~np.isfinite(mat).all(axis=1))
-    if nonfinite.size:
-        raise bad_row(nonfinite[0], "non-finite measure")
+    header, body = _node_table(path, (0, *range(2, len(_MEASURES_HEADER))), _MEASURES_ROW, finite="measure")
+    ids = np.ascontiguousarray(body["id"])
+    mat = np.ascontiguousarray(body["measure"])
     if tuple(header[:len(_MEASURES_HEADER)]) != _MEASURES_HEADER:
         raise RoleForgeError(f"unexpected measures header in {path}")
     _check_once(path, np.sort(ids), "measures")

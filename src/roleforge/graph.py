@@ -36,6 +36,23 @@ def _simple_keys(src: np.ndarray, dst: np.ndarray, span: int) -> np.ndarray:
     return keys[_run_starts(keys)]
 
 
+def _summed_keys(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys and the summed `weights` of each; self-loop keys are kept.
+
+    `keys` is sorted in place.  One argsort carries the weights, so beside
+    its inputs this holds the order and the sorted weights, 16 bytes per
+    key.  Each run of equal keys is summed by np.add.reduceat, exactly for
+    integer-valued weights with a total of at most 2^53, as on every graph
+    the pipeline builds.
+    """
+    order = np.argsort(keys)
+    weights = weights[order]
+    del order
+    keys.sort()
+    first = _run_starts(keys)
+    return keys[first], np.add.reduceat(weights, np.flatnonzero(first))
+
+
 @dataclass(frozen=True)
 class DirectedGraph:
     """Directed graph with per-node sorted neighbor lists in both directions.
@@ -87,11 +104,13 @@ class DirectedGraph:
             raise ValueError("node_ids must have length n")
         if simple:
             return cls._from_keys(_simple_keys(src, dst, span), span, ids)
-        uniq, inv = np.unique(src * span + dst, return_inverse=True)
-        w0 = np.ones(src.size) if weights is None else np.asarray(weights, dtype=np.float64).ravel()
-        # float64 also with no arc: bincount of an empty input is int64
-        w = np.bincount(inv, weights=w0, minlength=uniq.size).astype(np.float64, copy=False)
-        return cls._from_keys(uniq, span, ids, w)
+        w = np.ones(src.size) if weights is None else np.asarray(weights, dtype=np.float64).ravel()
+        if w.shape != src.shape:
+            raise ValueError("weights must hold one value per arc")
+        keys = src * span
+        keys += dst
+        keys, w = _summed_keys(keys, w)
+        return cls._from_keys(keys, span, ids, w)
 
     @classmethod
     def _from_keys(cls, keys, span, node_ids, weights=None) -> "DirectedGraph":
@@ -150,12 +169,18 @@ class DirectedGraph:
 
     @cached_property
     def arc_src(self) -> np.ndarray:
-        """Source node of every arc, in out-CSR order."""
+        """Source node of every arc, in out-CSR order.
+
+        Once read it stays cached, 8 bytes per arc for the life of the graph,
+        so the package itself builds sources as temporaries instead:
+        `np.repeat(x, g.out_degrees)` is x of every arc's source.
+        """
         return np.repeat(np.arange(self.n, dtype=np.int64), self.out_degrees)
 
     @cached_property
     def out_strengths(self) -> np.ndarray:
-        return np.bincount(self.arc_src, weights=self.out_weights, minlength=self.n)
+        src = np.repeat(np.arange(self.n, dtype=np.int64), self.out_degrees)
+        return np.bincount(src, weights=self.out_weights, minlength=self.n)
 
     @cached_property
     def in_strengths(self) -> np.ndarray:

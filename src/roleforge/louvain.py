@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedModularityError
-from .graph import DirectedGraph
+from .graph import DirectedGraph, _summed_keys
 
 ORDERS = ("natural", "shuffled")
 
@@ -68,7 +68,8 @@ def directed_modularity(g: DirectedGraph, p: Partition) -> float:
     _check_covers(g, p)
     w = g.total_weight
     a = p.assign
-    internal = a[g.arc_src] == a[g.out_indices]
+    # the sources' labels are a temporary: a cached arc_src would hold 8 B/arc for the run
+    internal = np.repeat(a, g.out_degrees) == a[g.out_indices]
     internal_w = float(g.out_weights[internal].sum())
     s_out_c = np.bincount(a, weights=g.out_strengths, minlength=p.n_comms)
     s_in_c = np.bincount(a, weights=g.in_strengths, minlength=p.n_comms)
@@ -79,16 +80,22 @@ def aggregate_graph(g: DirectedGraph, p: Partition) -> DirectedGraph:
     """Contract each community to one node, summing arc weights.
 
     Internal weight becomes a self-loop on the community node; total weight
-    is conserved.
+    is conserved.  The arcs' community keys assign[src] * span + assign[dst]
+    are built from the out-CSR, with no array of the arcs' sources, and
+    `_summed_keys` sorts them once, carrying the weights, and sums each run
+    of equal keys.  The weights are integers held as float64, so every sum
+    is exact.  Beside the graph this holds the keys, their argsort and the
+    sorted weights, about 24 bytes per arc.
     """
     _check_covers(g, p)
-    return DirectedGraph.from_arcs(
-        p.assign[g.arc_src],
-        p.assign[g.out_indices],
-        n=p.n_comms,
-        weights=g.out_weights,
-        simple=False,
-    )
+    a = p.assign
+    if a.size and (a.min() < 0 or a.max() >= p.n_comms):
+        raise ValueError(f"partition label outside [0, {p.n_comms})")
+    span = max(p.n_comms, 1)
+    keys = np.repeat(a * span, g.out_degrees)
+    keys += a[g.out_indices]
+    keys, weights = _summed_keys(keys, g.out_weights)
+    return DirectedGraph._from_keys(keys, span, np.arange(p.n_comms, dtype=np.int64), weights)
 
 
 def _local_move_phase(g: DirectedGraph, min_gain: float, rng) -> tuple[list[int], int, int]:
@@ -102,17 +109,36 @@ def _local_move_phase(g: DirectedGraph, min_gain: float, rng) -> tuple[list[int]
     which equals the exact from-scratch change of Q between the two
     assignments.  Equal-gain targets resolve to the lowest community id.
 
-    The first sweep computes each node's neighbour-community weights
-    ({C: w(u->C) + w(C->u)}, self-loops excluded) from its arcs and drops
-    them.  From the second sweep on a node keeps them after its first
-    evaluation, and every move updates the kept weights of the mover's
-    neighbours, deleting a community whose weight falls to 0.  Arc weights
-    are positive integers (ingest gives 1, aggregation sums them) and are
-    summed as Python ints, so every sum is exact and order-free: the kept
-    weights equal from-scratch sums, the candidates are exactly the
-    communities with a neighbour, and with a total weight of at most 2^53
-    each weight converts to float64 without rounding.  No list of length m
-    is built; each node's arcs are read as slices of the CSR arrays.
+    A node's link weights w(u->C) + w(C->u) (self-loops excluded) are split
+    in two: its own community's in `own[u]`, every other community's in a
+    dict {C: weight}.  The first sweep builds each node's dict from its arcs
+    and drops it.  From the second sweep on a node keeps its dict after its
+    first evaluation, and every move updates the kept weights of the mover
+    and its neighbours: a weight to a neighbour's own community goes to
+    `own`, and the mover's own weight becomes its weight to the target, the
+    community it left entering its dict.  A kept weight that falls to 0 is
+    set to 0 in place, and the node's dict is rebuilt without its zeros at
+    its next evaluation, before any scan.  CPython never shrinks a dict on
+    deletion and regrows one that sees deletes and inserts to 3x its used
+    slots, so deleting at once let a churned dict hold several times its
+    live entries; a rebuilt dict holds only them.  So no scan ever sees a
+    zero or the node's own community, and the candidates are exactly the
+    other communities with a neighbour.
+
+    Arc weights are positive integers (ingest gives 1, aggregation sums
+    them) and are summed as Python ints, so every sum is exact and
+    order-free: the kept weights equal from-scratch sums, and with a total
+    weight of at most 2^53 each converts to float64 without rounding.
+
+    The scan is skipped when x / w <= stay_gain for the largest kept weight
+    x.  That is exact: with P = s_out(u) * S_in(C) + s_in(u) * S_out(C) >= 0,
+    a candidate's gain fl(fl(x_C / w) - fl(P / w^2)) is at most fl(x_C / w),
+    since rounding is monotone and fl(x_C / w) is a float, and fl(x_C / w)
+    <= fl(x / w) since division by w > 0 is monotone too.  So no candidate
+    beats staying, and an equal gain never moves a node.
+
+    No list of length m is built; each node's arcs are read as slices of
+    the CSR arrays.
     """
     n = g.n
     w = g.total_weight
@@ -122,7 +148,8 @@ def _local_move_phase(g: DirectedGraph, min_gain: float, rng) -> tuple[list[int]
     out_idx = g.out_indices
     in_idx = g.in_indices
     out_w = g.out_weights.astype(np.int64)
-    in_w = g.in_weights.astype(np.int64)
+    # unit-weight graphs share one weight array between both sides
+    in_w = out_w if g.in_weights is g.out_weights else g.in_weights.astype(np.int64)
     s_out = g.out_strengths.tolist()
     s_in = g.in_strengths.tolist()
 
@@ -137,6 +164,8 @@ def _local_move_phase(g: DirectedGraph, min_gain: float, rng) -> tuple[list[int]
     S_out = s_out.copy()
     S_in = s_in.copy()
     links: list[dict[int, int] | None] = [None] * n
+    own = [0] * n
+    stale = bytearray(n)  # stale[u]: u's kept dict holds a zero
     natural = list(range(n))
     sweeps = total_moves = 0
     while True:
@@ -152,37 +181,54 @@ def _local_move_phase(g: DirectedGraph, min_gain: float, rng) -> tuple[list[int]
                     if v != u:
                         c = assign[v]
                         link[c] = link.get(c, 0) + x
+                x_own = link.pop(cu, 0)
                 if sweeps > 1:
                     links[u] = link
+                    own[u] = x_own
+            else:
+                x_own = own[u]
+                if stale[u]:
+                    link = links[u] = {c: x for c, x in link.items() if x}
+                    stale[u] = 0
             so = s_out[u]
             si = s_in[u]
             S_out[cu] -= so
             S_in[cu] -= si
-            stay_gain = link.get(cu, 0) / w - (so * S_in[cu] + si * S_out[cu]) / w2
+            stay_gain = x_own / w - (so * S_in[cu] + si * S_out[cu]) / w2
             best_c = cu
             best_gain = stay_gain
-            for c, x in link.items():
-                if c == cu:
-                    continue
-                gain = x / w - (so * S_in[c] + si * S_out[c]) / w2
-                if gain > best_gain or (gain == best_gain and c < best_c):
-                    best_gain = gain
-                    best_c = c
+            if link and max(link.values()) / w > stay_gain:
+                for c, x in link.items():
+                    gain = x / w - (so * S_in[c] + si * S_out[c]) / w2
+                    if gain > best_gain or (gain == best_gain and c < best_c):
+                        best_gain = gain
+                        best_c = c
             if best_c != cu and best_gain - stay_gain > min_gain:
                 assign[u] = best_c
                 S_out[best_c] += so
                 S_in[best_c] += si
                 moves += 1
                 if sweeps > 1:
+                    own[u] = link[best_c]
+                    link[best_c] = 0
+                    stale[u] = 1
+                    if x_own:
+                        link[cu] = x_own
                     for v, x in arcs(u):
                         lv = links[v]
                         if lv is not None and v != u:
-                            left = lv[cu] - x
-                            if left == 0:
-                                del lv[cu]
+                            cv = assign[v]
+                            if cv == cu:
+                                own[v] -= x
                             else:
+                                left = lv[cu] - x
                                 lv[cu] = left
-                            lv[best_c] = lv.get(best_c, 0) + x
+                                if not left:
+                                    stale[v] = 1
+                            if cv == best_c:
+                                own[v] += x
+                            else:
+                                lv[best_c] = lv.get(best_c, 0) + x
             else:
                 S_out[cu] += so
                 S_in[cu] += si

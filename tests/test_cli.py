@@ -388,6 +388,7 @@ def test_cli_reports_errors(tmp_path, capsys):
     clusters = str(out / "clusters.tsv")
     dest = ["--output", str(tmp_path / "bad")]
     nan_row = "\t".join(measures[2].split("\t")[:4] + ["nan"] + measures[2].split("\t")[5:])
+    float_id = "\t".join(["2.0"] + measures[4].split("\t")[1:])
     # a bad value and a short row after a good row, `#` and blank lines
     part_gap = "# c=1\n\noriginal_id\tcommunity\n0\t0\n# x\n\n1\tx\n"
     one_col_gap = "# c=1\n\noriginal_id\tgroup\n0\t1\n\n# x\n1\n"
@@ -435,6 +436,16 @@ def test_cli_reports_errors(tmp_path, capsys):
              ["one_col_gap_crlf.tsv:7:"]),
             (["cluster", *dest, "--measures", bad_file("meas_nan_gap.tsv", "\n".join(
                 measures[:2] + ["# x", nan_row] + measures[3:]))], ["meas_nan_gap.tsv:4:", "non-finite"]),
+            # with bad rows of several kinds the first in the file decides, as in ingest
+            (["cluster", *dest, "--measures", bad_file("meas_nan_then_float_id.tsv", "\n".join(
+                measures[:2] + [nan_row, measures[3], float_id] + measures[5:]))],
+             ["meas_nan_then_float_id.tsv:3:", "non-finite"]),
+            (["cluster", *dest, "--measures", bad_file("meas_abc_then_odd_byte.tsv", "\n".join(
+                measures[:2] + ["\t".join(fields), measures[3], measures[4] + "\x1c"] + measures[5:]))],
+             ["meas_abc_then_odd_byte.tsv:3:", "'abc'"]),
+            (["cluster", *dest, "--measures", bad_file("meas_nan_then_short.tsv", "\n".join(
+                measures[:3] + [nan_row, "7"] + measures[5:]))],
+             ["meas_nan_then_short.tsv:4:", "non-finite"]),
             (read_clusters + [bad_file("empty.tsv", "")], ["empty table", "empty.tsv"]),
             (["cluster", *dest, "--measures", bad_file("meas_comm.tsv", "\n".join(
                 [measures[0], measures[1].replace("community", "comm")] + measures[2:]))],
@@ -499,14 +510,14 @@ def test_write_tsv_matches_per_value_format(tmp_path, monkeypatch):
 # The labels of ids 3, 5, 7, 9 in _LABEL_ROWS are 2, 1, 3, 1.  A case given
 # one row replaces node 3's, the second data row, at file line 6.
 _LABEL_ROWS = ["5\t1", "3\t2", "9\t1", "7\t3"]
-_LABEL_CASES = {  # rows -> the labels of 3, 5, 7, 9, or the file line the error names, or its text
+_LABEL_CASES = {  # rows -> the labels of 3, 5, 7, 9, or the file line the error names, its text, or both
     "plain": (_LABEL_ROWS, [2, 1, 3, 1]),
     "leading plus": ("+3\t+2", [2, 1, 3, 1]),
     "padding spaces": (" 3 \t 2 ", [2, 1, 3, 1]),
     "leading zeros and a negative label": ("0003\t-2", [-2, 1, 3, 1]),
     "extra columns": ("3\t2\tx\t\t", [2, 1, 3, 1]),
     "blank and # lines": (["", "# a=1", *_LABEL_ROWS[:2], "", "#", *_LABEL_ROWS[2:], ""], [2, 1, 3, 1]),
-    "short row": ("3", 6),
+    "short row": ("3", (6, "['3']: 1 field(s), the table needs 2")),
     "whitespace-only line": (_LABEL_ROWS[:1] + ["  "] + _LABEL_ROWS[1:], 6),
     "tab-only line": (_LABEL_ROWS[:1] + ["\t"] + _LABEL_ROWS[1:], 6),
     "inline #": ("3\t2 # two", 6),
@@ -536,7 +547,7 @@ def _swap_field(j, value):  # field j of id 5's row, at file line 2
     return [_MEASURE_ROWS[0][:j] + [value] + _MEASURE_ROWS[0][j + 1:]] + _MEASURE_ROWS[1:]
 
 
-_MEASURES_CASES = {  # rows -> None if read, else the file line the error names, or its text
+_MEASURES_CASES = {  # rows -> None if read, else the file line the error names, its text, or both
     **{f"measure {value!r}": (_swap_field(4, value), None) for value in ("+1.5", " 1.5 ", "-0", "1e-300")},
     **{f"measure {value!r}": (_swap_field(4, value), 2) for value in (
         "inf", "-Infinity", "nan", "1e400", "NA", "", "0x1p3", "1.5\x1c",
@@ -547,19 +558,21 @@ _MEASURES_CASES = {  # rows -> None if read, else the file line the error names,
     "comment and blank lines": (_MEASURE_ROWS[:1] + [["# x=1"], [""]] + _MEASURE_ROWS[1:], None),
     "id 2**63": (_swap_field(0, str(2**63)), 2),
     "id as a float": (_swap_field(0, "5.0"), 2),
-    "short row": ([_MEASURE_ROWS[0][:9]] + _MEASURE_ROWS[1:], 2),
+    "short row": ([_MEASURE_ROWS[0][:9]] + _MEASURE_ROWS[1:], (2, ": 9 field(s), the table needs 10")),
     "whitespace-only line": (_MEASURE_ROWS + [[" "]], 6),
     "repeated id": (_MEASURE_ROWS + _MEASURE_ROWS[:1], "lists id 5 more than once"),
 }
 
 
 def _expect_error(capsys, argv, path, want):
-    """`main(argv)` exits 1 with one error line naming `path`, and its line `want` or the text `want`."""
+    """`main(argv)` exits 1 with one error line naming `path`, and its line `want`,
+    the text `want`, or both, for a (line, text) pair."""
     capsys.readouterr()
     assert main(argv + [str(path), "--output", str(path.parent / "out")]) == 1
     err = capsys.readouterr().err
-    expect = f"{path}:{want}: cannot parse row" if isinstance(want, int) else want
-    assert err.startswith("error: ") and err.count("\n") == 1 and expect in err and str(path) in err, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err, err
+    for expect in want if isinstance(want, tuple) else (want,):
+        assert (f"{path}:{expect}: cannot parse row" if isinstance(expect, int) else expect) in err, err
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
@@ -635,8 +648,8 @@ def test_node_table_fuzz_matches_the_rule_row_by_row(tmp_path):
                 got = read(path)
             except RoleForgeError as exc:
                 line = re.match(rf"{re.escape(str(path))}:(\d+): cannot parse row", str(exc))
-                if line:
-                    assert rows[int(line[1])] is None, (i, exc)
+                if line:  # the first row the rule rejects, in file order
+                    assert int(line[1]) == min(n for n, values in rows.items() if values is None), (i, exc)
                 else:  # a repeated id, or a node the partition does not cover, in a table of good rows
                     uncovered = what == "partition" and set(ids) - set(file_ids)
                     assert None not in rows.values() and (len(set(file_ids)) < len(file_ids) or uncovered), exc

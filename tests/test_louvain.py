@@ -7,7 +7,7 @@ from roleforge import louvain
 from roleforge.errors import UndefinedModularityError
 from roleforge.graph import DirectedGraph
 from roleforge.louvain import Partition, aggregate_graph, directed_modularity, louvain_directed
-from roleforge.synth import planted_partition_graph
+from roleforge.synth import capitalist_community_network, planted_partition_graph
 
 from conftest import (TWO_CYCLES_ASSIGN, TWO_CYCLES_EDGES, graph_from_edges,
                       random_assign, random_edges)
@@ -78,6 +78,12 @@ def test_aggregate_g1(g1, g1_partition):
             zip(np.repeat(np.arange(2), np.diff(a.out_indptr)), a.out_indices, a.out_weights)}
     assert arcs == {(0, 0): 3.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 3.0}
     assert a.total_weight == g1.total_weight
+
+
+def test_aggregate_rejects_labels_outside_range(g1):
+    for labels in ([0, 0, 0, 1, 1, 2], [0, 0, 0, 1, 1, -1]):
+        with pytest.raises(ValueError, match="outside"):
+            aggregate_graph(g1, Partition(np.array(labels), 2))
 
 
 def test_aggregation_preserves_modularity():
@@ -223,6 +229,11 @@ def _oracle_cases():
     # sometimes leaves a community for good, so a kept weight falls to 0
     for seed in range(4):
         yield planted_partition_graph(10, 20, intra_out=3, inter_out=2, seed=seed)[0], range(6)
+    # mass followers over small planted communities under several sweep orders:
+    # a hub's kept weight to a community falls to 0 and grows back, and the
+    # later levels are weighted and carry self-loops
+    yield capitalist_community_network(5, 30, 5, member_intra_out=3, member_inter_out=2,
+                                       cap_intra_out=8, cap_ext_out=60, seed=1)[0], range(6)
     # tie-heavy: disjoint one-way and two-way cycles of equal length
     for length, both in ((3, False), (4, False), (4, True), (5, True)):
         edges = [(c * length + i, c * length + (i + 1) % length) for c in range(6) for i in range(length)]

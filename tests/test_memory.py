@@ -1,4 +1,4 @@
-"""Peak traced memory of ingest and the community profile, in bytes per arc.
+"""Peak traced memory of ingest, the community profile and Louvain, in bytes per arc.
 
 On this graph ingest peaks at 36.2 B/arc, with ids below 10n and with ids
 of up to 19 digits alike, returning a graph that holds 25.0 B/arc, and the
@@ -6,18 +6,31 @@ profile adds 10.9 B/arc.  The ingest peak is the densify: the 2m endpoints,
 their argsort and a bool mask, 34 B/arc, plus one chunk's temporaries.  The
 bounds leave room for allocator noise, and fail when ingest or the profile
 holds one more int64 array over the m arcs.
+
+On a sparse planted graph swept in shuffled order, Louvain's first local
+moves peak at 141.4 B/arc, once every node keeps its link dict (after the
+second sweep, 96.5 B/arc held), and the dicts then shrink to 38.4 B/arc by
+the last sweep.  Deleting a weight that falls to 0 at once, instead of
+rebuilding the dict without its zeros, let churned dicts regrow: 170.2 B/arc
+and 123 B/arc held at the end.  The first aggregation peaks at 24.0 B/arc,
+the community keys, their argsort and the sorted weights; one more int64
+array over the arcs reads 32.0.
 """
 
 import tracemalloc
 
 import numpy as np
 
-from roleforge import synth
+from roleforge import louvain, synth
 from roleforge.graph import load_edge_list
 from roleforge.measures import community_profile
 
 LOAD_PEAK_B_PER_ARC = 39
 PROFILE_PEAK_B_PER_ARC = 16
+LOCAL_MOVE_PEAK_B_PER_ARC = 153
+AGGREGATE_PEAK_B_PER_ARC = 26
+# the local moves' held memory after the last sweep, as a share of that after the second
+HELD_AT_END_SHARE = 0.5
 
 
 def _traced_peaks(tmp_path, id_range):
@@ -55,3 +68,44 @@ def test_ingest_peak_bytes_per_arc_with_spread_ids(tmp_path):
     # ids of up to 19 digits, parsed in bulk like short ones
     h, load_peak, _ = _traced_peaks(tmp_path, 2**62)
     assert load_peak / h.m <= LOAD_PEAK_B_PER_ARC, load_peak / h.m
+
+
+class _SweepRecorder:
+    """A seeded shuffled-order rng that records the traced memory held at
+    the start of each local-move sweep, when the phase asks for its order."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.held = []
+
+    def permutation(self, n):
+        self.held.append(tracemalloc.get_traced_memory()[0])
+        return self.rng.permutation(n)
+
+
+def test_louvain_peak_bytes_per_arc():
+    # sparse planted communities swept in shuffled order: many nodes move for
+    # many sweeps, so the kept link weights churn
+    g = synth.planted_partition_graph(10, 200, intra_out=5, inter_out=3, seed=1)[0]
+    _ = g.out_strengths, g.in_strengths, g.total_weight
+    rec = _SweepRecorder(0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        labels, sweeps, _ = louvain._local_move_phase(g, 1e-9, rec)
+        move_peak = tracemalloc.get_traced_memory()[1] - base
+        part = louvain.Partition.from_labels(labels)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        louvain.aggregate_graph(g, part)
+        aggregate_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (g.m, sweeps) == (15_828, 11)
+    assert move_peak / g.m <= LOCAL_MOVE_PEAK_B_PER_ARC, move_peak / g.m
+    # the kept dicts shrink as the links settle: after the last sweep they hold
+    # well under what they held once every node had its dict (after sweep 2)
+    assert rec.held[-1] - rec.held[0] <= HELD_AT_END_SHARE * (rec.held[2] - rec.held[0]), rec.held
+    assert aggregate_peak / g.m <= AGGREGATE_PEAK_B_PER_ARC, aggregate_peak / g.m
+    louvain.louvain_directed(g)
+    assert "arc_src" not in vars(g)
