@@ -53,17 +53,29 @@ def _summed_keys(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.
     return keys[first], np.add.reduceat(weights, np.flatnonzero(first))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of `a`; `a` itself stays as writable as it was."""
+    v = a.view()
+    v.flags.writeable = False
+    return v
+
+
 @dataclass(frozen=True)
 class DirectedGraph:
     """Directed graph with per-node sorted neighbor lists in both directions.
 
     Arc u->v means u follows v: v is an out-neighbor (followee) of u and u is
     an in-neighbor (follower) of v.  Instances are immutable after
-    construction.
+    construction: every array a graph holds is a read-only view, so an
+    in-place write raises ValueError.
 
     Ingested graphs are simple: no self-loops, no duplicate arcs, unit
-    weights.  Weighted arcs and self-loops occur only in graphs produced by
-    community aggregation.
+    weights.  A unit-weight graph holds its weights as one zero-stride
+    float64 view of a single 1.0, shared by both sides, so they take no
+    memory per arc: a graph holds its two index arrays, 16 bytes per arc,
+    beside its per-node arrays.  Weighted arcs and self-loops occur only in
+    graphs produced by community aggregation or `from_arcs(simple=False)`,
+    which hold real weight arrays.
     """
 
     n: int
@@ -116,10 +128,12 @@ class DirectedGraph:
     def _from_keys(cls, keys, span, node_ids, weights=None) -> "DirectedGraph":
         """Build the graph of the arcs whose sorted distinct keys are src * span + dst.
 
-        `weights` holds one weight per key; with None every arc gets weight 1.
-        The key buffer is overwritten: it is reused for the in-CSR keys, so
-        the build holds no more than the key buffer, the arc endpoints and the
-        weights.
+        `weights` holds one weight per key; with None every arc gets weight 1,
+        held as one read-only zero-stride view that both sides share.  The key
+        buffer is overwritten: it is reused for the in-CSR keys, so the build
+        holds no more than the key buffer, the arc endpoints and the weights.
+        The graph's arrays are read-only views; `node_ids` itself is not
+        frozen, so a caller's array stays writable.
         """
         n = len(node_ids)
         src, dst = np.divmod(keys, span)
@@ -133,24 +147,23 @@ class DirectedGraph:
         in_keys += src
         if weights is None:
             # unit weights need no permutation, so the keys are sorted in place
-            # and both sides share one weight array, made once src is gone
             del src
             in_keys.sort()
             in_indices = np.remainder(in_keys, span, out=in_keys)
-            w = in_w = np.ones(dst.size, dtype=np.float64)
+            w = in_w = np.broadcast_to(np.float64(1.0), dst.shape)
         else:
             order = np.argsort(in_keys)
-            in_indices, w, in_w = src[order], weights, weights[order]
+            in_indices, w, in_w = src[order], _frozen(weights), _frozen(weights[order])
         return cls(
             n=n,
             m=int(dst.size),
-            out_indptr=out_indptr,
-            out_indices=dst,
+            out_indptr=_frozen(out_indptr),
+            out_indices=_frozen(dst),
             out_weights=w,
-            in_indptr=in_indptr,
-            in_indices=in_indices,
+            in_indptr=_frozen(in_indptr),
+            in_indices=_frozen(in_indices),
             in_weights=in_w,
-            node_ids=node_ids,
+            node_ids=_frozen(node_ids),
         )
 
     def out_neighbors(self, u: int) -> np.ndarray:
@@ -161,11 +174,11 @@ class DirectedGraph:
 
     @cached_property
     def out_degrees(self) -> np.ndarray:
-        return np.diff(self.out_indptr)
+        return _frozen(np.diff(self.out_indptr))
 
     @cached_property
     def in_degrees(self) -> np.ndarray:
-        return np.diff(self.in_indptr)
+        return _frozen(np.diff(self.in_indptr))
 
     @cached_property
     def arc_src(self) -> np.ndarray:
@@ -175,16 +188,16 @@ class DirectedGraph:
         so the package itself builds sources as temporaries instead:
         `np.repeat(x, g.out_degrees)` is x of every arc's source.
         """
-        return np.repeat(np.arange(self.n, dtype=np.int64), self.out_degrees)
+        return _frozen(np.repeat(np.arange(self.n, dtype=np.int64), self.out_degrees))
 
     @cached_property
     def out_strengths(self) -> np.ndarray:
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.out_degrees)
-        return np.bincount(src, weights=self.out_weights, minlength=self.n)
+        return _frozen(np.bincount(src, weights=self.out_weights, minlength=self.n))
 
     @cached_property
     def in_strengths(self) -> np.ndarray:
-        return np.bincount(self.out_indices, weights=self.out_weights, minlength=self.n)
+        return _frozen(np.bincount(self.out_indices, weights=self.out_weights, minlength=self.n))
 
     @cached_property
     def total_weight(self) -> float:

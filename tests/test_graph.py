@@ -249,6 +249,27 @@ def test_weights_of_a_simple_graph_are_rejected():
     assert g.out_weights.tolist() == [5.0, 7.0]
 
 
+def test_graph_arrays_are_read_only(tmp_path):
+    ids = np.array([10, 20, 30], dtype=np.int64)
+    simple = graph.DirectedGraph.from_arcs([0, 1, 2], [1, 2, 0], 3, node_ids=ids)
+    weighted = graph.DirectedGraph.from_arcs([0, 1, 1], [1, 2, 2], 3, node_ids=ids, simple=False)
+    loaded = load_edge_list(write_lines(tmp_path, ["10 20", "20 30", "30 10"]))
+    cached = ("out_degrees", "in_degrees", "out_strengths", "in_strengths", "arc_src")
+    for name, g in (("simple", simple), ("weighted", weighted), ("loaded", loaded),
+                    ("transposed", simple.transpose())):
+        for f in GRAPH_ARRAYS + cached:
+            a = getattr(g, f)
+            with pytest.raises(ValueError, match="read-only"):
+                a[:1] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                a.sort()
+            assert a.size and not a.flags.writeable, (name, f)
+    # the graph freezes a view of the caller's node ids, not the caller's array
+    assert ids.flags.writeable
+    ids[0] = 11
+    assert ids.tolist() == [11, 20, 30]
+
+
 @pytest.mark.parametrize("args,kwargs", [
     ((20, 1500), dict(seed=1)),  # the communities-30k benchmark graph
     ((5, 200), dict(seed=1)),  # its toy size

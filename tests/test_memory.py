@@ -1,36 +1,56 @@
-"""Peak traced memory of ingest, the community profile and Louvain, in bytes per arc.
+"""Memory of ingest, the community profile and Louvain, in bytes per arc.
 
 On this graph ingest peaks at 36.2 B/arc, with ids below 10n and with ids
-of up to 19 digits alike, returning a graph that holds 25.0 B/arc, and the
-profile adds 10.9 B/arc.  The ingest peak is the densify: the 2m endpoints,
-their argsort and a bool mask, 34 B/arc, plus one chunk's temporaries.  The
+of up to 19 digits alike, returning a graph that holds 17.0 B/arc: its two
+index arrays and its per-node arrays, with the unit weights a zero-stride
+view (a real weight array shared by both sides made it 25.0).  The profile
+adds 10.9 B/arc.  The ingest peak is the densify: the 2m endpoints, their
+argsort and a bool mask, 34 B/arc, plus one chunk's temporaries.  The
 bounds leave room for allocator noise, and fail when ingest or the profile
 holds one more int64 array over the m arcs.
 
 On a sparse planted graph swept in shuffled order, Louvain's first local
-moves peak at 141.4 B/arc, once every node keeps its link dict (after the
-second sweep, 96.5 B/arc held), and the dicts then shrink to 38.4 B/arc by
-the last sweep.  Deleting a weight that falls to 0 at once, instead of
-rebuilding the dict without its zeros, let churned dicts regrow: 170.2 B/arc
-and 123 B/arc held at the end.  The first aggregation peaks at 24.0 B/arc,
-the community keys, their argsort and the sorted weights; one more int64
-array over the arcs reads 32.0.
+moves peak at 115.1 B/arc, once every node keeps its link dict (after the
+second sweep, 90.4 B/arc held), and the dicts then shrink to 32.3 B/arc by
+the last sweep.  An int64 copy of the unit weights and per-node lists of
+Python ints and floats for the indptrs and node strengths made it 141.4.
+Deleting a weight that falls to 0 at once, instead of rebuilding the dict
+without its zeros, let churned dicts regrow: 170.2 B/arc and 123 B/arc held
+at the end.  The first aggregation peaks at 24.0 B/arc, the community keys,
+their argsort and the sorted weights; one more int64 array over the arcs
+reads 32.0.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 
 from roleforge import louvain, synth
-from roleforge.graph import load_edge_list
+from roleforge.graph import DirectedGraph, load_edge_list
 from roleforge.measures import community_profile
 
 LOAD_PEAK_B_PER_ARC = 39
+GRAPH_HELD_B_PER_ARC = 18
 PROFILE_PEAK_B_PER_ARC = 16
-LOCAL_MOVE_PEAK_B_PER_ARC = 153
+LOCAL_MOVE_PEAK_B_PER_ARC = 124
 AGGREGATE_PEAK_B_PER_ARC = 26
 # the local moves' held memory after the last sweep, as a share of that after the second
 HELD_AT_END_SHARE = 0.5
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory behind `a`."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _held_bytes(g: DirectedGraph) -> int:
+    """Bytes of the distinct buffers behind a graph's arrays: a buffer two
+    arrays share counts once, and a zero-stride view only its one value."""
+    owners = [_owner(a) for f in dataclasses.fields(g) if isinstance(a := getattr(g, f.name), np.ndarray)]
+    return sum({id(o): o.nbytes for o in owners}.values())
 
 
 def _traced_peaks(tmp_path, id_range):
@@ -61,6 +81,8 @@ def _traced_peaks(tmp_path, id_range):
 def test_ingest_and_profile_peak_bytes_per_arc(tmp_path):
     h, load_peak, profile_peak = _traced_peaks(tmp_path, 10 * 10_100)
     assert load_peak / h.m <= LOAD_PEAK_B_PER_ARC, load_peak / h.m
+    held = _held_bytes(h) / h.m
+    assert held <= GRAPH_HELD_B_PER_ARC, held
     assert profile_peak / h.m <= PROFILE_PEAK_B_PER_ARC, profile_peak / h.m
 
 
@@ -68,6 +90,25 @@ def test_ingest_peak_bytes_per_arc_with_spread_ids(tmp_path):
     # ids of up to 19 digits, parsed in bulk like short ones
     h, load_peak, _ = _traced_peaks(tmp_path, 2**62)
     assert load_peak / h.m <= LOAD_PEAK_B_PER_ARC, load_peak / h.m
+
+
+def test_unit_weights_hold_no_per_arc_buffer(tmp_path):
+    g, truth = synth.planted_partition_graph(5, 200, seed=1)
+    path = tmp_path / "edges.txt"
+    path.write_text("".join(f"{a} {b}\n" for a, b in zip(g.arc_src.tolist(), g.out_indices.tolist())))
+    for h in (g, load_edge_list(path)):
+        assert h.out_weights is h.in_weights
+        assert h.out_weights.dtype == np.float64 and h.out_weights.shape == (h.m,)
+        assert (h.out_weights == 1).all()
+        assert _owner(h.out_weights).nbytes == 8
+    # weighted graphs hold one real weight per arc on each side
+    agg = louvain.aggregate_graph(g, truth)
+    weighted = DirectedGraph.from_arcs([0, 1, 1], [1, 0, 0], 2, simple=False)
+    for h in (agg, weighted):
+        for w in (h.out_weights, h.in_weights):
+            assert w.dtype == np.float64 and _owner(w).nbytes == 8 * h.m
+    assert weighted.out_weights.tolist() == [1.0, 2.0]
+    assert agg.total_weight == g.m
 
 
 class _SweepRecorder:
