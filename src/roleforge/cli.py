@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -35,6 +34,16 @@ from .measures import (MEASURE_COLUMNS, community_profile, embeddedness_values,
                        measures_from_profile, participation_coefficients)
 from .report import format_p, group_summary_rows, render_report
 from .stats import one_way_anova, pairwise_t_bonferroni
+
+# CPython's builtin SHA-256 gives hashlib's digests without loading OpenSSL,
+# which would add ~4 MB to the peak of every subcommand process.
+try:
+    from _sha2 import sha256 as _new_sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new_sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _new_sha256
 
 
 @dataclass
@@ -145,7 +154,7 @@ def config_hash(cfg: PipelineConfig) -> str:
     """Hash of the computation-relevant parameters (paths excluded)."""
     items = sorted((name, getattr(cfg, name)) for name in _CONFIG_KEYS if name not in _PATH_KEYS)
     canon = "\n".join(f"{k}={v}" for k, v in items)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    return _new_sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +259,7 @@ def read_tsv(path, parse=None) -> tuple[list[str], list, dict[str, str]]:
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
+    h = _new_sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)

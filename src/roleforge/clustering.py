@@ -266,37 +266,54 @@ _WORKER_MIN_WORK = 200_000
 # fits, are byte-identical at one and at two threads.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# A worker reads (x, ks, params) pickled on stdin and writes the list of fits
-# pickled on stdout.  It starts from `python -c`, not multiprocessing: spawn
-# re-imports the caller's __main__ (a script on stdin cannot be re-imported,
-# and top-level demo code would run again), and fork inherits the parent's
-# BLAS threads.
+# Every worker reads one payload, (x, params) pickled once, on stdin, and
+# gets its k values as command-line arguments; it writes the best fit of
+# those k values, or None, pickled on stdout.  It starts from `python -c`, not
+# multiprocessing: spawn re-imports the caller's __main__ (a script on stdin
+# cannot be re-imported, and top-level demo code would run again), and fork
+# inherits the parent's BLAS threads.
 _WORKER_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); "
                 "from roleforge.clustering import _serve_fits; _serve_fits()")
 
 
-def _fit_chunk(x, ks, *, seed, max_iter, tol, restarts) -> list[ClusteringResult | None]:
-    """The k-means fit at each k of ks carrying its db_index, or None when it is degenerate.
+def _best_fit(fits) -> ClusteringResult | None:
+    """The fit of lowest db_index, a tie going to the smaller k; None when
+    every fit is None.  The rule is explicit so that neither the order in
+    which a chunk runs its k values nor the order of the chunks decides."""
+    best = None
+    for res in fits:
+        if res is not None and (best is None or (res.db_index, res.k) < (best.db_index, best.k)):
+            best = res
+    return best
+
+
+def _fit_chunk(x, ks, *, seed, max_iter, tol, restarts) -> ClusteringResult | None:
+    """The best k-means fit over ks by `_best_fit`, carrying its db_index;
+    None when the fit at every k is degenerate.
 
     Each restart is seeded once, for the largest k, and every k starts from
-    the first k of those rows: the fits equal `kmeans` at each k.
+    the first k of those rows: the fit at each k equals `kmeans` at that k.
+    Only the best fit so far is kept while the next k runs.
     """
     x = _as_rows(x)
     ws = _Workspace(x, max(ks))
     seeds = ws.seeds(max(ks), seed, restarts)
-    fits = []
+    best = None
     for k in ks:
         try:
             res = ws.fit([chosen[:k] for chosen in seeds], max_iter, tol)
-            fits.append(replace(res, db_index=davies_bouldin(x, res)))
+            res = replace(res, db_index=davies_bouldin(x, res))
         except DegenerateClusteringError:
-            fits.append(None)
-    return fits
+            continue
+        best = _best_fit((best, res))
+    return best
 
 
 def _serve_fits() -> None:
-    """Worker entry point: fit the k values sent on stdin, reply on stdout."""
-    x, ks, params = pickle.load(sys.stdin.buffer)
+    """Worker entry point: fit the k values named after the package path
+    (sys.argv[2:]) on the payload read from stdin, reply on stdout."""
+    x, params = pickle.load(sys.stdin.buffer)
+    ks = [int(k) for k in sys.argv[2:]]
     pickle.dump(_fit_chunk(x, ks, **params), sys.stdout.buffer, protocol=pickle.HIGHEST_PROTOCOL)
 
 
@@ -307,10 +324,13 @@ def _usable_cpus() -> int:
 
 
 def _fit_in_workers(x, ks, params, n_workers) -> list:
-    """_fit_chunk over ks split into n_workers worker processes, in the order of ks.
+    """_fit_chunk over ks split into n_workers worker processes: the best fit
+    (or None) of each worker's k values, one entry per worker.
 
-    Raises ChildProcessError, quoting the end of its stderr, when a worker
-    exits non-zero.
+    The matrix is pickled once, into one payload that every worker reads;
+    each worker gets its k values on its command line.  Raises
+    ChildProcessError, quoting the end of its stderr, when a worker exits
+    non-zero.
     """
     # Only this path starts processes; `import roleforge` stays without them.
     import subprocess
@@ -320,15 +340,15 @@ def _fit_in_workers(x, ks, params, n_workers) -> list:
     chunks = [ks[::-1][i::n_workers] for i in range(n_workers)]
     cmd = [sys.executable, "-c", _WORKER_CODE, os.path.dirname(os.path.dirname(os.path.abspath(__file__)))]
     env = dict(os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    payload = pickle.dumps((x, params), pickle.HIGHEST_PROTOCOL)
     with contextlib.ExitStack() as stack:  # closes every pipe and reaps every worker
-        procs = [stack.enter_context(subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                                      stderr=subprocess.PIPE, env=env))
-                 for _ in chunks]
+        procs = [stack.enter_context(subprocess.Popen(cmd + [str(k) for k in chunk], stdin=subprocess.PIPE,
+                                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env))
+                 for chunk in chunks]
         # communicate() feeds stdin while draining stdout and stderr, so no
         # worker blocks on a full pipe; one thread per worker runs them at once.
         with ThreadPoolExecutor(len(procs)) as pool:
-            talks = [pool.submit(p.communicate, pickle.dumps((x, chunk, params), pickle.HIGHEST_PROTOCOL))
-                     for p, chunk in zip(procs, chunks)]
+            talks = [pool.submit(p.communicate, payload) for p in procs]
             try:
                 replies = [t.result() for t in talks]
             finally:
@@ -336,14 +356,12 @@ def _fit_in_workers(x, ks, params, n_workers) -> list:
                 for p in procs:
                     if p.poll() is None:
                         p.kill()
-    fits = {}
-    for p, chunk, (out, err) in zip(procs, chunks, replies):
+    for p, (_, err) in zip(procs, replies):
         if p.returncode != 0:
             tail = err.decode("utf-8", "replace").strip()[-2000:]
             raise ChildProcessError(f"a k-means worker exited with status {p.returncode}; "
                                     f"its stderr ends:\n{tail}")
-        fits.update(zip(chunk, pickle.loads(out)))
-    return [fits[k] for k in ks]
+    return [pickle.loads(out) for out, _ in replies]
 
 
 def select_k(mat, k_min: int = 2, k_max: int = 15, *, seed: int = 0, max_iter: int = 100,
@@ -353,8 +371,9 @@ def select_k(mat, k_min: int = 2, k_max: int = 15, *, seed: int = 0, max_iter: i
     Ties break toward smaller k; k values whose clustering is degenerate are
     skipped.  The returned result carries its db_index.  On large inputs
     with more than one usable CPU the k values are fitted in up to one
-    worker process per CPU, each with single-threaded BLAS; the result is
-    the same as fitting them inline.
+    worker process per CPU, each with single-threaded BLAS, and each worker
+    sends back only the best fit of its k values; the best of those, by the
+    same rule, is the result of fitting every k inline.
     """
     x = _as_rows(mat)
     n = x.shape[0]
@@ -367,13 +386,9 @@ def select_k(mat, k_min: int = 2, k_max: int = 15, *, seed: int = 0, max_iter: i
     params = dict(seed=seed, max_iter=max_iter, tol=tol, restarts=restarts)
     n_workers = min(_usable_cpus(), len(ks)) if n * len(ks) * restarts >= _WORKER_MIN_WORK else 1
     if n_workers > 1:
-        fits = _fit_in_workers(x, ks, params, n_workers)
+        best = _best_fit(_fit_in_workers(x, ks, params, n_workers))
     else:
-        fits = _fit_chunk(x, ks, **params)
-    best = None
-    for res in fits:
-        if res is not None and (best is None or res.db_index < best.db_index):
-            best = res
+        best = _fit_chunk(x, ks, **params)
     if best is None:
         raise DegenerateClusteringError("every k in the range produced a degenerate clustering")
     return best

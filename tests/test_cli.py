@@ -1,7 +1,11 @@
 import hashlib
+import importlib.util
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +168,27 @@ def test_config_hash_ignores_paths(tmp_path):
     assert config_hash(a) == config_hash(b)
     c = g1_config(tmp_path, seed=5)
     assert config_hash(c) != config_hash(a)
+
+
+def test_config_hash_of_the_defaults_is_pinned():
+    assert config_hash(PipelineConfig()) == "4fa4c099a10d762d"
+
+
+@pytest.mark.parametrize("size", [0, 5 << 19])  # empty, and 2.5 MiB: three 1 MiB read blocks
+def test_file_digest_equals_hashlib(tmp_path, size):
+    path = tmp_path / "blob.bin"
+    path.write_bytes(np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes())
+    assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+                    reason="this Python has no builtin SHA-256")
+def test_import_cli_leaves_openssl_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", "import sys, roleforge.cli; print('_hashlib' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_run_pipeline_g1_smoke(tmp_path):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,20 @@ def forced_workers(monkeypatch):
     monkeypatch.setattr(clustering, "_usable_cpus", lambda: 3)
 
 
+def assert_same_fit(got, want, what=None):
+    """Two fits (or two Nones) agree byte for byte in every field."""
+    assert (got is None) == (want is None), what
+    if want is None:
+        return
+    assert got.k == want.k, what
+    assert got.assign.dtype == want.assign.dtype == np.int64, what
+    assert np.array_equal(got.assign, want.assign), what
+    assert got.centroids.tobytes() == want.centroids.tobytes(), what
+    assert np.float64(got.inertia).tobytes() == np.float64(want.inertia).tobytes(), what
+    assert np.array(got.inertia_trace).tobytes() == np.array(want.inertia_trace).tobytes(), what
+    assert np.float64(got.db_index).tobytes() == np.float64(want.db_index).tobytes(), what
+
+
 @pytest.mark.parametrize("name", ["gaussian", "ties", "one_dim"])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_worker_fits_match_inline(name, seed, forced_workers):
@@ -189,20 +204,26 @@ def test_worker_fits_match_inline(name, seed, forced_workers):
     params = dict(seed=seed, max_iter=100, tol=1e-6, restarts=10)
     ks = list(range(2, 16))
     inline = clustering._fit_chunk(x, ks, **params)
-    for k, a, b in zip(ks, inline, clustering._fit_in_workers(x, ks, params, 3)):
-        assert (a is None) == (b is None), k
-        if a is None:
-            continue
-        assert b.k == k and b.assign.dtype == np.int64
-        assert np.array_equal(a.assign, b.assign), k
-        assert a.centroids.tobytes() == b.centroids.tobytes(), k
-        assert np.float64(a.inertia).tobytes() == np.float64(b.inertia).tobytes(), k
-        assert np.array(a.inertia_trace).tobytes() == np.array(b.inertia_trace).tobytes(), k
-        assert np.float64(a.db_index).tobytes() == np.float64(b.db_index).tobytes(), k
-    chosen = min((r for r in inline if r is not None), key=lambda r: r.db_index)  # first minimum: smallest k
-    res = select_k(x, 2, 15, **params)
-    assert (res.k, res.db_index) == (chosen.k, chosen.db_index)
-    assert np.array_equal(res.assign, chosen.assign)
+    # the first minimum over the one-k fits in ascending k: the smallest k of the lowest db_index
+    chosen = min((r for r in (clustering._fit_chunk(x, [k], **params) for k in ks) if r is not None),
+                 key=lambda r: r.db_index)
+    assert_same_fit(inline, chosen)
+    chunk_bests = clustering._fit_in_workers(x, ks, params, 3)
+    assert len(chunk_bests) == 3
+    assert_same_fit(clustering._best_fit(chunk_bests), inline)
+    assert_same_fit(select_k(x, 2, 15, **params), inline)
+
+
+def test_best_fit_ties_go_to_smaller_k():
+    def fit(k, db):
+        return ClusteringResult(k=k, assign=np.zeros(1, dtype=np.int64), centroids=np.zeros((k, 1)),
+                                inertia=0.0, db_index=db)
+
+    fits = [fit(9, 0.5), None, fit(5, 0.25), fit(3, 0.25), fit(4, 0.75)]
+    for order in itertools.permutations(fits):
+        assert clustering._best_fit(order) is fits[3]
+    assert clustering._best_fit([None, None]) is None
+    assert clustering._best_fit([]) is None
 
 
 def few_distinct_rows():
@@ -229,23 +250,27 @@ def test_chunk_fits_equal_kmeans(name, path, forced_workers):
     x = oracle_inputs()[name]
     params = dict(seed=3, max_iter=100, tol=1e-6, restarts=4)
     ks = list(range(2, 16))
-    if path == "inline":
-        fits = clustering._fit_chunk(x, ks, **params)
-    else:
-        fits = clustering._fit_in_workers(x, ks, params, 3)
-    for k, fit in zip(ks, fits):
+    want = {}
+    for k in ks:
         try:
-            want = kmeans(x, k, **params)
-            db = davies_bouldin(x, want)
+            res = kmeans(x, k, **params)
+            want[k] = replace(res, db_index=davies_bouldin(x, res))
         except DegenerateClusteringError:
-            assert fit is None, k
-            continue
-        assert fit.k == k
-        assert np.array_equal(fit.assign, want.assign), k
-        assert fit.centroids.tobytes() == want.centroids.tobytes(), k
-        assert np.float64(fit.inertia).tobytes() == np.float64(want.inertia).tobytes(), k
-        assert np.array(fit.inertia_trace).tobytes() == np.array(want.inertia_trace).tobytes(), k
-        assert np.float64(fit.db_index).tobytes() == np.float64(db).tobytes(), k
+            want[k] = None
+    if path == "inline":
+        # a one-k chunk returns that k's fit
+        for k in ks:
+            assert_same_fit(clustering._fit_chunk(x, [k], **params), want[k], k)
+        assert_same_fit(clustering._fit_chunk(x, ks, **params), clustering._best_fit(want.values()))
+    else:
+        # three one-k chunks, then the full range dealt to three workers
+        # largest k first, round-robin, as _fit_in_workers deals it
+        one_k = [15, 8, 2]
+        for k, fit in zip(one_k, clustering._fit_in_workers(x, one_k[::-1], params, 3)):
+            assert_same_fit(fit, want[k], k)
+        chunks = [ks[::-1][i::3] for i in range(3)]
+        for chunk, fit in zip(chunks, clustering._fit_in_workers(x, ks, params, 3)):
+            assert_same_fit(fit, clustering._best_fit(want[k] for k in chunk), chunk)
 
 
 @pytest.mark.parametrize("code", [
