@@ -12,7 +12,9 @@ local-move / contract loop, run to convergence.
 from __future__ import annotations
 
 from array import array
+from collections import _count_elements
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -99,14 +101,6 @@ def aggregate_graph(g: DirectedGraph, p: Partition) -> DirectedGraph:
     return DirectedGraph._from_keys(keys, span, np.arange(p.n_comms, dtype=np.int64), weights)
 
 
-def _int_weights(w: np.ndarray) -> np.ndarray:
-    """Arc weights as int64: a zero-stride view of one weight, as a unit-weight
-    graph holds, stays a view; any other weight array is copied."""
-    if w.size and w.strides == (0,):
-        return np.broadcast_to(np.int64(w[0]), w.shape)
-    return w.astype(np.int64)
-
-
 def _local_move_phase(g: DirectedGraph, min_gain: float, rng) -> tuple[list[int], int, int]:
     """Greedy node relocation sweeps until no move improves Q by more than min_gain.
 
@@ -118,41 +112,43 @@ def _local_move_phase(g: DirectedGraph, min_gain: float, rng) -> tuple[list[int]
     which equals the exact from-scratch change of Q between the two
     assignments.  Equal-gain targets resolve to the lowest community id.
 
-    A node's link weights w(u->C) + w(C->u) (self-loops excluded) are split
-    in two: its own community's in `own[u]`, every other community's in a
-    dict {C: weight}.  The first sweep builds each node's dict from its arcs
-    and drops it.  From the second sweep on a node keeps its dict after its
-    first evaluation, and every move updates the kept weights of the mover
-    and its neighbours: a weight to a neighbour's own community goes to
-    `own`, and the mover's own weight becomes its weight to the target, the
-    community it left entering its dict.  A kept weight that falls to 0 is
-    set to 0 in place, and the node's dict is rebuilt without its zeros at
-    its next evaluation, before any scan.  CPython never shrinks a dict on
-    deletion and regrows one that sees deletes and inserts to 3x its used
-    slots, so deleting at once let a churned dict hold several times its
-    live entries; a rebuilt dict holds only them.  So no scan ever sees a
-    zero or the node's own community, and the candidates are exactly the
-    other communities with a neighbour.
+    Between evaluations no node keeps its link weights x_C = w(u->C) +
+    w(C->u) (self-loops excluded), only two integers: `own[u]`, exactly
+    x_cu for its own community cu, and `top[u]`, an upper bound on x_C over
+    every other community C (at first u's out+in strength).  When u moves
+    from cu to b, each arc between u and a neighbour v of weight x adds x
+    to `own[v]` if v is in b; otherwise v's link to b grows by x, so x is
+    added to `top[v]`, and taken from `own[v]` if v is in cu.  The mover's
+    own weight becomes x_b, and its top the largest of its other weights,
+    x_cu among them.
 
     Arc weights are positive integers (ingest gives 1, aggregation sums
     them) and are summed as Python ints, so every sum is exact and
-    order-free: the kept weights equal from-scratch sums, and with a total
-    weight of at most 2^53 each converts to float64 without rounding.
+    order-free: `own` equals from-scratch sums, and with a total weight of
+    at most 2^53 each weight converts to float64 without rounding.
 
-    The scan is skipped when x / w <= stay_gain for the largest kept weight
-    x.  That is exact: with P = s_out(u) * S_in(C) + s_in(u) * S_out(C) >= 0,
-    a candidate's gain fl(fl(x_C / w) - fl(P / w^2)) is at most fl(x_C / w),
+    An evaluation first computes the gain of staying from `own[u]` and
+    skips u without reading its arcs when top[u] / w <= stay_gain.  That is
+    exact: with P = s_out(u) * S_in(C) + s_in(u) * S_out(C) >= 0, a
+    candidate's gain fl(fl(x_C / w) - fl(P / w^2)) is at most fl(x_C / w),
     since rounding is monotone and fl(x_C / w) is a float, and fl(x_C / w)
-    <= fl(x / w) since division by w > 0 is monotone too.  So no candidate
-    beats staying, and an equal gain never moves a node.
+    <= fl(top[u] / w) since x_C <= top[u] and division by w > 0 is monotone
+    too.  So no candidate beats staying, and an equal gain never moves a
+    node.  Otherwise u's link weights are counted from its arcs into a
+    dict that lives for this evaluation, `top[u]` becomes their exact
+    maximum, and the same bound skips the scan or, within it, every
+    candidate with fl(x_C / w) below the best gain so far.
 
     No list of length m is built; each node's arcs are read as slices of
-    the CSR arrays.  Unit weights are read through an int64 zero-stride
-    view, not a copy, and the indptrs and node strengths are flat arrays of
-    8 bytes per node, so beside the graph the phase holds, per arc, only
-    the kept link dicts.  The community strengths S_out and S_in stay
-    lists: they are read for every candidate, and flat arrays, which box a
-    new float on each read, made the phase 8% slower.
+    the CSR arrays.  On a unit-weight graph no weight is read: a node's
+    link weights are counts, made by `collections._count_elements`, the C
+    loop behind `Counter`; a weighted level reads int64 copies of its
+    weights.  The indptrs and node strengths are flat arrays of 8 bytes
+    per node, so beside the graph the phase holds only per-node lists and
+    the link dict of the node under evaluation.  The community
+    strengths S_out and S_in stay lists: they are read for every
+    candidate, and flat arrays, which box a new float on each read, made
+    the phase 8% slower.
     """
     n = g.n
     w = g.total_weight
@@ -161,25 +157,26 @@ def _local_move_phase(g: DirectedGraph, min_gain: float, rng) -> tuple[list[int]
     in_ptr = array("q", g.in_indptr.tobytes())
     out_idx = g.out_indices
     in_idx = g.in_indices
-    out_w = _int_weights(g.out_weights)
-    # unit-weight graphs share one weight view between both sides
-    in_w = out_w if g.in_weights is g.out_weights else _int_weights(g.in_weights)
+    # positive integer weights that sum to m are all 1: no weight is read
+    unit = g.total_weight == g.m
+    out_w = None if unit else g.out_weights.astype(np.int64)
+    in_w = None if unit else g.in_weights.astype(np.int64)
+    ones = repeat(1)
     s_out = array("d", g.out_strengths.tobytes())
     s_in = array("d", g.in_strengths.tobytes())
 
     def arcs(u):
-        """Neighbours and weights of u's out-arcs, then its in-arcs."""
+        """Neighbours of u's out-arcs, then of its in-arcs, and their weights."""
         a, b = out_ptr[u], out_ptr[u + 1]
         c, d = in_ptr[u], in_ptr[u + 1]
-        return zip(out_idx[a:b].tolist() + in_idx[c:d].tolist(),
-                   out_w[a:b].tolist() + in_w[c:d].tolist())
+        nbrs = out_idx[a:b].tolist() + in_idx[c:d].tolist()
+        return nbrs, ones if unit else out_w[a:b].tolist() + in_w[c:d].tolist()
 
     assign = list(range(n))
     S_out = s_out.tolist()
     S_in = s_in.tolist()
-    links: list[dict[int, int] | None] = [None] * n
     own = [0] * n
-    stale = bytearray(n)  # stale[u]: u's kept dict holds a zero
+    top = (g.out_strengths + g.in_strengths).astype(np.int64).tolist()
     sweeps = total_moves = 0
     while True:
         sweep = range(n) if rng is None else rng.permutation(n).tolist()
@@ -187,61 +184,50 @@ def _local_move_phase(g: DirectedGraph, min_gain: float, rng) -> tuple[list[int]
         moves = 0
         for u in sweep:
             cu = assign[u]
-            link = links[u]
-            if link is None:
-                link = {}
-                for v, x in arcs(u):
-                    if v != u:
-                        c = assign[v]
-                        link[c] = link.get(c, 0) + x
-                x_own = link.pop(cu, 0)
-                if sweeps > 1:
-                    links[u] = link
-                    own[u] = x_own
-            else:
-                x_own = own[u]
-                if stale[u]:
-                    link = links[u] = {c: x for c, x in link.items() if x}
-                    stale[u] = 0
             so = s_out[u]
             si = s_in[u]
             S_out[cu] -= so
             S_in[cu] -= si
+            x_own = own[u]
             stay_gain = x_own / w - (so * S_in[cu] + si * S_out[cu]) / w2
             best_c = cu
             best_gain = stay_gain
-            if link and max(link.values()) / w > stay_gain:
-                for c, x in link.items():
-                    gain = x / w - (so * S_in[c] + si * S_out[c]) / w2
-                    if gain > best_gain or (gain == best_gain and c < best_c):
-                        best_gain = gain
-                        best_c = c
+            if top[u] / w > stay_gain:
+                nbrs, wts = arcs(u)
+                link = {}
+                if unit:
+                    _count_elements(link, map(assign.__getitem__, nbrs))
+                else:
+                    for v, x in zip(nbrs, wts):
+                        c = assign[v]
+                        link[c] = link.get(c, 0) + x
+                # u's own community, its self-loops included, is not a candidate
+                link.pop(cu, None)
+                top[u] = t = max(link.values(), default=0)
+                if t / w > stay_gain:
+                    for c, x in link.items():
+                        gain = x / w
+                        if gain >= best_gain:
+                            gain -= (so * S_in[c] + si * S_out[c]) / w2
+                            if gain > best_gain or (gain == best_gain and c < best_c):
+                                best_gain = gain
+                                best_c = c
             if best_c != cu and best_gain - stay_gain > min_gain:
                 assign[u] = best_c
                 S_out[best_c] += so
                 S_in[best_c] += si
                 moves += 1
-                if sweeps > 1:
-                    own[u] = link[best_c]
-                    link[best_c] = 0
-                    stale[u] = 1
-                    if x_own:
-                        link[cu] = x_own
-                    for v, x in arcs(u):
-                        lv = links[v]
-                        if lv is not None and v != u:
-                            cv = assign[v]
-                            if cv == cu:
-                                own[v] -= x
-                            else:
-                                left = lv[cu] - x
-                                lv[cu] = left
-                                if not left:
-                                    stale[v] = 1
-                            if cv == best_c:
-                                own[v] += x
-                            else:
-                                lv[best_c] = lv.get(best_c, 0) + x
+                for v, x in zip(nbrs, wts):
+                    cv = assign[v]
+                    if cv == best_c:
+                        own[v] += x
+                    else:
+                        top[v] += x
+                        if cv == cu:
+                            own[v] -= x
+                # u's self-loops went to own[u] above; its own weight is set here
+                own[u] = link.pop(best_c)
+                top[u] = max(x_own, max(link.values(), default=0))
             else:
                 S_out[cu] += so
                 S_in[cu] += si

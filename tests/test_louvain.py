@@ -216,6 +216,19 @@ def test_weighted_modularity_matches_oracle():
         assert q == pytest.approx(oracle_modularity(agg_edges, agg.n, labels, weights), abs=1e-12)
 
 
+def _hub_graph(seed):
+    """Node 0 follows and is followed by members of six planted communities of ten."""
+    rng = np.random.default_rng(seed)
+    edges = set()
+    for k in range(6):
+        members = (1 + 10 * k + np.arange(10)).tolist()
+        for u in members:
+            edges.update((u, v) for v in rng.choice(members, 4, replace=False).tolist() if v != u)
+        edges.update((0, v) for v in rng.choice(members, 5, replace=False).tolist())
+        edges.update((v, 0) for v in rng.choice(members, 3, replace=False).tolist())
+    return graph_from_edges(sorted(edges), 61)
+
+
 def _oracle_cases():
     """(graph, shuffle seeds) pairs for the differential test."""
     rng = np.random.default_rng(71)
@@ -226,14 +239,34 @@ def _oracle_cases():
         yield planted_partition_graph(4, 25, intra_out=4, inter_out=2, seed=seed)[0], (5,)
     yield planted_partition_graph(6, 40, seed=3)[0], (5,)
     # sparse planted graphs under several sweep orders: there a neighbour
-    # sometimes leaves a community for good, so a kept weight falls to 0
+    # sometimes leaves a community for good, so a link weight falls to 0
     for seed in range(4):
         yield planted_partition_graph(10, 20, intra_out=3, inter_out=2, seed=seed)[0], range(6)
     # mass followers over small planted communities under several sweep orders:
-    # a hub's kept weight to a community falls to 0 and grows back, and the
-    # later levels are weighted and carry self-loops
+    # a hub's weight to a community falls to 0 and grows back, and the later
+    # levels are weighted and carry self-loops
     yield capitalist_community_network(5, 30, 5, member_intra_out=3, member_inter_out=2,
                                        cap_intra_out=8, cap_ext_out=60, seed=1)[0], range(6)
+    # a hub linked to six planted communities: its neighbours start as
+    # singletons and consolidate, each move raising the hub's link bound
+    # `top` before the hub is read again
+    for seed in range(3):
+        yield _hub_graph(seed), range(4)
+    # reciprocal arcs: a mover's arc walk meets a neighbour twice, once per direction
+    rng = np.random.default_rng(73)
+    for trial in range(6):
+        n = int(rng.integers(6, 60))
+        edges = random_edges(rng, n, 2 * n)
+        yield graph_from_edges(sorted(set(edges) | {(v, u) for u, v in edges}), n), (5,)
+    g = planted_partition_graph(5, 12, intra_out=2, inter_out=1, seed=2)[0]
+    src, dst = g.arc_src.tolist(), g.out_indices.tolist()
+    yield graph_from_edges(sorted(set(zip(src, dst)) | set(zip(dst, src))), g.n), range(4)
+    # an aggregated level as the input: weighted arcs and self-loops from the
+    # start, each planted community split three ways so that its parts merge
+    for seed in range(3):
+        g, truth = planted_partition_graph(8, 15, intra_out=3, inter_out=2, seed=seed)
+        split = truth.assign * 3 + np.random.default_rng(seed).integers(0, 3, size=g.n)
+        yield aggregate_graph(g, Partition.from_labels(split)), range(4)
     # tie-heavy: disjoint one-way and two-way cycles of equal length
     for length, both in ((3, False), (4, False), (4, True), (5, True)):
         edges = [(c * length + i, c * length + (i + 1) % length) for c in range(6) for i in range(length)]
@@ -243,7 +276,7 @@ def _oracle_cases():
 
 
 def test_louvain_matches_oracle(monkeypatch):
-    # the kept neighbour-community weights must reproduce the from-scratch loop bit for bit
+    # the own/top link bounds and their skips must reproduce the from-scratch loop bit for bit
     def oracle_phase(g, min_gain, rng):
         moved, assign = oracle_local_move_phase(g, min_gain, rng)
         return assign, 0, int(moved)

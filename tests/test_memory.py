@@ -1,5 +1,6 @@
-"""Memory of ingest, the community profile and Louvain, in bytes per arc,
-and of the k-means workers' parent, in multiples of the matrix.
+"""Memory of ingest, the community profile and Louvain, in bytes per arc
+(and per node for what Louvain holds between sweeps), and of the k-means
+workers' parent, in multiples of the matrix.
 
 On this graph ingest peaks at 36.2 B/arc, with ids below 10n and with ids
 of up to 19 digits alike, returning a graph that holds 17.0 B/arc: its two
@@ -11,15 +12,15 @@ bounds leave room for allocator noise, and fail when ingest or the profile
 holds one more int64 array over the m arcs.
 
 On a sparse planted graph swept in shuffled order, Louvain's first local
-moves peak at 115.1 B/arc, once every node keeps its link dict (after the
-second sweep, 90.4 B/arc held), and the dicts then shrink to 32.3 B/arc by
-the last sweep.  An int64 copy of the unit weights and per-node lists of
-Python ints and floats for the indptrs and node strengths made it 141.4.
-Deleting a weight that falls to 0 at once, instead of rebuilding the dict
-without its zeros, let churned dicts regrow: 170.2 B/arc and 123 B/arc held
-at the end.  The first aggregation peaks at 24.0 B/arc, the community keys,
-their argsort and the sorted weights; one more int64 array over the arcs
-reads 32.0.
+moves peak at 27.3 B/arc.  Beside the graph they hold per-node arrays and
+lists (indptrs, strengths, labels, community strengths and the two link
+integers `own` and `top`) and the link dict of the one node being
+evaluated.  At each sweep start they hold at most 22.2 B/node more than at
+the first, the previous sweep's order; a per-arc list or a dict kept per
+node would show here.  Kept per-node link dicts peaked at 115.1 B/arc and
+held 716 B/node more at the start of the third sweep.  The first
+aggregation peaks at 24.0 B/arc, the community keys, their argsort and the
+sorted weights; one more int64 array over the arcs reads 32.0.
 
 With k = 2..15 fitted in three worker processes, the parent of `select_k`
 peaks at 2.32 times the bytes of a 20,000 x 8 matrix: the one payload
@@ -40,11 +41,11 @@ from roleforge.measures import community_profile
 LOAD_PEAK_B_PER_ARC = 39
 GRAPH_HELD_B_PER_ARC = 18
 PROFILE_PEAK_B_PER_ARC = 16
-LOCAL_MOVE_PEAK_B_PER_ARC = 124
+LOCAL_MOVE_PEAK_B_PER_ARC = 32
+# what the local moves hold at a sweep start beyond what they held at the first
+SWEEP_HELD_B_PER_NODE = 26
 AGGREGATE_PEAK_B_PER_ARC = 26
 SELECT_K_PARENT_PEAK_MATRICES = 3.0
-# the local moves' held memory after the last sweep, as a share of that after the second
-HELD_AT_END_SHARE = 0.5
 
 
 def _owner(a: np.ndarray) -> np.ndarray:
@@ -134,7 +135,7 @@ class _SweepRecorder:
 
 def test_louvain_peak_bytes_per_arc():
     # sparse planted communities swept in shuffled order: many nodes move for
-    # many sweeps, so the kept link weights churn
+    # many sweeps, so the link weights churn
     g = synth.planted_partition_graph(10, 200, intra_out=5, inter_out=3, seed=1)[0]
     _ = g.out_strengths, g.in_strengths, g.total_weight
     rec = _SweepRecorder(0)
@@ -152,9 +153,9 @@ def test_louvain_peak_bytes_per_arc():
         tracemalloc.stop()
     assert (g.m, sweeps) == (15_828, 11)
     assert move_peak / g.m <= LOCAL_MOVE_PEAK_B_PER_ARC, move_peak / g.m
-    # the kept dicts shrink as the links settle: after the last sweep they hold
-    # well under what they held once every node had its dict (after sweep 2)
-    assert rec.held[-1] - rec.held[0] <= HELD_AT_END_SHARE * (rec.held[2] - rec.held[0]), rec.held
+    # no link weights are kept per node from one sweep to the next
+    held = max(h - rec.held[0] for h in rec.held) / g.n
+    assert held <= SWEEP_HELD_B_PER_NODE, rec.held
     assert aggregate_peak / g.m <= AGGREGATE_PEAK_B_PER_ARC, aggregate_peak / g.m
     louvain.louvain_directed(g)
     assert "arc_src" not in vars(g)
