@@ -252,13 +252,21 @@ def davies_bouldin(mat, result: ClusteringResult) -> float:
     return float(ratio.max(axis=1).mean())
 
 
-# select_k fits its k range in worker processes once n * (number of k) *
-# restarts reaches this.  A worker is a fresh interpreter that takes
-# 0.07-0.25 s to start and import this module, depending on machine load.
-# Inline k-means costs 0.9-1.1 us per unit of that work (row subsets of the
-# roles-6k matrix, 2 vCPU), and two workers break even near 200,000 units:
-# 0.19 s either way at n=1,430.  The test fixtures (at most 45,000) stay
-# inline; roles-6k is 848,400 units, 0.91 s inline against 0.64 s in workers.
+# select_k scores its k range on a sample of at most this many rows per k
+# of k_max (2,250 at the default k_max of 15), then refits the chosen k on
+# all rows.
+SAMPLE_ROWS_PER_K = 150
+
+# select_k scores its k range in worker processes once (sample rows) *
+# (number of k) * restarts reaches this.  A worker is a fresh interpreter
+# that takes 0.07-0.25 s to start and import this module, depending on
+# machine load.  Inline k-means costs 0.9-1.1 us per unit of that work (row
+# subsets of the roles-6k matrix, 2 vCPU), and two workers break even near
+# 200,000 units: 0.19 s either way at n=1,430.  The test fixtures stay
+# inline.  roles-6k is 315,000 units, 0.30 s inline against 0.25 s in
+# workers.  The 50,000-row acceptance matrix is as many units, yet 0.46 s
+# inline against 0.53 s in workers, since each worker also refits its own
+# best k on all rows; workers keep numpy.random (about 6 MiB) out of the parent.
 _WORKER_MIN_WORK = 200_000
 
 # Each worker runs its BLAS on one thread: workers that each start a
@@ -267,46 +275,77 @@ _WORKER_MIN_WORK = 200_000
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Every worker reads one payload, (x, params) pickled once, on stdin, and
-# gets its k values as command-line arguments; it writes the best fit of
-# those k values, or None, pickled on stdout.  It starts from `python -c`, not
-# multiprocessing: spawn re-imports the caller's __main__ (a script on stdin
-# cannot be re-imported, and top-level demo code would run again), and fork
-# inherits the parent's BLAS threads.
+# gets its k values as command-line arguments; it writes its reply, the
+# `_fit_chunk` of those k values, pickled on stdout.  It starts from
+# `python -c`, not multiprocessing: spawn re-imports the caller's __main__ (a
+# script on stdin cannot be re-imported, and top-level demo code would run
+# again), and fork inherits the parent's BLAS threads.
 _WORKER_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); "
                 "from roleforge.clustering import _serve_fits; _serve_fits()")
 
 
-def _best_fit(fits) -> ClusteringResult | None:
-    """The fit of lowest db_index, a tie going to the smaller k; None when
-    every fit is None.  The rule is explicit so that neither the order in
-    which a chunk runs its k values nor the order of the chunks decides."""
-    best = None
-    for res in fits:
-        if res is not None and (best is None or (res.db_index, res.k) < (best.db_index, best.k)):
-            best = res
-    return best
+def _best_reply(replies):
+    """The (db, k, fit) reply of lowest db, a tie going to the smaller k;
+    None when every reply is None.  The rule is explicit so that neither the
+    order in which a chunk runs its k values nor the order of the chunks
+    decides."""
+    return min((r for r in replies if r is not None), key=lambda r: r[:2], default=None)
 
 
-def _fit_chunk(x, ks, *, seed, max_iter, tol, restarts) -> ClusteringResult | None:
-    """The best k-means fit over ks by `_best_fit`, carrying its db_index;
-    None when the fit at every k is degenerate.
+def _sample_rows(x, size, seed) -> np.ndarray:
+    """`size` rows of x at distinct positions, in canonical (lexicographic)
+    order.
+
+    The positions are drawn in the canonical order of the rows, so permuting
+    x leaves the sample unchanged.  They come from the first child of the
+    seed's SeedSequence, a stream that no restart's default_rng([seed, r])
+    shares.
+    """
+    order = np.lexsort(x.T[::-1])
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    return x[order[np.sort(rng.choice(x.shape[0], size=size, replace=False))]]
+
+
+def _fits(x, ks, *, seed, max_iter, tol, restarts):
+    """The k-means fit at each k of ks whose clustering is not degenerate,
+    carrying its db_index.
 
     Each restart is seeded once, for the largest k, and every k starts from
     the first k of those rows: the fit at each k equals `kmeans` at that k.
-    Only the best fit so far is kept while the next k runs.
     """
-    x = _as_rows(x)
     ws = _Workspace(x, max(ks))
     seeds = ws.seeds(max(ks), seed, restarts)
-    best = None
     for k in ks:
         try:
             res = ws.fit([chosen[:k] for chosen in seeds], max_iter, tol)
             res = replace(res, db_index=davies_bouldin(x, res))
         except DegenerateClusteringError:
             continue
-        best = _best_fit((best, res))
-    return best
+        yield res
+
+
+def _fit_chunk(x, ks, *, sample_size, **params):
+    """The reply for ks: (db on the sample, k, fit on all rows carrying its
+    db_index), for the k of lowest sample db, a tie going to the smaller k;
+    None when no k gives a fit.
+
+    ks are scored on `_sample_rows(x, sample_size, seed)`.  When the sample
+    would hold every row they are scored on x itself, and the best fit is
+    the reply's.  Otherwise the best k is refitted on all rows with
+    `kmeans`; when that fit is degenerate, the next k in order of sample db
+    is refitted instead.
+    """
+    x = _as_rows(x)
+    if sample_size >= x.shape[0]:
+        return _best_reply((res.db_index, res.k, res) for res in _fits(x, ks, **params))
+    sample = _sample_rows(x, sample_size, params["seed"])
+    for db, k in sorted((res.db_index, res.k) for res in _fits(sample, ks, **params)):
+        try:
+            res = kmeans(x, k, **params)
+            return db, k, replace(res, db_index=davies_bouldin(x, res))
+        except DegenerateClusteringError:
+            continue
+    return None
 
 
 def _serve_fits() -> None:
@@ -324,8 +363,8 @@ def _usable_cpus() -> int:
 
 
 def _fit_in_workers(x, ks, params, n_workers) -> list:
-    """_fit_chunk over ks split into n_workers worker processes: the best fit
-    (or None) of each worker's k values, one entry per worker.
+    """_fit_chunk over ks split into n_workers worker processes: the reply
+    of each worker's k values, one entry per worker.
 
     The matrix is pickled once, into one payload that every worker reads;
     each worker gets its k values on its command line.  Raises
@@ -368,12 +407,18 @@ def select_k(mat, k_min: int = 2, k_max: int = 15, *, seed: int = 0, max_iter: i
              tol: float = 1e-6, restarts: int = 10) -> ClusteringResult:
     """Best clustering over k in [k_min, k_max] by minimal Davies-Bouldin.
 
-    Ties break toward smaller k; k values whose clustering is degenerate are
-    skipped.  The returned result carries its db_index.  On large inputs
-    with more than one usable CPU the k values are fitted in up to one
-    worker process per CPU, each with single-threaded BLAS, and each worker
-    sends back only the best fit of its k values; the best of those, by the
-    same rule, is the result of fitting every k inline.
+    The k values are scored on a seeded sample of min(n, SAMPLE_ROWS_PER_K
+    * k_max) rows (`_sample_rows`), and the chosen k is fitted on all rows:
+    the result is `kmeans` at that k, carrying its db_index on all rows.
+    With no more rows than the sample, the scores are those of the fits on
+    all rows.  Ties break toward smaller k.  k values whose clustering is
+    degenerate are skipped; when the chosen k is degenerate on all rows,
+    the next k by sample db takes its place.  On large samples with more
+    than one usable CPU the k values are split among up to one worker
+    process per CPU, each with single-threaded BLAS.  Every worker draws
+    the same sample, refits its own best k on all rows and sends back that
+    fit with its sample db; the best of those, by the same rule, is the
+    result of scoring every k inline.
     """
     x = _as_rows(mat)
     n = x.shape[0]
@@ -383,15 +428,16 @@ def select_k(mat, k_min: int = 2, k_max: int = 15, *, seed: int = 0, max_iter: i
         raise ConfigError(f"k_max={k_max} exceeds the number of points n={n}")
     _check_fit_params(seed, max_iter, tol, restarts)
     ks = list(range(k_min, k_max + 1))
-    params = dict(seed=seed, max_iter=max_iter, tol=tol, restarts=restarts)
-    n_workers = min(_usable_cpus(), len(ks)) if n * len(ks) * restarts >= _WORKER_MIN_WORK else 1
+    sample_size = min(n, SAMPLE_ROWS_PER_K * k_max)
+    params = dict(sample_size=sample_size, seed=seed, max_iter=max_iter, tol=tol, restarts=restarts)
+    n_workers = min(_usable_cpus(), len(ks)) if sample_size * len(ks) * restarts >= _WORKER_MIN_WORK else 1
     if n_workers > 1:
-        best = _best_fit(_fit_in_workers(x, ks, params, n_workers))
+        best = _best_reply(_fit_in_workers(x, ks, params, n_workers))
     else:
         best = _fit_chunk(x, ks, **params)
     if best is None:
         raise DegenerateClusteringError("every k in the range produced a degenerate clustering")
-    return best
+    return best[2]
 
 
 def renumber_by_size(result: ClusteringResult) -> ClusteringResult:

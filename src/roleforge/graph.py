@@ -203,20 +203,6 @@ class DirectedGraph:
     def total_weight(self) -> float:
         return float(self.out_weights.sum())
 
-    def transpose(self) -> "DirectedGraph":
-        """Graph with every arc reversed (followers and followees swapped)."""
-        return DirectedGraph(
-            n=self.n,
-            m=self.m,
-            out_indptr=self.in_indptr,
-            out_indices=self.in_indices,
-            out_weights=self.in_weights,
-            in_indptr=self.out_indptr,
-            in_indices=self.out_indices,
-            in_weights=self.out_weights,
-            node_ids=self.node_ids,
-        )
-
 
 # Edge lists are read in chunks of this many bytes: large enough that the
 # per-chunk numpy calls cost little, small enough that a chunk's temporaries

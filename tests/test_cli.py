@@ -191,6 +191,33 @@ def test_import_cli_leaves_openssl_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_run_in_workers_leaves_numpy_random_unloaded(tmp_path):
+    # 2,420 nodes, more than the 2,250-row sample at k_max=15: the workers draw
+    # the sample and refit on all rows, and the parent never draws a number
+    g, _, _ = synth.capitalist_community_network(n_comms=6, comm_size=400, n_capitalists=20,
+                                                 cap_ext_out=300, seed=2)
+    save_edge_list(g, tmp_path / "edges.txt")
+    script = "\n".join([
+        "import sys",
+        "from roleforge import cli, clustering",
+        "clustering._usable_cpus = lambda: 2",
+        "calls = []",
+        "fit_in_workers = clustering._fit_in_workers",
+        "def record(x, ks, params, n_workers):",
+        "    calls.append((params['sample_size'], len(x), n_workers))",
+        "    return fit_in_workers(x, ks, params, n_workers)",
+        "clustering._fit_in_workers = record",
+        f"rc = cli.main(['run', '--input', {str(tmp_path / 'edges.txt')!r}, "
+        f"'--output-dir', {str(tmp_path / 'out')!r}])",
+        "print(rc, calls, 'numpy.random' in sys.modules)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-"], input=script, capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"0 [(2250, {g.n}, 2)] False"
+
+
 def test_run_pipeline_g1_smoke(tmp_path):
     cfg = g1_config(tmp_path)
     manifest = run_pipeline(cfg)

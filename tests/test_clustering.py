@@ -19,9 +19,14 @@ from oracles import _oracle_assign_step, _oracle_init_centroids, oracle_davies_b
 
 
 def blobs(k, n_per, seed, sigma=0.1, sep=6.0, dim=8):
+    return sized_blobs([n_per] * k, seed, sigma, sep, dim)
+
+
+def sized_blobs(sizes, seed, sigma=0.1, sep=6.0, dim=8):
+    """One Gaussian blob of each size, centred on the axes, sep apart."""
     rng = np.random.default_rng(seed)
-    centers = sep * np.eye(dim)[:k]
-    pts = [centers[i] + sigma * rng.standard_normal((n_per, dim)) for i in range(k)]
+    centers = sep * np.eye(dim)[:len(sizes)]
+    pts = [centers[i] + sigma * rng.standard_normal((size, dim)) for i, size in enumerate(sizes)]
     return np.vstack(pts)
 
 
@@ -197,33 +202,45 @@ def assert_same_fit(got, want, what=None):
     assert np.float64(got.db_index).tobytes() == np.float64(want.db_index).tobytes(), what
 
 
+def assert_same_reply(got, want, what=None):
+    """Two (db, k, fit) replies (or two Nones) agree byte for byte."""
+    assert (got is None) == (want is None), what
+    if want is None:
+        return
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes(), what
+    assert got[1] == want[1] == got[2].k, what
+    assert_same_fit(got[2], want[2], what)
+
+
 @pytest.mark.parametrize("name", ["gaussian", "ties", "one_dim"])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_worker_fits_match_inline(name, seed, forced_workers):
     x = oracle_inputs()[name]
-    params = dict(seed=seed, max_iter=100, tol=1e-6, restarts=10)
+    fit_params = dict(seed=seed, max_iter=100, tol=1e-6, restarts=10)
+    params = dict(sample_size=len(x), **fit_params)
     ks = list(range(2, 16))
     inline = clustering._fit_chunk(x, ks, **params)
-    # the first minimum over the one-k fits in ascending k: the smallest k of the lowest db_index
+    # the first minimum over the one-k replies in ascending k: the smallest k of the lowest db_index
     chosen = min((r for r in (clustering._fit_chunk(x, [k], **params) for k in ks) if r is not None),
-                 key=lambda r: r.db_index)
-    assert_same_fit(inline, chosen)
+                 key=lambda r: r[0])
+    assert_same_reply(inline, chosen)
     chunk_bests = clustering._fit_in_workers(x, ks, params, 3)
     assert len(chunk_bests) == 3
-    assert_same_fit(clustering._best_fit(chunk_bests), inline)
-    assert_same_fit(select_k(x, 2, 15, **params), inline)
+    assert_same_reply(clustering._best_reply(chunk_bests), inline)
+    assert_same_fit(select_k(x, 2, 15, **fit_params), inline[2])
 
 
 def test_best_fit_ties_go_to_smaller_k():
-    def fit(k, db):
-        return ClusteringResult(k=k, assign=np.zeros(1, dtype=np.int64), centroids=np.zeros((k, 1)),
-                                inertia=0.0, db_index=db)
+    def reply(k, db):
+        fit = ClusteringResult(k=k, assign=np.zeros(1, dtype=np.int64), centroids=np.zeros((k, 1)),
+                               inertia=0.0, db_index=2 * db)
+        return db, k, fit
 
-    fits = [fit(9, 0.5), None, fit(5, 0.25), fit(3, 0.25), fit(4, 0.75)]
-    for order in itertools.permutations(fits):
-        assert clustering._best_fit(order) is fits[3]
-    assert clustering._best_fit([None, None]) is None
-    assert clustering._best_fit([]) is None
+    replies = [reply(9, 0.5), None, reply(5, 0.25), reply(3, 0.25), reply(4, 0.75)]
+    for order in itertools.permutations(replies):
+        assert clustering._best_reply(order) is replies[3]
+    assert clustering._best_reply([None, None]) is None
+    assert clustering._best_reply([]) is None
 
 
 def few_distinct_rows():
@@ -248,29 +265,124 @@ def test_seeding_for_k_is_a_prefix_of_the_seeding_for_k_max(name):
 @pytest.mark.parametrize("path", ["inline", "workers"])
 def test_chunk_fits_equal_kmeans(name, path, forced_workers):
     x = oracle_inputs()[name]
-    params = dict(seed=3, max_iter=100, tol=1e-6, restarts=4)
+    fit_params = dict(seed=3, max_iter=100, tol=1e-6, restarts=4)
+    params = dict(sample_size=len(x), **fit_params)
     ks = list(range(2, 16))
     want = {}
     for k in ks:
         try:
-            res = kmeans(x, k, **params)
-            want[k] = replace(res, db_index=davies_bouldin(x, res))
+            res = kmeans(x, k, **fit_params)
+            res = replace(res, db_index=davies_bouldin(x, res))
+            want[k] = res.db_index, k, res
         except DegenerateClusteringError:
             want[k] = None
     if path == "inline":
-        # a one-k chunk returns that k's fit
+        # a one-k chunk replies with that k's fit
         for k in ks:
-            assert_same_fit(clustering._fit_chunk(x, [k], **params), want[k], k)
-        assert_same_fit(clustering._fit_chunk(x, ks, **params), clustering._best_fit(want.values()))
+            assert_same_reply(clustering._fit_chunk(x, [k], **params), want[k], k)
+        assert_same_reply(clustering._fit_chunk(x, ks, **params), clustering._best_reply(want.values()))
     else:
         # three one-k chunks, then the full range dealt to three workers
         # largest k first, round-robin, as _fit_in_workers deals it
         one_k = [15, 8, 2]
-        for k, fit in zip(one_k, clustering._fit_in_workers(x, one_k[::-1], params, 3)):
-            assert_same_fit(fit, want[k], k)
+        for k, reply in zip(one_k, clustering._fit_in_workers(x, one_k[::-1], params, 3)):
+            assert_same_reply(reply, want[k], k)
         chunks = [ks[::-1][i::3] for i in range(3)]
-        for chunk, fit in zip(chunks, clustering._fit_in_workers(x, ks, params, 3)):
-            assert_same_fit(fit, clustering._best_fit(want[k] for k in chunk), chunk)
+        for chunk, reply in zip(chunks, clustering._fit_in_workers(x, ks, params, 3)):
+            assert_same_reply(reply, clustering._best_reply(want[k] for k in chunk), chunk)
+
+
+def above_the_sample(name, monkeypatch):
+    """An input with more rows than select_k's sample at k_max=15: an oracle
+    input with the sample cut to 8 rows per k (120 rows), or 3,000 Gaussian
+    rows against the default 2,250."""
+    if name == "large":
+        x = np.random.default_rng(37).standard_normal((3_000, 3))
+    else:
+        monkeypatch.setattr(clustering, "SAMPLE_ROWS_PER_K", 8)
+        x = oracle_inputs()[name]
+    assert 15 * clustering.SAMPLE_ROWS_PER_K < len(x)
+    return x
+
+
+SAMPLED = ["gaussian", "ties", "one_dim", "large"]
+
+
+@pytest.mark.parametrize("name", SAMPLED)
+def test_sampled_select_k_is_kmeans_at_the_chosen_k(name, monkeypatch):
+    x = above_the_sample(name, monkeypatch)
+    params = dict(seed=5, max_iter=100, tol=1e-6, restarts=4)
+    res = select_k(x, 2, 15, **params)
+    want = kmeans(x, res.k, **params)
+    assert_same_fit(res, replace(want, db_index=davies_bouldin(x, want)))
+    # the k is the choice on the sample alone
+    sample = clustering._sample_rows(clustering._as_rows(x), 15 * clustering.SAMPLE_ROWS_PER_K, 5)
+    assert select_k(sample, 2, 15, **params).k == res.k
+
+
+@pytest.mark.parametrize("name", SAMPLED)
+def test_sampled_select_k_row_permutation_only_permutes_labels(name, monkeypatch):
+    x = above_the_sample(name, monkeypatch)
+    perm = np.random.default_rng(41).permutation(len(x))
+    res = select_k(x, 2, 15, seed=2, restarts=4)
+    res_p = select_k(x[perm], 2, 15, seed=2, restarts=4)
+    # the sample, and so the choice of k, is drawn from the canonical rows; the
+    # returned db_index sums the rows in input order, so only its last bits may move
+    assert res_p.db_index == pytest.approx(res.db_index, rel=1e-12)
+    assert_same_fit(res_p, replace(res, assign=res.assign[perm], db_index=res_p.db_index))
+
+
+@pytest.mark.parametrize("name", SAMPLED)
+def test_sampled_worker_replies_match_inline(name, forced_workers, monkeypatch):
+    x = above_the_sample(name, monkeypatch)
+    params = dict(sample_size=15 * clustering.SAMPLE_ROWS_PER_K, seed=7, max_iter=100, tol=1e-6, restarts=4)
+    ks = list(range(2, 16))
+    replies = clustering._fit_in_workers(x, ks, params, 3)
+    # largest k first, round-robin, as _fit_in_workers deals it
+    for chunk, reply in zip([ks[::-1][i::3] for i in range(3)], replies):
+        assert_same_reply(reply, clustering._fit_chunk(x, chunk, **params), chunk)
+    inline = clustering._fit_chunk(x, ks, **params)
+    assert_same_reply(clustering._best_reply(replies), inline)
+    assert_same_fit(select_k(x, 2, 15, seed=7, restarts=4), inline[2])
+
+
+def test_sample_stream_is_no_restarts_stream():
+    x = oracle_inputs()["ties"]
+    order = np.lexsort(x.T[::-1])
+    for seed in range(4):
+        child = np.random.SeedSequence(seed).spawn(1)[0]
+        for r in range(64):
+            assert np.random.SeedSequence([seed, r]).generate_state(4).tolist() != child.generate_state(4).tolist()
+        pos = np.sort(np.random.default_rng(child).choice(len(x), size=50, replace=False))
+        assert clustering._sample_rows(x, 50, seed).tobytes() == x[order[pos]].tobytes()
+
+
+def test_degenerate_refit_falls_to_the_next_k_by_sample_db(monkeypatch):
+    x = above_the_sample("gaussian", monkeypatch)
+    fit_params = dict(seed=1, max_iter=100, tol=1e-6, restarts=2)
+    ks = list(range(2, 9))
+    sample = clustering._sample_rows(x, 64, 1)
+    ranked = sorted((res.db_index, res.k) for res in clustering._fits(sample, ks, **fit_params))
+    assert len(ranked) == len(ks)
+    fit_all_rows = clustering.kmeans
+
+    def kmeans_degenerate_at(bad):
+        def fit(x, k, **kw):
+            if k in bad:
+                raise DegenerateClusteringError(f"k={k} made degenerate")
+            return fit_all_rows(x, k, **kw)
+        return fit
+
+    # the two best k on the sample are degenerate on all rows: the third is refitted
+    monkeypatch.setattr(clustering, "kmeans", kmeans_degenerate_at({k for _, k in ranked[:2]}))
+    db, k, fit = clustering._fit_chunk(x, ks, sample_size=64, **fit_params)
+    assert (db, k) == ranked[2]
+    want = fit_all_rows(x, k, **fit_params)
+    assert_same_fit(fit, replace(want, db_index=davies_bouldin(x, want)))
+    monkeypatch.setattr(clustering, "kmeans", kmeans_degenerate_at(set(ks)))
+    assert clustering._fit_chunk(x, ks, sample_size=64, **fit_params) is None
+    with pytest.raises(DegenerateClusteringError, match="every k"):
+        select_k(x, 2, 8, **fit_params)
 
 
 @pytest.mark.parametrize("code", [
@@ -413,6 +525,25 @@ def test_select_k_recovers_blob_count():
         res = select_k(x, 2, min(15, len(x)), seed=0, restarts=4)
         assert res.k == k_true
         assert res.db_index >= 0.0
+
+
+def test_sampled_choice_equals_full_choice_and_finds_a_rare_group(monkeypatch):
+    # 4,000 rows against a sample of 1,500 (k_max=10); one blob holds 1% of
+    # the rows, about 15 of them in the sample
+    n, k_max = 4_000, 10
+    assert clustering.SAMPLE_ROWS_PER_K * k_max < n
+    recovered = 0
+    for k_true in range(3, 9):
+        for seed in range(5):
+            rare = n // 100
+            x = sized_blobs([rare] + [(n - rare) // (k_true - 1)] * (k_true - 1), seed=100 * k_true + seed)
+            sampled = select_k(x, 2, k_max, seed=seed, restarts=2)
+            with monkeypatch.context() as m:
+                m.setattr(clustering, "SAMPLE_ROWS_PER_K", n)
+                full = select_k(x, 2, k_max, seed=seed, restarts=2)
+            assert_same_fit(sampled, full, (k_true, seed))
+            recovered += sampled.k == k_true
+    assert recovered >= 27, recovered
 
 
 def test_select_k_validates_range():

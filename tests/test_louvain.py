@@ -99,6 +99,23 @@ def test_aggregation_preserves_modularity():
         assert q_agg == pytest.approx(q, abs=1e-12)
 
 
+def test_unit_and_weighted_aggregation_agree():
+    # a unit-weight level weighs each key by the length of its run; a weighted one sums the weights
+    rng = np.random.default_rng(29)
+    for trial in range(10):
+        n = int(rng.integers(4, 60))
+        g = graph_from_edges(random_edges(rng, n, 3 * n), n)
+        doubled = DirectedGraph.from_arcs(np.repeat(np.arange(n), g.out_degrees), g.out_indices, n,
+                                          weights=np.full(g.m, 2.0), simple=False)
+        p = Partition.from_labels(random_assign(rng, n, int(rng.integers(1, 8))))
+        unit, weighted = aggregate_graph(g, p), aggregate_graph(doubled, p)
+        for f in ("out_indptr", "out_indices", "in_indptr", "in_indices"):
+            assert getattr(unit, f).tolist() == getattr(weighted, f).tolist(), f
+        assert (2 * unit.out_weights).tolist() == weighted.out_weights.tolist()
+        assert (2 * unit.in_weights).tolist() == weighted.in_weights.tolist()
+        assert unit.total_weight == g.m
+
+
 def test_louvain_recovers_two_cycles(two_cycles):
     part, trace = louvain_directed(two_cycles)
     assert part.n_comms == 2

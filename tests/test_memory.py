@@ -19,14 +19,18 @@ evaluated.  At each sweep start they hold at most 22.2 B/node more than at
 the first, the previous sweep's order; a per-arc list or a dict kept per
 node would show here.  Kept per-node link dicts peaked at 115.1 B/arc and
 held 716 B/node more at the start of the third sweep.  The first
-aggregation peaks at 24.0 B/arc, the community keys, their argsort and the
-sorted weights; one more int64 array over the arcs reads 32.0.
+aggregation, of a unit-weight graph, peaks at 16.0 B/arc: the community
+keys, sorted in place, and the labels of the arcs' heads.  Carrying unit
+weights through an argsort, as a weighted level does, read 24.0; one more
+int64 array over the arcs reads 24.0 too.
 
-With k = 2..15 fitted in three worker processes, the parent of `select_k`
-peaks at 2.32 times the bytes of a 20,000 x 8 matrix: the one payload
-every worker reads (1.0), and per worker its reply, one fit, both as the
-pickled bytes read from the pipe and unpickled.  One pickled copy of the
-matrix per worker, and every k's fit sent back, made it 8.53.
+With k = 2..15 scored in three worker processes, each on the same
+2,250-row sample and each refitting its best k on all rows, the parent of
+`select_k` peaks at 2.18 times the bytes of a 20,000 x 8 matrix: the one
+payload every worker reads (1.0), and per worker its reply, one fit of all
+rows, both as the pickled bytes read from the pipe and unpickled.  Full
+selection in the workers read 2.65.  One pickled copy of the matrix per
+worker, and every k's fit sent back, made it 8.53.
 """
 
 import dataclasses
@@ -44,7 +48,7 @@ PROFILE_PEAK_B_PER_ARC = 16
 LOCAL_MOVE_PEAK_B_PER_ARC = 32
 # what the local moves hold at a sweep start beyond what they held at the first
 SWEEP_HELD_B_PER_NODE = 26
-AGGREGATE_PEAK_B_PER_ARC = 26
+AGGREGATE_PEAK_B_PER_ARC = 18
 SELECT_K_PARENT_PEAK_MATRICES = 3.0
 
 
