@@ -344,6 +344,10 @@ def _capitalists_stage(cfg: PipelineConfig, g: DirectedGraph, assign, k: int):
 
 
 def _stats_stage(mat, groups):
+    """ANOVA and pairwise tables over the 0-based `groups`.  A pair is named
+    by its two labels + 1, as in the clusters file, even when some labels
+    have no rows."""
+    present = np.flatnonzero(np.bincount(groups)).tolist()  # row/column labels of the p matrix
     anova_rows = []
     pair_rows = []
     for j, name in enumerate(MEASURE_COLUMNS):
@@ -358,7 +362,7 @@ def _stats_stage(mat, groups):
         for a in range(k):
             for b in range(a + 1, k):
                 p = pmat[a, b]
-                pair_rows.append((name, a + 1, b + 1, "NA" if p != p else format_p(float(p))))
+                pair_rows.append((name, present[a] + 1, present[b] + 1, "NA" if p != p else format_p(float(p))))
     return {
         "anova": (("measure", "F", "df_between", "df_within", "p"), anova_rows, ()),
         "pairwise": (("measure", "group_a", "group_b", "p_adjusted"), pair_rows, ()),

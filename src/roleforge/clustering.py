@@ -308,7 +308,7 @@ def _sample_rows(x, size, seed) -> np.ndarray:
 
 def _fits(x, ks, *, seed, max_iter, tol, restarts):
     """The k-means fit at each k of ks whose clustering is not degenerate,
-    carrying its db_index.
+    carrying its db_index computed on the rows in canonical order.
 
     Each restart is seeded once, for the largest k, and every k starts from
     the first k of those rows: the fit at each k equals `kmeans` at that k.
@@ -318,7 +318,7 @@ def _fits(x, ks, *, seed, max_iter, tol, restarts):
     for k in ks:
         try:
             res = ws.fit([chosen[:k] for chosen in seeds], max_iter, tol)
-            res = replace(res, db_index=davies_bouldin(x, res))
+            res = replace(res, db_index=davies_bouldin(ws.x, replace(res, assign=res.assign[ws.order])))
         except DegenerateClusteringError:
             continue
         yield res
@@ -329,22 +329,16 @@ def _fit_chunk(x, ks, *, sample_size, **params):
     db_index), for the k of lowest sample db, a tie going to the smaller k;
     None when no k gives a fit.
 
-    ks are scored on `_sample_rows(x, sample_size, seed)`.  When the sample
-    would hold every row they are scored on x itself, and the best fit is
-    the reply's.  Otherwise the best k is refitted on all rows with
-    `kmeans`; when that fit is degenerate, the next k in order of sample db
-    is refitted instead.
+    ks are scored on `_sample_rows(x, sample_size, seed)`, which is every
+    row when sample_size is n.  The best k is then fitted on all rows; when
+    that fit is degenerate, the next k in order of sample db is fitted
+    instead.
     """
     x = _as_rows(x)
-    if sample_size >= x.shape[0]:
-        return _best_reply((res.db_index, res.k, res) for res in _fits(x, ks, **params))
     sample = _sample_rows(x, sample_size, params["seed"])
     for db, k in sorted((res.db_index, res.k) for res in _fits(sample, ks, **params)):
-        try:
-            res = kmeans(x, k, **params)
-            return db, k, replace(res, db_index=davies_bouldin(x, res))
-        except DegenerateClusteringError:
-            continue
+        for res in _fits(x, [k], **params):
+            return db, k, res
     return None
 
 
@@ -410,15 +404,15 @@ def select_k(mat, k_min: int = 2, k_max: int = 15, *, seed: int = 0, max_iter: i
     The k values are scored on a seeded sample of min(n, SAMPLE_ROWS_PER_K
     * k_max) rows (`_sample_rows`), and the chosen k is fitted on all rows:
     the result is `kmeans` at that k, carrying its db_index on all rows.
-    With no more rows than the sample, the scores are those of the fits on
-    all rows.  Ties break toward smaller k.  k values whose clustering is
-    degenerate are skipped; when the chosen k is degenerate on all rows,
-    the next k by sample db takes its place.  On large samples with more
-    than one usable CPU the k values are split among up to one worker
-    process per CPU, each with single-threaded BLAS.  Every worker draws
-    the same sample, refits its own best k on all rows and sends back that
-    fit with its sample db; the best of those, by the same rule, is the
-    result of scoring every k inline.
+    Every db_index is computed on the rows in canonical order, so permuting
+    the rows permutes the labels and changes nothing else.  Ties break
+    toward smaller k.  k values whose clustering is degenerate are skipped;
+    when the chosen k is degenerate on all rows, the next k by sample db
+    takes its place.  On large samples with more than one usable CPU the k
+    values are split among up to one worker process per CPU, each with
+    single-threaded BLAS.  Every worker draws the same sample, fits its own
+    best k on all rows and sends back that fit with its sample db; the best
+    of those, by the same rule, is the result of scoring every k inline.
     """
     x = _as_rows(mat)
     n = x.shape[0]

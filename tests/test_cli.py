@@ -361,6 +361,27 @@ def test_cli_subcommands_chain(tmp_path):
         [pytest.approx([float(v) for v in r], rel=1e-10) for r in chained_means]
 
 
+def test_stats_names_pairs_by_the_clusters_file_labels(tmp_path):
+    edges = write_g1(tmp_path)
+    part, meas = tmp_path / "partition.tsv", tmp_path / "measures.tsv"
+    assert main(["communities", "--input", str(edges), "--output", str(part), "--seed", "0"]) == 0
+    assert main(["measures", "--input", str(edges), "--partition", str(part), "--output", str(meas)]) == 0
+    ids = [row[0] for row in read_tsv(meas)[1]]
+    pairwise = {}
+    for labels in ([1, 2, 3], [1, 3, 5]):
+        tag = "".join(map(str, labels))
+        clusters = tmp_path / f"clusters_{tag}.tsv"
+        clusters.write_text("original_id\tgroup\n"
+                            + "".join(f"{i}\t{labels[j // 2]}\n" for j, i in enumerate(ids)))
+        prefix = str(tmp_path / f"st_{tag}")
+        assert main(["stats", "--measures", str(meas), "--clusters", str(clusters), "--output", prefix]) == 0
+        pairwise[tuple(labels)] = read_tsv(f"{prefix}_pairwise.tsv")[1]
+    # groups 1, 3, 5 keep their labels; the tests are those of groups 1, 2, 3
+    assert {(a, b) for _, a, b, _ in pairwise[1, 3, 5]} == {("1", "3"), ("1", "5"), ("3", "5")}
+    rename = {"1": "1", "2": "3", "3": "5"}
+    assert pairwise[1, 3, 5] == [[m, rename[a], rename[b], p] for m, a, b, p in pairwise[1, 2, 3]]
+
+
 def test_cli_run_subcommand_and_config_file(tmp_path):
     edges = write_g1(tmp_path)
     cfg_file = tmp_path / "pipeline.cfg"

@@ -164,6 +164,14 @@ def test_kmeans_bitwise_matches_oracle(name, seed):
         assert np.array(res.inertia_trace).tobytes() == np.array(trace).tobytes(), k
 
 
+def with_sorted_db(x, res):
+    """res carrying its db_index on the rows in canonical (lexicographic)
+    order, where select_k computes every db_index."""
+    x = clustering._as_rows(x)
+    order = np.lexsort(x.T[::-1])
+    return replace(res, db_index=davies_bouldin(x[order], replace(res, assign=res.assign[order])))
+
+
 @pytest.mark.parametrize("name", ["gaussian", "ties", "one_dim"])
 def test_select_k_matches_oracle(name):
     x = oracle_inputs()[name]
@@ -171,8 +179,8 @@ def test_select_k_matches_oracle(name):
     for k in range(2, 9):
         assign, centroids, inertia, _ = oracle_kmeans(x, k, seed=3, restarts=4)
         try:
-            db = davies_bouldin(x, ClusteringResult(k=k, assign=assign, centroids=centroids,
-                                                    inertia=inertia))
+            db = with_sorted_db(x, ClusteringResult(k=k, assign=assign, centroids=centroids,
+                                                    inertia=inertia)).db_index
         except DegenerateClusteringError:
             continue
         if best is None or db < best[1]:
@@ -181,11 +189,15 @@ def test_select_k_matches_oracle(name):
     assert (res.k, res.db_index) == best
 
 
-@pytest.fixture
-def forced_workers(monkeypatch):
+def force_workers(monkeypatch):
     """select_k fits every k range in three worker processes, whatever the input size."""
     monkeypatch.setattr(clustering, "_WORKER_MIN_WORK", 0)
     monkeypatch.setattr(clustering, "_usable_cpus", lambda: 3)
+
+
+@pytest.fixture
+def forced_workers(monkeypatch):
+    force_workers(monkeypatch)
 
 
 def assert_same_fit(got, want, what=None):
@@ -271,8 +283,7 @@ def test_chunk_fits_equal_kmeans(name, path, forced_workers):
     want = {}
     for k in ks:
         try:
-            res = kmeans(x, k, **fit_params)
-            res = replace(res, db_index=davies_bouldin(x, res))
+            res = with_sorted_db(x, kmeans(x, k, **fit_params))
             want[k] = res.db_index, k, res
         except DegenerateClusteringError:
             want[k] = None
@@ -313,23 +324,33 @@ def test_sampled_select_k_is_kmeans_at_the_chosen_k(name, monkeypatch):
     x = above_the_sample(name, monkeypatch)
     params = dict(seed=5, max_iter=100, tol=1e-6, restarts=4)
     res = select_k(x, 2, 15, **params)
-    want = kmeans(x, res.k, **params)
-    assert_same_fit(res, replace(want, db_index=davies_bouldin(x, want)))
+    assert_same_fit(res, with_sorted_db(x, kmeans(x, res.k, **params)))
     # the k is the choice on the sample alone
     sample = clustering._sample_rows(clustering._as_rows(x), 15 * clustering.SAMPLE_ROWS_PER_K, 5)
     assert select_k(sample, 2, 15, **params).k == res.k
 
 
-@pytest.mark.parametrize("name", SAMPLED)
-def test_sampled_select_k_row_permutation_only_permutes_labels(name, monkeypatch):
-    x = above_the_sample(name, monkeypatch)
+def assert_permuting_rows_permutes_labels(x):
+    """select_k of x[perm], inline and in workers, is select_k of x with
+    permuted labels, bit for bit in every field."""
     perm = np.random.default_rng(41).permutation(len(x))
     res = select_k(x, 2, 15, seed=2, restarts=4)
-    res_p = select_k(x[perm], 2, 15, seed=2, restarts=4)
-    # the sample, and so the choice of k, is drawn from the canonical rows; the
-    # returned db_index sums the rows in input order, so only its last bits may move
-    assert res_p.db_index == pytest.approx(res.db_index, rel=1e-12)
-    assert_same_fit(res_p, replace(res, assign=res.assign[perm], db_index=res_p.db_index))
+    want = replace(res, assign=res.assign[perm])
+    assert_same_fit(select_k(x[perm], 2, 15, seed=2, restarts=4), want, "inline")
+    with pytest.MonkeyPatch.context() as mp:
+        force_workers(mp)
+        assert_same_fit(select_k(x, 2, 15, seed=2, restarts=4), res, "workers")
+        assert_same_fit(select_k(x[perm], 2, 15, seed=2, restarts=4), want, "workers, permuted")
+
+
+@pytest.mark.parametrize("name", SAMPLED)
+def test_sampled_select_k_row_permutation_only_permutes_labels(name, monkeypatch):
+    if name != "large":
+        # at most as many rows as the sample: every row is scored
+        x = oracle_inputs()[name]
+        assert len(x) <= 15 * clustering.SAMPLE_ROWS_PER_K
+        assert_permuting_rows_permutes_labels(x)
+    assert_permuting_rows_permutes_labels(above_the_sample(name, monkeypatch))
 
 
 @pytest.mark.parametrize("name", SAMPLED)
@@ -364,22 +385,20 @@ def test_degenerate_refit_falls_to_the_next_k_by_sample_db(monkeypatch):
     sample = clustering._sample_rows(x, 64, 1)
     ranked = sorted((res.db_index, res.k) for res in clustering._fits(sample, ks, **fit_params))
     assert len(ranked) == len(ks)
-    fit_all_rows = clustering.kmeans
+    fits = clustering._fits
 
-    def kmeans_degenerate_at(bad):
-        def fit(x, k, **kw):
-            if k in bad:
-                raise DegenerateClusteringError(f"k={k} made degenerate")
-            return fit_all_rows(x, k, **kw)
+    def fits_degenerate_at(bad):
+        # a fit on all rows at a k in bad is degenerate: _fits yields nothing for it
+        def fit(rows, ks, **kw):
+            return (res for res in fits(rows, ks, **kw) if len(rows) < len(x) or res.k not in bad)
         return fit
 
-    # the two best k on the sample are degenerate on all rows: the third is refitted
-    monkeypatch.setattr(clustering, "kmeans", kmeans_degenerate_at({k for _, k in ranked[:2]}))
+    # the two best k on the sample are degenerate on all rows: the third is fitted
+    monkeypatch.setattr(clustering, "_fits", fits_degenerate_at({k for _, k in ranked[:2]}))
     db, k, fit = clustering._fit_chunk(x, ks, sample_size=64, **fit_params)
     assert (db, k) == ranked[2]
-    want = fit_all_rows(x, k, **fit_params)
-    assert_same_fit(fit, replace(want, db_index=davies_bouldin(x, want)))
-    monkeypatch.setattr(clustering, "kmeans", kmeans_degenerate_at(set(ks)))
+    assert_same_fit(fit, with_sorted_db(x, kmeans(x, k, **fit_params)))
+    monkeypatch.setattr(clustering, "_fits", fits_degenerate_at(set(ks)))
     assert clustering._fit_chunk(x, ks, sample_size=64, **fit_params) is None
     with pytest.raises(DegenerateClusteringError, match="every k"):
         select_k(x, 2, 8, **fit_params)
