@@ -1,16 +1,17 @@
 """Detect social capitalists and band them by in-degree and ratio.
 
-Fifty accounts with heavily reciprocal neighborhoods are planted among ten
-thousand ordinary nodes.  Detection uses only the graph topology: the
-overlap between follower and followee sets plus an in-degree floor.
+Fifty mass-following accounts, most of whose targets follow them back, are
+planted among twenty communities of 490 ordinary members.  Detection uses
+only the graph topology: the overlap between follower and followee sets plus
+an in-degree floor.
 """
 
 from collections import Counter
 
 from roleforge import detect_capitalists, overlap_index
-from roleforge.synth import planted_capitalist_graph
+from roleforge.synth import capitalist_community_network
 
-g, planted = planted_capitalist_graph(n=10000, n_capitalists=50, partner_count=600, seed=42)
+g, _, planted = capitalist_community_network(comm_size=490, n_capitalists=50, seed=42)
 print(f"graph: n={g.n} m={g.m}, planted capitalists: {len(planted)}")
 
 records = detect_capitalists(g, overlap_min=0.8, in_degree_min=500)

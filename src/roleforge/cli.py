@@ -17,7 +17,6 @@ import functools
 import itertools
 import json
 import math
-import re
 import sys
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -219,8 +218,8 @@ def read_tsv(path, parse=None) -> tuple[list[str], list, dict[str, str]]:
     """(header, rows, comment metadata) of an artifact; raises on a missing file.
 
     With `parse`, each data row is parse(fields); a row it rejects with
-    ValueError or IndexError raises RoleForgeError naming the file and line,
-    as does a line that is not UTF-8 text.
+    ValueError, IndexError or OverflowError raises RoleForgeError naming the
+    file and line, as does a line that is not UTF-8 text.
     """
     p = Path(path)
     if not p.exists():
@@ -251,7 +250,7 @@ def read_tsv(path, parse=None) -> tuple[list[str], list, dict[str, str]]:
             else:
                 try:
                     rows.append(parts if parse is None else parse(parts))
-                except (ValueError, IndexError):
+                except (ValueError, IndexError, OverflowError):
                     raise RoleForgeError(f"{path}:{line_no}: cannot parse row {parts}") from None
     if header is None:
         raise RoleForgeError(f"empty table: {path}")
@@ -476,9 +475,32 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 # ASCII and tabs.  np.loadtxt strips \x1c-\x1f around a number and reads some
 # non-ASCII characters as digits.
 _ROW_BYTES = bytes(range(32, 127)) + b"\t\n"
-# the row np.loadtxt names in its error: counted from 0 for a value it cannot
-# convert, from 1 for a row short of a column
-_LOADTXT_ROW = re.compile(r"(.*) at row (\d+)(, column \d+\.| with \d+ columns)")
+# rows read at once while looking for the first bad row of a table
+_SCAN_SLICE = 2048
+
+
+def _loadtxt(rows, usecols, dtype: np.dtype) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(rows, dtype=dtype, comments=None, delimiter="\t", usecols=usecols, ndmin=1)
+
+
+def _rejected(rows, usecols, dtype: np.dtype, finite: str | None) -> str | None:
+    """Why the node-table rule rejects `rows`, None if it accepts each of them;
+    for a single row, the fault of that row."""
+    if "\n".join(rows).encode().translate(None, _ROW_BYTES):
+        return "not printable ASCII"
+    width = min(row.count("\t") for row in rows) + 1
+    if width <= max(usecols):
+        return f"{width} field(s), the table needs {max(usecols) + 1}"
+    try:
+        body = _loadtxt(rows, usecols, dtype)
+    except (ValueError, Warning) as exc:
+        # numpy counts rows from 0 within what it was given: a single row is row 0
+        return str(exc).replace(" at row 0,", " at")
+    if finite and not np.isfinite(body[finite]).all():
+        return f"non-finite {finite}"
+    return None
 
 
 def _node_table(path, usecols, dtype: np.dtype, finite: str | None = None):
@@ -506,51 +528,49 @@ def _node_table(path, usecols, dtype: np.dtype, finite: str | None = None):
         raise RoleForgeError(f"empty table: {path}")
     header = lines[kept[0]].split("\t")
     rows = [lines[i] for i in kept[1:]]
-
-    def parse(k: int) -> np.ndarray:
-        """The first k rows, read."""
-        if not k:  # np.loadtxt warns on no rows
-            return np.empty(0, dtype=dtype)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return np.loadtxt(rows[:k], dtype=dtype, comments=None, delimiter="\t", usecols=usecols, ndmin=1)
-
-    # bad = (first bad row, reason); each check below reads only the rows before the one found so far
-    bad = None
-    end = len(rows)
-    # the rows are looked at one by one only if some line, a comment or the header too, holds another byte
-    if data.translate(None, _ROW_BYTES):
-        end = next((j for j, row in enumerate(rows) if row.encode().translate(None, _ROW_BYTES)), end)
-        if end < len(rows):
-            bad = (end, "not printable ASCII")
+    # the bulk path: one byte scan of the whole file, a comment or the header
+    # too, one parse and one finite check
+    clean = not data.translate(None, _ROW_BYTES)
     del data, lines
-    try:
-        body = parse(end)
-    except (ValueError, Warning) as exc:
-        found = _LOADTXT_ROW.fullmatch(str(exc))
-        short = bool(found) and found[3].startswith(" with")
-        j = int(found[2]) - short if found else -1
-        if not 0 <= j < end:
-            raise RoleForgeError(f"{path}: cannot parse table: {exc}") from None
-        width = len(rows[j].split("\t"))
-        bad = (j, f"{width} field(s), the table needs {max(usecols) + 1}" if short else found[1])
-        body = parse(j)
-    if finite:
-        nonfinite = np.flatnonzero(~np.isfinite(body[finite]).all(axis=1))
-        if nonfinite.size:
-            bad = (nonfinite[0], f"non-finite {finite}")
-    if bad:
-        j, reason = bad
-        fields = rows[j].split("\t")
-        raise RoleForgeError(f"{path}:{kept[j + 1] + 1}: cannot parse row {fields}: {reason}")
+    body = None
+    if clean:
+        try:
+            body = _loadtxt(rows, usecols, dtype)
+        except (ValueError, Warning):
+            pass
+    if body is not None and finite and not np.isfinite(body[finite]).all():
+        body = None
+    if body is None:  # a check failed: the first slice that fails is read row by row
+        for lo in range(0, len(rows), _SCAN_SLICE):
+            if _rejected(rows[lo:lo + _SCAN_SLICE], usecols, dtype, finite):
+                for j, row in enumerate(rows[lo:lo + _SCAN_SLICE], lo):
+                    if why := _rejected([row], usecols, dtype, finite):
+                        fields = row.split("\t")
+                        raise RoleForgeError(f"{path}:{kept[j + 1] + 1}: cannot parse row {fields}: {why}")
+        body = _loadtxt(rows, usecols, dtype)  # every row is good: a comment or the header held another byte
     return header, body
 
 
-def _check_once(path, sorted_ids: np.ndarray, what: str) -> None:
-    """Raise unless each id of a node table, `sorted_ids` sorted, is listed once."""
+def _check_once(path, sorted_ids: np.ndarray, what: str, name: str = "id") -> None:
+    """Raise unless each id of a table, `sorted_ids` sorted, is listed once."""
     repeated = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
     if repeated.size:
-        raise RoleForgeError(f"{what} file {path} lists id {repeated[0]} more than once")
+        raise RoleForgeError(f"{what} file {path} lists {name} {repeated[0]} more than once")
+
+
+def _join(path, what: str, keys: np.ndarray, wanted: np.ndarray, names=("id", "node"), of: str = "") -> np.ndarray:
+    """The index into `keys`, the ids the `what` file at `path` lists, of each
+    of `wanted`; raises unless each id is listed once and every one of
+    `wanted` is listed.  An error calls an id and a wanted one by `names`,
+    and ends with `of` for one not listed."""
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    _check_once(path, sorted_keys, what, names[0])
+    at = np.minimum(np.searchsorted(sorted_keys, wanted), sorted_keys.size - 1)
+    missing = wanted[sorted_keys[at] != wanted]
+    if missing.size:
+        raise RoleForgeError(f"{what} file {path} does not cover {names[1]} {missing[0]}{of}")
+    return order[at]
 
 
 _LABELS_ROW = np.dtype([("id", np.int64), ("label", np.int64)])
@@ -559,14 +579,7 @@ _LABELS_ROW = np.dtype([("id", np.int64), ("label", np.int64)])
 def _labels_for(path, ids, what: str) -> np.ndarray:
     """Second column of the artifact at `path`, joined on original id, in the order of `ids`."""
     _, body = _node_table(path, (0, 1), _LABELS_ROW)
-    order = np.argsort(body["id"])
-    file_ids = body["id"][order]
-    _check_once(path, file_ids, what)
-    at = np.minimum(np.searchsorted(file_ids, ids), file_ids.size - 1)
-    missing = ids[file_ids[at] != ids]
-    if missing.size:
-        raise RoleForgeError(f"{what} file {path} does not cover node {missing[0]}")
-    return body["label"][order[at]]
+    return body["label"][_join(path, what, body["id"], ids)]
 
 
 def _load_groups(path, ids):
@@ -661,18 +674,19 @@ def cmd_report(args) -> int:
     cfg = _make_config(args)
     mids, mat = _load_measures(args.measures)
     assign, _ = _load_groups(args.clusters, mids)
-    _, roles, _ = read_tsv(args.centroids, parse=lambda r: r[2])
-    k = len(roles)
-    row_of = {int(v): i for i, v in enumerate(mids)}
-
-    def record(r):
-        node = int(r[0])
-        if node not in row_of:
-            raise RoleForgeError(f"measures file {args.measures} does not cover node {node} "
-                                 f"of {args.capitalists}")
-        return CapitalistRecord(row_of[node], int(r[1]), int(r[2]), float(r[3]), float(r[4]), r[5], r[6])
-
-    _, records, capmeta = read_tsv(args.capitalists, parse=record)
+    # the role of group i is on the centroids row labelled i, for each i in 1..k
+    _, centroids, _ = read_tsv(args.centroids, parse=lambda r: (np.int64(r[0]), r[2]))
+    k = len(centroids)
+    labels = np.array([label for label, _ in centroids], dtype=np.int64)
+    at = _join(args.centroids, "centroids", labels, np.arange(1, k + 1), names=("group", "group"))
+    roles = [centroids[i][1] for i in at.tolist()]
+    # a record's node is its capitalist's measures row
+    _, records, capmeta = read_tsv(args.capitalists, parse=lambda r: CapitalistRecord(
+        np.int64(r[0]), int(r[1]), int(r[2]), float(r[3]), float(r[4]), r[5], r[6]))
+    cap_ids = np.array([r.node for r in records], dtype=np.int64)
+    _check_once(args.capitalists, np.sort(cap_ids), "capitalists")
+    rows = _join(args.measures, "measures", mids, cap_ids, of=f" of {args.capitalists}")
+    records = [replace(r, node=row) for r, row in zip(records, rows.tolist())]
     try:
         ct, _ = _crosstab_table(records, assign, k)
     except ValueError:  # from crosstab: a group label above the centroids' k

@@ -18,7 +18,7 @@ class UndefinedModularityError(RoleForgeError):
 
 
 class UndefinedValueError(RoleForgeError):
-    """A per-node quantity is undefined (zero degree in the relevant direction)."""
+    """A value is undefined for its input: the Davies-Bouldin index of fewer than 2 groups."""
 
 
 class ConfigError(RoleForgeError):

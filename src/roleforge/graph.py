@@ -95,7 +95,8 @@ class DirectedGraph:
         With simple=True (the ingest and synth path) self-loops and duplicate
         arcs are dropped and every kept arc gets weight 1, so passing
         `weights` is a ValueError.
-        With simple=False (the aggregation path) self-loops are kept and the
+        With simple=False (weighted test and example graphs; aggregation
+        builds its graphs with `_from_keys`) self-loops are kept and the
         weights of coincident arcs are summed.
         """
         if simple and weights is not None:

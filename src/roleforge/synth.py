@@ -22,33 +22,6 @@ def planted_partition_graph(n_comms: int, comm_size: int, intra_out: int = 8,
     return g, truth
 
 
-def planted_capitalist_graph(n: int = 10000, n_capitalists: int = 50, partner_count: int = 600,
-                             reciprocal_fraction: float = 0.95, background_out: int = 20,
-                             seed: int = 0) -> tuple[DirectedGraph, np.ndarray]:
-    """Sparse random background with a few heavily reciprocal accounts planted in.
-
-    Each planted account follows partner_count distinct accounts and is
-    followed back by a reciprocal_fraction of them, so its in-degree clears
-    the usual detection floor and its overlap index sits near 1.  Background
-    nodes keep tiny in-degrees and near-zero overlap.  Returns the graph and
-    the sorted planted node ids.
-    """
-    rng = np.random.default_rng(seed)
-    planted = np.sort(rng.choice(n, size=n_capitalists, replace=False))
-    srcs = [np.repeat(np.arange(n), background_out)]
-    dsts = [rng.integers(0, n, size=n * background_out)]
-    for u in planted.tolist():
-        partners = rng.choice(n - 1, size=partner_count, replace=False)
-        partners = partners + (partners >= u)  # shift past u to avoid a self-loop
-        srcs.append(np.full(partner_count, u))
-        dsts.append(partners)
-        n_back = int(round(reciprocal_fraction * partner_count))
-        srcs.append(partners[:n_back])
-        dsts.append(np.full(n_back, u))
-    g = DirectedGraph.from_arcs(np.concatenate(srcs), np.concatenate(dsts), n)
-    return g, planted
-
-
 def capitalist_community_network(n_comms: int = 20, comm_size: int = 2490, n_capitalists: int = 200,
                                  member_intra_out: int = 10, member_inter_out: int = 2,
                                  cap_intra_out: int = 30, cap_ext_out: int = 700,

@@ -19,7 +19,7 @@ from roleforge.louvain import Partition, aggregate_graph, directed_modularity, l
 from roleforge.measures import (community_profile, embeddedness_values, participation_coefficients,
                                 role_measures)
 from roleforge.stats import one_way_anova, regularized_incomplete_beta
-from roleforge.synth import capitalist_community_network, planted_capitalist_graph
+from roleforge.synth import capitalist_community_network
 
 from conftest import TWO_CYCLES_EDGES, graph_from_edges, random_assign, random_edges
 from oracles import oracle_best_partition, oracle_kmeans, oracle_measures, oracle_node_stats
@@ -143,12 +143,13 @@ def test_clustering_selection():
 
 def test_capitalist_detection():
     t0 = time.monotonic()
-    g, planted = planted_capitalist_graph(n=10000, n_capitalists=50, partner_count=600, seed=42)
+    g, _, planted = capitalist_community_network(comm_size=490, n_capitalists=50, seed=42)
     records = detect_capitalists(g, overlap_min=0.8, in_degree_min=500)
     found = {r.node for r in records}
     truth = set(planted.tolist())
     assert found == truth, (len(found - truth), len(truth - found))
-    _done("capitalist detection (precision=recall=1 on 10000 nodes)", t0, 60)
+    assert g.n == 9850
+    _done("capitalist detection (precision=recall=1 on 9850 nodes)", t0, 60)
 
 
 def test_classification_table():

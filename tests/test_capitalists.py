@@ -3,7 +3,7 @@ import pytest
 
 from roleforge.capitalists import (IN_DEGREE_FLOOR, CapitalistRecord, classify_ratio, crosstab,
                                    detect_capitalists, overlap_index)
-from roleforge.synth import planted_capitalist_graph
+from roleforge.synth import capitalist_community_network
 
 from conftest import graph_from_edges, random_edges
 from oracles import oracle_overlap, oracle_ratio
@@ -112,17 +112,18 @@ def test_detection_rejects_floor_below_classification_floor():
 
 
 def test_detection_monotone_in_thresholds():
-    g, planted = planted_capitalist_graph(n=1500, n_capitalists=12, partner_count=520,
-                                          background_out=10, seed=5)
+    g, _, planted = capitalist_community_network(n_comms=8, comm_size=250, n_capitalists=15, seed=9)
     base = {r.node for r in detect_capitalists(g, overlap_min=0.5, in_degree_min=500)}
     tighter = {r.node for r in detect_capitalists(g, overlap_min=0.9, in_degree_min=500)}
-    taller = {r.node for r in detect_capitalists(g, overlap_min=0.5, in_degree_min=520)}
+    taller = {r.node for r in detect_capitalists(g, overlap_min=0.5, in_degree_min=532)}
     assert tighter <= base
     assert taller <= base
+    # the planted in-degrees run from 509 to 552, so the taller floor splits them
+    assert len(base) == 15 and len(taller) == 8
 
 
 def test_detection_planted_small():
-    g, planted = planted_capitalist_graph(n=2000, n_capitalists=15, partner_count=550, seed=9)
+    g, _, planted = capitalist_community_network(n_comms=8, comm_size=250, n_capitalists=15, seed=9)
     records = detect_capitalists(g, overlap_min=0.8, in_degree_min=500)
     assert {r.node for r in records} == set(planted.tolist())
     k_ins = [r.k_in for r in records]

@@ -382,6 +382,57 @@ def test_stats_names_pairs_by_the_clusters_file_labels(tmp_path):
     assert pairwise[1, 3, 5] == [[m, rename[a], rename[b], p] for m, a, b, p in pairwise[1, 2, 3]]
 
 
+def _planted_run(tmp_path):
+    """`run` output on a graph whose three groups get three different roles."""
+    g, _, _ = synth.capitalist_community_network(n_comms=10, comm_size=200, n_capitalists=20,
+                                                 cap_ext_out=900, seed=7)
+    save_edge_list(g, tmp_path / "planted.txt")
+    out = tmp_path / "planted_run"
+    assert main(["run", "--input", str(tmp_path / "planted.txt"), "--output-dir", str(out),
+                 "--seed", "7", "--k-min", "3", "--k-max", "3"]) == 0
+    return out
+
+
+def _report(out, centroids, capitalists, prefix):
+    return main(["report", "--measures", str(out / "measures.tsv"), "--clusters", str(out / "clusters.tsv"),
+                 "--centroids", str(centroids), "--capitalists", str(capitalists), "--output", str(prefix)])
+
+
+def test_report_takes_each_role_by_its_group_label(tmp_path, capsys):
+    out = _planted_run(tmp_path)
+    lines = (out / "centroids.tsv").read_text().splitlines()
+    head, body = lines[:4], lines[4:]  # config_hash, k, davies_bouldin, header
+    assert head[3].startswith("group\t") and [row.split("\t")[0] for row in body] == ["1", "2", "3"]
+    assert len({row.split("\t")[2] for row in body}) == 3
+    reversed_rows = tmp_path / "centroids_reversed.tsv"
+    reversed_rows.write_text("\n".join(head + body[::-1]) + "\n")
+    assert _report(out, reversed_rows, out / "capitalists.tsv", tmp_path / "rep") == 0
+    for ran, reported in (("report.txt", "rep_report.txt"), ("report_groups.tsv", "rep_groups.tsv")):
+        assert (out / ran).read_text().splitlines()[1:] == (tmp_path / reported).read_text().splitlines()[1:]
+    # a label outside 1..k, or one listed twice, names the centroids file
+    for name, labels in (("centroids_label_4.tsv", ("4", "2", "3")), ("centroids_label_0.tsv", ("1", "0", "3")),
+                         ("centroids_label_2_twice.tsv", ("1", "2", "2"))):
+        bad = tmp_path / name
+        bad.write_text("\n".join(head + [label + row[row.index("\t"):] for label, row in zip(labels, body)]) + "\n")
+        capsys.readouterr()
+        assert _report(out, bad, out / "capitalists.tsv", tmp_path / "bad") == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: centroids file ") and str(bad) in err, err
+
+
+def test_report_counts_each_capitalist_once(tmp_path, capsys):
+    out = _planted_run(tmp_path)
+    lines = (out / "capitalists.tsv").read_text().splitlines()
+    assert len(lines) > 5
+    twice = tmp_path / "capitalists_twice.tsv"
+    twice.write_text("\n".join(lines + lines[-1:]) + "\n")
+    capsys.readouterr()
+    assert _report(out, out / "centroids.tsv", twice, tmp_path / "rep") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(twice) in err, err
+    assert f"lists id {lines[-1].split()[0]} more than once" in err, err
+
+
 def test_cli_run_subcommand_and_config_file(tmp_path):
     edges = write_g1(tmp_path)
     cfg_file = tmp_path / "pipeline.cfg"
@@ -679,6 +730,24 @@ def test_measures_table(tmp_path, capsys, rows, want, head, end, last):
         assert ids.flags.c_contiguous and mat.flags.c_contiguous
     else:
         _expect_error(capsys, ["cluster", "--measures"], path, want)
+
+
+def test_bad_row_errors_do_not_read_numpy_messages(tmp_path, capsys, monkeypatch):
+    loadtxt = np.loadtxt
+
+    def reworded(*args, **kwargs):
+        try:
+            return loadtxt(*args, **kwargs)
+        except ValueError:
+            raise ValueError("a wording no numpy release uses") from None
+
+    monkeypatch.setattr(cli.np, "loadtxt", reworded)
+    for i, third in enumerate((_MEASURE_ROWS[2][:4] + ["abc"] + _MEASURE_ROWS[2][5:],  # a bad value
+                               _MEASURE_ROWS[2][:3])):  # a short row
+        path = tmp_path / f"measures{i}.tsv"
+        rows = _MEASURE_ROWS[:2] + [third] + _MEASURE_ROWS[3:]
+        path.write_text("\n".join([_MEASURES_HEADER] + ["\t".join(r) for r in rows]) + "\n")
+        _expect_error(capsys, ["cluster", "--measures"], path, 4)
 
 
 def _row_values(line, kinds):
