@@ -2,6 +2,11 @@
 capitalists -> stats -> report, plus an all-in-one `run` with a checksum
 manifest.
 
+`run` and every subcommand run each stage through `_run_stage`, which writes
+the stage's tables and prints its one `[stage]` line, so a subcommand prints
+`run`'s line for each stage it runs.  The subcommands read every table file
+back through `_table_lines`; node tables add a row rule (`_node_table`).
+
 Configuration is a flat key=value file overridable by flags (flags win).
 A value from either source is parsed by `config_from_mapping` and checked by
 `validate_config`, the only place that checks a key.
@@ -40,7 +45,7 @@ try:
     from _sha2 import sha256 as _new_sha256  # Python 3.12+
 except ImportError:
     try:
-        from _sha256 import sha256 as _new_sha256  # Python 3.10-3.11
+        from _sha256 import sha256 as _new_sha256  # Python 3.11
     except ImportError:
         from hashlib import sha256 as _new_sha256
 
@@ -214,47 +219,48 @@ def _column_rows(*columns):
         yield from zip(*(c[lo:lo + _ROW_SLICE].tolist() for c in columns))
 
 
+def _table_lines(path) -> tuple[list[str], list[int]]:
+    """The lines of the table file at `path`, and the indices of its header
+    and data rows.
+
+    A table file is UTF-8 text with \\n, \\r\\n or \\r line ends.  Empty lines
+    and lines starting with `#` are skipped anywhere; the first other line is
+    the header, and each line after it a data row.  A missing file, a file
+    with no header and a line that is not UTF-8 text raise RoleForgeError
+    naming the file, and the line where there is one.
+    """
+    if not Path(path).exists():
+        raise RoleForgeError(f"missing artifact: {path}")
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise RoleForgeError(f"{path}:{line_no}: not UTF-8 text") from None
+    kept = [i for i, s in enumerate(lines) if s and s[0] != "#"]
+    if not kept:
+        raise RoleForgeError(f"empty table: {path}")
+    return lines, kept
+
+
 def read_tsv(path, parse=None) -> tuple[list[str], list, dict[str, str]]:
-    """(header, rows, comment metadata) of an artifact; raises on a missing file.
+    """(header, rows, comment metadata) of the table file at `path`
+    (`_table_lines`); the metadata are the `key=value` bodies of its `#` lines.
 
     With `parse`, each data row is parse(fields); a row it rejects with
     ValueError, IndexError or OverflowError raises RoleForgeError naming the
-    file and line, as does a line that is not UTF-8 text.
+    file and line.
     """
-    p = Path(path)
-    if not p.exists():
-        raise RoleForgeError(f"missing artifact: {path}")
-    header: list[str] | None = None
+    lines, kept = _table_lines(path)
+    meta = dict(map(str.strip, s.lstrip("#").split("=", 1)) for s in lines if s[:1] == "#" and "=" in s)
     rows: list = []
-    meta: dict[str, str] = {}
-    # undecodable bytes are read as lone surrogates, which do not encode back
-    with open(p, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            if not raw.isascii():
-                try:
-                    raw.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise RoleForgeError(f"{path}:{line_no}: not UTF-8 text") from None
-            s = raw.rstrip("\n")
-            if not s:
-                continue
-            if s.startswith("#"):
-                body = s.lstrip("#").strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    meta[key.strip()] = value.strip()
-                continue
-            parts = s.split("\t")
-            if header is None:
-                header = parts
-            else:
-                try:
-                    rows.append(parts if parse is None else parse(parts))
-                except (ValueError, IndexError, OverflowError):
-                    raise RoleForgeError(f"{path}:{line_no}: cannot parse row {parts}") from None
-    if header is None:
-        raise RoleForgeError(f"empty table: {path}")
-    return header, rows, meta
+    for i in kept[1:]:
+        parts = lines[i].split("\t")
+        try:
+            rows.append(parts if parse is None else parse(parts))
+        except (ValueError, IndexError, OverflowError):
+            raise RoleForgeError(f"{path}:{i + 1}: cannot parse row {parts}") from None
+    return lines[kept[0]].split("\t"), rows, meta
 
 
 def _sha256(path) -> str:
@@ -266,15 +272,16 @@ def _sha256(path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# stages: each maps in-memory inputs to its result plus its tables, keyed by
-# artifact stem as (columns, rows, extra header lines).  `run` chains them;
-# each subcommand loads its artifacts and calls one.
+# stages: each maps in-memory inputs to (result, tables, summary): its tables
+# keyed by artifact stem as (columns, rows, extra header lines), or as text,
+# and its one-line summary.  `_run_stage` runs one; `run` chains them, and
+# each subcommand loads its artifacts and runs the ones it names.
 
-def _ingest_stage(cfg: PipelineConfig) -> DirectedGraph:
+def _ingest_stage(cfg: PipelineConfig):
     g = load_edge_list(cfg.input, convention=cfg.direction)
     if g.m == 0:
         raise ConfigError("input graph has no arcs")
-    return g
+    return g, {}, f"n={g.n} m={g.m}"
 
 
 def _communities_stage(cfg: PipelineConfig, g: DirectedGraph):
@@ -284,7 +291,7 @@ def _communities_stage(cfg: PipelineConfig, g: DirectedGraph):
         "partition": (("original_id", "community"), _column_rows(ids, part.assign), ()),
         "id_map": (("dense_id", "original_id"), _column_rows(np.arange(g.n), ids), ()),
     }
-    return part, trace, tables
+    return part, tables, f"passes={len(trace.modularity)} communities={part.n_comms} Q={trace.modularity[-1]:.6f}"
 
 
 def _measures_stage(g: DirectedGraph, part: Partition):
@@ -296,7 +303,7 @@ def _measures_stage(g: DirectedGraph, part: Partition):
     emb_or_blank[np.isnan(emb)] = None  # a linkless node: blank, not NA
     columns = ("original_id", "community", *MEASURE_COLUMNS, "embeddedness", "participation")
     rows = _column_rows(g.node_ids, part.assign, *mat.T, emb_or_blank, pcs)
-    return mat, {"measures": (columns, rows, ())}
+    return mat, {"measures": (columns, rows, ())}, f"rows={g.n} columns={len(MEASURE_COLUMNS) + 2}"
 
 
 def _cluster_stage(cfg: PipelineConfig, ids, mat):
@@ -315,7 +322,7 @@ def _cluster_stage(cfg: PipelineConfig, ids, mat):
                        for i in range(res.k)],
                       (f"k={res.k}", f"davies_bouldin={res.db_index:.12g}")),
     }
-    return res, roles, tables
+    return (res, roles), tables, f"k={res.k} davies_bouldin={res.db_index:.4f}"
 
 
 def _crosstab_table(records, assign, k: int):
@@ -339,7 +346,7 @@ def _capitalists_stage(cfg: PipelineConfig, g: DirectedGraph, assign, k: int):
                           r.behavior, int(assign[r.node]) + 1) for r in records], meta),
         "crosstab": (ct_columns, ct_rows, meta),
     }
-    return records, ct, tables
+    return ct, tables, f"detected={len(records)}"
 
 
 def _stats_stage(mat, groups):
@@ -362,13 +369,14 @@ def _stats_stage(mat, groups):
             for b in range(a + 1, k):
                 p = pmat[a, b]
                 pair_rows.append((name, present[a] + 1, present[b] + 1, "NA" if p != p else format_p(float(p))))
-    return {
+    tables = {
         "anova": (("measure", "F", "df_between", "df_within", "p"), anova_rows, ()),
         "pairwise": (("measure", "group_a", "group_b", "p_adjusted"), pair_rows, ()),
     }
+    return None, tables, f"anova_rows={len(anova_rows)} pairwise_rows={len(pair_rows)}"
 
 
-def _report_stage(mat, assign, k: int, roles, ct, *, overlap_min: float, in_degree_min: int):
+def _report_stage(mat, assign, k: int, roles, ct, overlap_min: float, in_degree_min: int):
     """The report text and its group tables; `ct` is the crosstab of the capitalists."""
     group_rows = group_summary_rows(np.bincount(assign, minlength=k), roles)
     mean_rows = [mat[assign == i].mean(axis=0) if (assign == i).any() else np.zeros(mat.shape[1])
@@ -376,23 +384,30 @@ def _report_stage(mat, assign, k: int, roles, ct, *, overlap_min: float, in_degr
     text = render_report(group_rows, mean_rows, MEASURE_COLUMNS, ct, k,
                          overlap_min=overlap_min, in_degree_min=in_degree_min)
     tables = {
+        "report": text,
         "groups": (("group", "size", "share_pct", "role"),
                    [(i, s, f"{share:.2f}", role) for i, s, share, role in group_rows], ()),
         "group_means": (("group", *MEASURE_COLUMNS),
                         [(i + 1, *(float(x) for x in mean_rows[i])) for i in range(k)], ()),
     }
-    return text, tables
+    return None, tables, "written"
 
 
-def _write_tables(tables, chash: str, path_for) -> None:
-    for stem, (columns, rows, extra) in tables.items():
-        write_tsv(path_for(stem), columns, rows, chash, extra)
-
-
-def _write_text(path, text: str, chash: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        fh.write(text)
+def _run_stage(name: str, stage, *args, chash: str, path_for):
+    """Run one stage: call stage(*args), write each of its tables to
+    path_for(stem) under a `# config_hash=` line, print its `[name] summary`
+    line and return its result.  `run` and every subcommand run their stages
+    through here."""
+    result, tables, summary = stage(*args)
+    for stem, table in tables.items():
+        if isinstance(table, str):
+            with open(path_for(stem), "w", encoding="utf-8") as fh:
+                fh.write(f"# config_hash={chash}\n{table}")
+        else:
+            columns, rows, extra = table
+            write_tsv(path_for(stem), columns, rows, chash, extra)
+    print(f"[{name}] {summary}")
+    return result
 
 
 # file names `run` gives the stems whose name is not just stem + ".tsv"
@@ -417,45 +432,19 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         artifacts.append(name)
         return outdir / name
 
-    stage = "ingest"
-    try:
-        g = _ingest_stage(cfg)
-        print(f"[ingest] n={g.n} m={g.m}")
+    def run(name, stage, *args):
+        try:
+            return _run_stage(name, stage, *args, chash=chash, path_for=artifact)
+        except Exception as exc:
+            raise PipelineStageError(name, exc) from exc
 
-        stage = "communities"
-        part, trace, tables = _communities_stage(cfg, g)
-        _write_tables(tables, chash, artifact)
-        print(f"[communities] passes={len(trace.modularity)} communities={part.n_comms} "
-              f"Q={trace.modularity[-1]:.6f}")
-
-        stage = "measures"
-        mat, tables = _measures_stage(g, part)
-        _write_tables(tables, chash, artifact)
-        print(f"[measures] rows={g.n} columns={len(MEASURE_COLUMNS) + 2}")
-
-        stage = "cluster"
-        res, roles, tables = _cluster_stage(cfg, g.node_ids, mat)
-        _write_tables(tables, chash, artifact)
-        print(f"[cluster] k={res.k} davies_bouldin={res.db_index:.4f}")
-
-        stage = "capitalists"
-        records, ct, tables = _capitalists_stage(cfg, g, res.assign, res.k)
-        _write_tables(tables, chash, artifact)
-        print(f"[capitalists] detected={len(records)}")
-
-        stage = "stats"
-        tables = _stats_stage(mat, res.assign)
-        _write_tables(tables, chash, artifact)
-        print(f"[stats] anova_rows={len(tables['anova'][1])} pairwise_rows={len(tables['pairwise'][1])}")
-
-        stage = "report"
-        text, tables = _report_stage(mat, res.assign, res.k, roles, ct,
-                                     overlap_min=cfg.overlap_min, in_degree_min=cfg.in_degree_min)
-        _write_text(artifact("report"), text, chash)
-        _write_tables(tables, chash, artifact)
-        print("[report] written")
-    except Exception as exc:
-        raise PipelineStageError(stage, exc) from exc
+    g = run("ingest", _ingest_stage, cfg)
+    part = run("communities", _communities_stage, cfg, g)
+    mat = run("measures", _measures_stage, g, part)
+    res, roles = run("cluster", _cluster_stage, cfg, g.node_ids, mat)
+    ct = run("capitalists", _capitalists_stage, cfg, g, res.assign, res.k)
+    run("stats", _stats_stage, mat, res.assign)
+    run("report", _report_stage, mat, res.assign, res.k, roles, ct, cfg.overlap_min, cfg.in_degree_min)
 
     manifest = {
         "config_hash": chash,
@@ -485,69 +474,52 @@ def _loadtxt(rows, usecols, dtype: np.dtype) -> np.ndarray:
         return np.loadtxt(rows, dtype=dtype, comments=None, delimiter="\t", usecols=usecols, ndmin=1)
 
 
-def _rejected(rows, usecols, dtype: np.dtype, finite: str | None) -> str | None:
-    """Why the node-table rule rejects `rows`, None if it accepts each of them;
-    for a single row, the fault of that row."""
+def _read_rows(rows, usecols, dtype: np.dtype, finite: str | None) -> np.ndarray | str:
+    """The records of `rows` if the node-table rule accepts each of them, else
+    why it rejects them: for a single row, the fault of that row."""
     if "\n".join(rows).encode().translate(None, _ROW_BYTES):
         return "not printable ASCII"
-    width = min(row.count("\t") for row in rows) + 1
-    if width <= max(usecols):
-        return f"{width} field(s), the table needs {max(usecols) + 1}"
     try:
         body = _loadtxt(rows, usecols, dtype)
     except (ValueError, Warning) as exc:
+        width = min(row.count("\t") for row in rows) + 1
+        if width <= max(usecols):
+            return f"{width} field(s), the table needs {max(usecols) + 1}"
         # numpy counts rows from 0 within what it was given: a single row is row 0
         return str(exc).replace(" at row 0,", " at")
     if finite and not np.isfinite(body[finite]).all():
         return f"non-finite {finite}"
-    return None
+    return body
 
 
 def _node_table(path, usecols, dtype: np.dtype, finite: str | None = None):
     """(header, body) of the node table at `path`: its header's fields, and
     its data rows' `usecols` parsed by np.loadtxt into records of `dtype`.
 
-    A node table is UTF-8 text with \\n, \\r\\n or \\r line ends.  Empty lines
-    and lines starting with `#` are skipped anywhere; the first other line is
-    the header, and each line after it a data row of printable ASCII and tabs,
-    whose fields np.loadtxt reads, with finite numbers in the array field of
-    `dtype` named `finite`, if one is.  Any other table raises RoleForgeError naming
-    the file, and the line where there is one; with several bad rows the
-    first in the file decides, as in `load_edge_list`.
+    A node table is a table file (`_table_lines`) with at least one data row,
+    each of printable ASCII and tabs, whose fields np.loadtxt reads, with
+    finite numbers in the array field of `dtype` named `finite`, if one is.
+    Any other table raises RoleForgeError naming the file, and the line where
+    there is one; with several bad rows the first in the file decides, as in
+    `load_edge_list`.
     """
-    if not Path(path).exists():
-        raise RoleForgeError(f"missing artifact: {path}")
-    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        lines = data.decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise RoleForgeError(f"{path}:{line_no}: not UTF-8 text") from None
-    kept = [i for i, s in enumerate(lines) if s and s[0] != "#"]
+    lines, kept = _table_lines(path)
     if len(kept) < 2:
         raise RoleForgeError(f"empty table: {path}")
     header = lines[kept[0]].split("\t")
     rows = [lines[i] for i in kept[1:]]
-    # the bulk path: one byte scan of the whole file, a comment or the header
-    # too, one parse and one finite check
-    clean = not data.translate(None, _ROW_BYTES)
-    del data, lines
-    body = None
-    if clean:
-        try:
-            body = _loadtxt(rows, usecols, dtype)
-        except (ValueError, Warning):
-            pass
-    if body is not None and finite and not np.isfinite(body[finite]).all():
-        body = None
-    if body is None:  # a check failed: the first slice that fails is read row by row
+    del lines
+    # the bulk path: one byte scan, one parse and one finite check of every row
+    body = _read_rows(rows, usecols, dtype, finite)
+    if isinstance(body, str):  # rejected: the first slice that fails is read row by row
         for lo in range(0, len(rows), _SCAN_SLICE):
-            if _rejected(rows[lo:lo + _SCAN_SLICE], usecols, dtype, finite):
+            if isinstance(_read_rows(rows[lo:lo + _SCAN_SLICE], usecols, dtype, finite), str):
                 for j, row in enumerate(rows[lo:lo + _SCAN_SLICE], lo):
-                    if why := _rejected([row], usecols, dtype, finite):
+                    if isinstance(why := _read_rows([row], usecols, dtype, finite), str):
                         fields = row.split("\t")
                         raise RoleForgeError(f"{path}:{kept[j + 1] + 1}: cannot parse row {fields}: {why}")
-        body = _loadtxt(rows, usecols, dtype)  # every row is good: a comment or the header held another byte
+        # not reached while np.loadtxt accepts the rows it accepts slice by slice
+        raise RoleForgeError(f"{path}: cannot parse table: {body}")
     return header, body
 
 
@@ -621,57 +593,59 @@ def _make_config(args) -> PipelineConfig:
     return cfg
 
 
-def cmd_communities(args) -> int:
+def _subcommand(args, path_for):
+    """A subcommand's config, and its stage runner writing table `stem` to path_for(stem)."""
     cfg = _make_config(args)
-    g = _ingest_stage(cfg)
-    part, trace, tables = _communities_stage(cfg, g)
+    return cfg, functools.partial(_run_stage, chash=config_hash(cfg), path_for=path_for)
+
+
+def _prefixed(args):
+    """The file of each stem under the `--output` prefix: `<prefix>_<stem>.tsv`,
+    and `<prefix>_report.txt` for the report text."""
+    return lambda stem: f"{args.output}_{stem}.{'txt' if stem == 'report' else 'tsv'}"
+
+
+def cmd_communities(args) -> int:
     paths = {"partition": args.output, "id_map": Path(args.output).with_suffix(".id_map.tsv")}
-    _write_tables(tables, config_hash(cfg), paths.get)
-    print(f"[communities] n={g.n} communities={part.n_comms} Q={trace.modularity[-1]:.6f} -> {args.output}")
+    cfg, run = _subcommand(args, paths.get)
+    g = run("ingest", _ingest_stage, cfg)
+    run("communities", _communities_stage, cfg, g)
     return 0
 
 
 def cmd_measures(args) -> int:
-    cfg = _make_config(args)
-    g = _ingest_stage(cfg)
+    cfg, run = _subcommand(args, lambda stem: args.output)
+    g = run("ingest", _ingest_stage, cfg)
     part = Partition.from_labels(_labels_for(args.partition, g.node_ids, "partition"))
-    _, tables = _measures_stage(g, part)
-    _write_tables(tables, config_hash(cfg), lambda stem: args.output)
-    print(f"[measures] rows={g.n} -> {args.output}")
+    run("measures", _measures_stage, g, part)
     return 0
 
 
 def cmd_cluster(args) -> int:
-    cfg = _make_config(args)
+    cfg, run = _subcommand(args, _prefixed(args))
     ids, mat = _load_measures(args.measures)
-    res, _, tables = _cluster_stage(cfg, ids, mat)
-    _write_tables(tables, config_hash(cfg), lambda stem: f"{args.output}_{stem}.tsv")
-    print(f"[cluster] k={res.k} davies_bouldin={res.db_index:.4f} -> {args.output}_clusters.tsv")
+    run("cluster", _cluster_stage, cfg, ids, mat)
     return 0
 
 
 def cmd_capitalists(args) -> int:
-    cfg = _make_config(args)
-    g = _ingest_stage(cfg)
+    cfg, run = _subcommand(args, _prefixed(args))
+    g = run("ingest", _ingest_stage, cfg)
     assign, k = _load_groups(args.clusters, g.node_ids)
-    records, _, tables = _capitalists_stage(cfg, g, assign, k)
-    _write_tables(tables, config_hash(cfg), lambda stem: f"{args.output}_{stem}.tsv")
-    print(f"[capitalists] detected={len(records)} -> {args.output}_capitalists.tsv")
+    run("capitalists", _capitalists_stage, cfg, g, assign, k)
     return 0
 
 
 def cmd_stats(args) -> int:
-    cfg = _make_config(args)
+    _, run = _subcommand(args, _prefixed(args))
     mids, mat = _load_measures(args.measures)
     assign, _ = _load_groups(args.clusters, mids)
-    tables = _stats_stage(mat, assign)
-    _write_tables(tables, config_hash(cfg), lambda stem: f"{args.output}_{stem}.tsv")
-    print(f"[stats] -> {args.output}_anova.tsv")
+    run("stats", _stats_stage, mat, assign)
     return 0
 
 
 def cmd_report(args) -> int:
-    cfg = _make_config(args)
+    cfg, run = _subcommand(args, _prefixed(args))
     mids, mat = _load_measures(args.measures)
     assign, _ = _load_groups(args.clusters, mids)
     # the role of group i is on the centroids row labelled i, for each i in 1..k
@@ -688,7 +662,7 @@ def cmd_report(args) -> int:
     rows = _join(args.measures, "measures", mids, cap_ids, of=f" of {args.capitalists}")
     records = [replace(r, node=row) for r, row in zip(records, rows.tolist())]
     try:
-        ct, _ = _crosstab_table(records, assign, k)
+        ct = crosstab(records, assign, k)
     except ValueError:  # from crosstab: a group label above the centroids' k
         raise RoleForgeError(f"clusters file {args.clusters} has group labels above k={k} "
                              f"of {args.centroids}") from None
@@ -697,12 +671,7 @@ def cmd_report(args) -> int:
         in_degree_min = int(capmeta.get("in_degree_min", cfg.in_degree_min))
     except ValueError:
         raise RoleForgeError(f"{args.capitalists}: cannot parse header {capmeta}") from None
-    text, tables = _report_stage(mat, assign, k, roles, ct,
-                                 overlap_min=overlap_min, in_degree_min=in_degree_min)
-    chash = config_hash(cfg)
-    _write_text(f"{args.output}_report.txt", text, chash)
-    _write_tables(tables, chash, lambda stem: f"{args.output}_{stem}.tsv")
-    print(f"[report] -> {args.output}_report.txt")
+    run("report", _report_stage, mat, assign, k, roles, ct, overlap_min, in_degree_min)
     return 0
 
 

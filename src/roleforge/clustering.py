@@ -33,11 +33,12 @@ def standardize(mat) -> np.ndarray:
     """Center and scale every column to mean 0, population sd 1.
 
     Constant columns become all-zero.  Already standardized input is a fixed
-    point up to rounding.
+    point up to rounding.  A non-finite value raises ConfigError.
     """
     x = np.asarray(mat, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ConfigError("standardize needs a non-empty 2-D matrix")
+    x = _as_rows(x)
     mu = x.mean(axis=0)
     sd = x.std(axis=0)
     out = np.zeros_like(x)
@@ -47,8 +48,11 @@ def standardize(mat) -> np.ndarray:
 
 
 def _as_rows(mat) -> np.ndarray:
-    """mat as a float64 matrix of row vectors; 1-D input is one column."""
+    """mat as a float64 matrix of row vectors; 1-D input is one column.
+    Raises ConfigError if mat holds a non-finite value."""
     x = np.asarray(mat, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ConfigError("the input holds a non-finite value")
     return x[:, None] if x.ndim == 1 else x
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from roleforge.capitalists import (IN_DEGREE_FLOOR, CapitalistRecord, classify_ratio, crosstab,
                                    detect_capitalists, overlap_index)
+from roleforge.graph import DirectedGraph
 from roleforge.synth import capitalist_community_network
 
 from conftest import graph_from_edges, random_edges
@@ -114,12 +115,26 @@ def test_detection_rejects_floor_below_classification_floor():
 def test_detection_monotone_in_thresholds():
     g, _, planted = capitalist_community_network(n_comms=8, comm_size=250, n_capitalists=15, seed=9)
     base = {r.node for r in detect_capitalists(g, overlap_min=0.5, in_degree_min=500)}
-    tighter = {r.node for r in detect_capitalists(g, overlap_min=0.9, in_degree_min=500)}
     taller = {r.node for r in detect_capitalists(g, overlap_min=0.5, in_degree_min=532)}
-    assert tighter <= base
     assert taller <= base
     # the planted in-degrees run from 509 to 552, so the taller floor splits them
     assert len(base) == 15 and len(taller) == 8
+
+    # A planted account's followers are among its targets, so its overlap is 1.
+    # 300 followers from outside the targets of each of the first 5 lower theirs.
+    rng = np.random.default_rng(0)
+    src, dst = [g.arc_src], [g.out_indices]
+    for u in planted[:5].tolist():
+        outside = np.setdiff1d(np.arange(planted[0]), g.out_neighbors(u))
+        src.append(rng.choice(outside, size=300, replace=False))
+        dst.append(np.full(300, u))
+    g = DirectedGraph.from_arcs(np.concatenate(src), np.concatenate(dst), g.n)
+    overlaps = [overlap_index(g, u) for u in planted.tolist()]
+    assert 0.85 < min(overlaps[:5]) and max(overlaps[:5]) < 0.9 and overlaps[5:] == [1.0] * 10
+    base = {r.node for r in detect_capitalists(g, overlap_min=0.8, in_degree_min=500)}
+    tighter = {r.node for r in detect_capitalists(g, overlap_min=0.9, in_degree_min=500)}
+    assert tighter <= base
+    assert base == set(planted.tolist()) and tighter == set(planted[5:].tolist())
 
 
 def test_detection_planted_small():

@@ -310,30 +310,35 @@ def test_blank_embeddedness_for_isolated_node(tmp_path):
     assert by_id["9"][11] == "0"  # participation 0 by convention
 
 
-def test_cli_subcommands_chain(tmp_path):
+def test_cli_subcommands_chain(tmp_path, capsys):
     edges = write_g1(tmp_path)
     part = tmp_path / "partition.tsv"
     meas = tmp_path / "measures.tsv"
-    assert main(["communities", "--input", str(edges), "--output", str(part), "--seed", "0"]) == 0
-    assert part.exists()
-    assert (tmp_path / "partition.id_map.tsv").exists()
-    assert main(["measures", "--input", str(edges), "--partition", str(part),
-                 "--output", str(meas)]) == 0
     prefix = str(tmp_path / "roles")
-    assert main(["cluster", "--measures", str(meas), "--k-min", "2", "--k-max", "3",
-                 "--seed", "0", "--output", prefix]) == 0
     clusters = f"{prefix}_clusters.tsv"
     centroids = f"{prefix}_centroids.tsv"
     cap_prefix = str(tmp_path / "cap")
-    assert main(["capitalists", "--input", str(edges), "--clusters", clusters,
-                 "--overlap-min", "0.8", "--output", cap_prefix]) == 0
     stats_prefix = str(tmp_path / "st")
-    assert main(["stats", "--measures", str(meas), "--clusters", clusters,
-                 "--output", stats_prefix]) == 0
     report_prefix = str(tmp_path / "rep")
-    assert main(["report", "--measures", str(meas), "--clusters", clusters,
-                 "--centroids", centroids, "--capitalists", f"{cap_prefix}_capitalists.tsv",
-                 "--output", report_prefix]) == 0
+    chain = {  # subcommand -> (its argv, the stages it runs)
+        "communities": (["--input", str(edges), "--output", str(part), "--seed", "0"], ["ingest", "communities"]),
+        "measures": (["--input", str(edges), "--partition", str(part), "--output", str(meas)],
+                     ["ingest", "measures"]),
+        "cluster": (["--measures", str(meas), "--k-min", "2", "--k-max", "3", "--seed", "0", "--output", prefix],
+                    ["cluster"]),
+        "capitalists": (["--input", str(edges), "--clusters", clusters, "--overlap-min", "0.8",
+                         "--output", cap_prefix], ["ingest", "capitalists"]),
+        "stats": (["--measures", str(meas), "--clusters", clusters, "--output", stats_prefix], ["stats"]),
+        "report": (["--measures", str(meas), "--clusters", clusters, "--centroids", centroids,
+                    "--capitalists", f"{cap_prefix}_capitalists.tsv", "--output", report_prefix], ["report"]),
+    }
+    printed = {}
+    capsys.readouterr()
+    for command, (argv, _) in chain.items():
+        assert main([command, *argv]) == 0, command
+        printed[command] = capsys.readouterr().out.splitlines()
+    assert part.exists()
+    assert (tmp_path / "partition.id_map.tsv").exists()
     report = (tmp_path / "rep_report.txt").read_text()
     assert "== Role groups ==" in report
     assert "share_of_group" in report
@@ -343,6 +348,12 @@ def test_cli_subcommands_chain(tmp_path):
     out = tmp_path / "run"
     assert main(["run", "--input", str(edges), "--output-dir", str(out), "--seed", "0",
                  "--k-min", "2", "--k-max", "3"]) == 0
+    # each subcommand prints `run`'s line for every stage it runs
+    run_lines = {line[1:line.index("]")]: line for line in capsys.readouterr().out.splitlines()}
+    assert list(run_lines) == ["ingest", "communities", "measures", "cluster", "capitalists", "stats", "report",
+                               "ok"]
+    for command, (_, stages) in chain.items():
+        assert printed[command] == [run_lines[stage] for stage in stages], command
     pairs = {"partition.tsv": part, "id_map.tsv": tmp_path / "partition.id_map.tsv",
              "measures.tsv": meas, "clusters.tsv": clusters, "centroids.tsv": centroids,
              "capitalists.tsv": f"{cap_prefix}_capitalists.tsv",
@@ -393,13 +404,18 @@ def _planted_run(tmp_path):
     return out
 
 
+@pytest.fixture(scope="module")
+def planted_run(tmp_path_factory):
+    return _planted_run(tmp_path_factory.mktemp("planted"))
+
+
 def _report(out, centroids, capitalists, prefix):
     return main(["report", "--measures", str(out / "measures.tsv"), "--clusters", str(out / "clusters.tsv"),
                  "--centroids", str(centroids), "--capitalists", str(capitalists), "--output", str(prefix)])
 
 
-def test_report_takes_each_role_by_its_group_label(tmp_path, capsys):
-    out = _planted_run(tmp_path)
+def test_report_takes_each_role_by_its_group_label(tmp_path, capsys, planted_run):
+    out = planted_run
     lines = (out / "centroids.tsv").read_text().splitlines()
     head, body = lines[:4], lines[4:]  # config_hash, k, davies_bouldin, header
     assert head[3].startswith("group\t") and [row.split("\t")[0] for row in body] == ["1", "2", "3"]
@@ -420,8 +436,8 @@ def test_report_takes_each_role_by_its_group_label(tmp_path, capsys):
         assert err.startswith("error: centroids file ") and str(bad) in err, err
 
 
-def test_report_counts_each_capitalist_once(tmp_path, capsys):
-    out = _planted_run(tmp_path)
+def test_report_counts_each_capitalist_once(tmp_path, capsys, planted_run):
+    out = planted_run
     lines = (out / "capitalists.tsv").read_text().splitlines()
     assert len(lines) > 5
     twice = tmp_path / "capitalists_twice.tsv"
@@ -431,6 +447,48 @@ def test_report_counts_each_capitalist_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(twice) in err, err
     assert f"lists id {lines[-1].split()[0]} more than once" in err, err
+
+
+_REPORT_FILE_CASES = {  # file -> (its bytes -> the bytes read), None if `report` reads it as `run` did, else the error
+    "CRLF": (lambda b: b.replace(b"\n", b"\r\n"), None),
+    "CR": (lambda b: b.replace(b"\n", b"\r"), None),
+    "# and blank lines between rows": (lambda b: b.replace(b"\n", b"\n# x=1\n\n"), None),
+    "not UTF-8 on the last line": (lambda b: b[:-1] + b"\xe9\n", "{path}:{lines}: not UTF-8 text"),
+    "missing": (None, "missing artifact: {path}"),
+}
+
+
+@pytest.mark.parametrize("edit, want", _REPORT_FILE_CASES.values(), ids=_REPORT_FILE_CASES)
+@pytest.mark.parametrize("changed", ["centroids", "capitalists"])
+def test_report_reads_its_table_files_by_the_table_rule(tmp_path, capsys, planted_run, changed, edit, want):
+    files = {name: planted_run / f"{name}.tsv" for name in ("centroids", "capitalists")}
+    data = files[changed].read_bytes()
+    files[changed] = path = tmp_path / f"{changed}.tsv"
+    if edit is not None:
+        path.write_bytes(edit(data))
+    capsys.readouterr()
+    if want is None:
+        assert _report(planted_run, files["centroids"], files["capitalists"], tmp_path / "rep") == 0
+        for ran, reported in (("report.txt", "rep_report.txt"), ("report_groups.tsv", "rep_groups.tsv")):
+            assert (planted_run / ran).read_text().splitlines()[1:] == \
+                (tmp_path / reported).read_text().splitlines()[1:]
+    else:
+        assert _report(planted_run, files["centroids"], files["capitalists"], tmp_path / "rep") == 1
+        assert capsys.readouterr().err == "error: " + want.format(path=path, lines=data.count(b"\n")) + "\n"
+
+
+def test_report_reads_a_capitalists_file_with_no_rows(tmp_path, planted_run):
+    lines = (planted_run / "capitalists.tsv").read_text().splitlines()
+    header_only = tmp_path / "capitalists.tsv"
+    header_only.write_text("\n".join(line for line in lines if line.startswith("#")) + "\n" + lines[3] + "\n")
+    assert lines[3].startswith("original_id\t") and len(lines) > 5
+    assert _report(planted_run, planted_run / "centroids.tsv", header_only, tmp_path / "rep") == 0
+    ran = (planted_run / "report.txt").read_text().splitlines()
+    reported = (tmp_path / "rep_report.txt").read_text().splitlines()
+    shares = ran.index(next(line for line in ran if line.startswith("== Capitalist share")))
+    assert reported[1:shares + 2] == ran[1:shares + 2]
+    assert len(reported) == len(ran) and all(
+        v == "0.00%" for line in reported[shares + 2:] for v in line.split("\t")[3:])
 
 
 def test_cli_run_subcommand_and_config_file(tmp_path):
@@ -656,6 +714,7 @@ _LABEL_CASES = {  # rows -> the labels of 3, 5, 7, 9, or the file line the error
     "arabic-indic digit": ("3\t\u0661", 6),
     "em space": ("3\u2003\t2", 6),
     "label 2**63 of an uncovered id": (_LABEL_ROWS + ["11\t9223372036854775808"], 9),
+    "byte not UTF-8": ("3\t2\udce9", "labels.tsv:6: not UTF-8 text"),
     "repeated id": (_LABEL_ROWS + ["3\t4"], "lists id 3 more than once"),
     "uncovered node": (_LABEL_ROWS[:3], "does not cover node 7"),
     "header only": ([], "empty table"),
@@ -684,6 +743,7 @@ _MEASURES_CASES = {  # rows -> None if read, else the file line the error names,
     "id as a float": (_swap_field(0, "5.0"), 2),
     "short row": ([_MEASURE_ROWS[0][:9]] + _MEASURE_ROWS[1:], (2, ": 9 field(s), the table needs 10")),
     "whitespace-only line": (_MEASURE_ROWS + [[" "]], 6),
+    "byte not UTF-8": (_swap_field(4, "1.5\udce9"), "measures.tsv:2: not UTF-8 text"),
     "repeated id": (_MEASURE_ROWS + _MEASURE_ROWS[:1], "lists id 5 more than once"),
 }
 
@@ -704,7 +764,8 @@ def _expect_error(capsys, argv, path, want):
 def test_label_table(tmp_path, capsys, rows, want, end):
     rows = [_LABEL_ROWS[0], rows, *_LABEL_ROWS[2:]] if isinstance(rows, str) else rows
     path = tmp_path / "labels.tsv"
-    path.write_text(end.join(["# config_hash=x", "", "# k=1", "original_id\tgroup", *rows]) + end, newline="")
+    path.write_text(end.join(["# config_hash=x", "", "# k=1", "original_id\tgroup", *rows]) + end, newline="",
+                    errors="surrogateescape")
     if isinstance(want, list):
         assert cli._labels_for(path, np.array([3, 5, 7, 9]), "partition").tolist() == want
     else:
@@ -721,7 +782,7 @@ def test_label_table(tmp_path, capsys, rows, want, end):
 @pytest.mark.parametrize("rows, want", _MEASURES_CASES.values(), ids=_MEASURES_CASES)
 def test_measures_table(tmp_path, capsys, rows, want, head, end, last):
     path = tmp_path / "measures.tsv"
-    path.write_text(end.join([head] + ["\t".join(r) for r in rows]) + last, newline="")
+    path.write_text(end.join([head] + ["\t".join(r) for r in rows]) + last, newline="", errors="surrogateescape")
     if want is None:
         ids, mat = cli._load_measures(path)
         kept = [r for r in rows if r[0][:1] not in ("", "#")]

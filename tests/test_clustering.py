@@ -97,6 +97,21 @@ def test_kmeans_rejects_nan_tol():
         kmeans(x, 3, tol=float("nan"))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", ["standardize", "kmeans", "select_k", "davies_bouldin"])
+def test_entry_points_reject_non_finite_values(entry, value):
+    # a NaN row used to get the label k, an inf row NaN probabilities, and
+    # standardize a silent all-zero column
+    x = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0], [2.0, 1.0]])
+    fit = kmeans(x, 2)
+    bad = x.copy()
+    bad[4, 0] = value
+    call = {"standardize": lambda: standardize(bad), "kmeans": lambda: kmeans(bad, 2),
+            "select_k": lambda: select_k(bad, 2, 3), "davies_bouldin": lambda: davies_bouldin(bad, fit)}
+    with pytest.raises(ConfigError, match="non-finite"):
+        call[entry]()
+
+
 def test_kmeans_fixed_point_and_nonempty():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((120, 5))
