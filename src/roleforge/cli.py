@@ -37,7 +37,7 @@ from .louvain import ORDERS, Partition, louvain_directed
 from .measures import (MEASURE_COLUMNS, community_profile, embeddedness_values,
                        measures_from_profile, participation_coefficients)
 from .report import format_p, group_summary_rows, render_report
-from .stats import one_way_anova, pairwise_t_bonferroni
+from .stats import group_moments, one_way_anova, pairwise_t_bonferroni
 
 # CPython's builtin SHA-256 gives hashlib's digests without loading OpenSSL,
 # which would add ~4 MB to the peak of every subcommand process.
@@ -303,7 +303,7 @@ def _measures_stage(g: DirectedGraph, part: Partition):
     emb_or_blank[np.isnan(emb)] = None  # a linkless node: blank, not NA
     columns = ("original_id", "community", *MEASURE_COLUMNS, "embeddedness", "participation")
     rows = _column_rows(g.node_ids, part.assign, *mat.T, emb_or_blank, pcs)
-    return mat, {"measures": (columns, rows, ())}, f"rows={g.n} columns={len(MEASURE_COLUMNS) + 2}"
+    return mat, {"measures": (columns, rows, ())}, f"rows={g.n} columns={len(columns)}"
 
 
 def _cluster_stage(cfg: PipelineConfig, ids, mat):
@@ -368,7 +368,7 @@ def _stats_stage(mat, groups):
         for a in range(k):
             for b in range(a + 1, k):
                 p = pmat[a, b]
-                pair_rows.append((name, present[a] + 1, present[b] + 1, "NA" if p != p else format_p(float(p))))
+                pair_rows.append((name, present[a] + 1, present[b] + 1, format_p(float(p))))
     tables = {
         "anova": (("measure", "F", "df_between", "df_within", "p"), anova_rows, ()),
         "pairwise": (("measure", "group_a", "group_b", "p_adjusted"), pair_rows, ()),
@@ -379,8 +379,7 @@ def _stats_stage(mat, groups):
 def _report_stage(mat, assign, k: int, roles, ct, overlap_min: float, in_degree_min: int):
     """The report text and its group tables; `ct` is the crosstab of the capitalists."""
     group_rows = group_summary_rows(np.bincount(assign, minlength=k), roles)
-    mean_rows = [mat[assign == i].mean(axis=0) if (assign == i).any() else np.zeros(mat.shape[1])
-                 for i in range(k)]
+    mean_rows = np.column_stack([group_moments(col, assign, k)[1] for col in mat.T])  # 0 for an empty group
     text = render_report(group_rows, mean_rows, MEASURE_COLUMNS, ct, k,
                          overlap_min=overlap_min, in_degree_min=in_degree_min)
     tables = {

@@ -30,20 +30,21 @@ class ClusteringResult:
 
 
 def standardize(mat) -> np.ndarray:
-    """Center and scale every column to mean 0, population sd 1.
+    """Center and scale every column to mean 0, population sd 1: the z-score
+    rule of `stats.group_z_scores` with all rows as one group.
 
-    Constant columns become all-zero.  Already standardized input is a fixed
-    point up to rounding.  A non-finite value raises ConfigError.
+    A column of equal values becomes all-zero.  Already standardized input is
+    a fixed point up to rounding.  A non-finite value raises ConfigError.
     """
+    from .stats import group_z_scores  # not at the top: a k-means worker loads only this module
     x = np.asarray(mat, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ConfigError("standardize needs a non-empty 2-D matrix")
     x = _as_rows(x)
-    mu = x.mean(axis=0)
-    sd = x.std(axis=0)
-    out = np.zeros_like(x)
-    ok = sd > 0
-    out[:, ok] = (x[:, ok] - mu[ok]) / sd[ok]
+    one = np.zeros(x.shape[0], dtype=np.intp)
+    out = np.empty_like(x)
+    for j in range(x.shape[1]):
+        out[:, j] = group_z_scores(x[:, j], one, 1)
     return out
 
 

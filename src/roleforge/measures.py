@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DirectedGraph
+from .stats import group_moments, group_z_scores
 
 MEASURE_COLUMNS = ("I_int_out", "I_int_in", "D_out", "D_in", "I_ext_out", "I_ext_in", "H_out", "H_in")
 
@@ -41,31 +42,12 @@ class NodeCommunityProfile:
 
 
 def z_score_within_community(values, partition) -> np.ndarray:
-    """Z-score of `values` relative to each node's community.
-
-    Uses the population standard deviation over the community members.  A
-    community whose values are all equal (a singleton included) z-scores to
-    exactly 0: its minimum equals its maximum, whatever rounding leaves in
-    the variance.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    a = partition.assign
-    if v.shape[0] != a.shape[0]:
+    """Z-score of `values` relative to each node's community, by the rule of
+    `stats.group_z_scores`: population sd, and a community whose values are
+    all equal (a singleton included) z-scores to exactly 0."""
+    if len(values) != partition.assign.shape[0]:
         raise ValueError("values must have one entry per node")
-    nc = partition.n_comms
-    sizes = np.bincount(a, minlength=nc)
-    safe = np.maximum(sizes, 1)
-    mean = np.bincount(a, weights=v, minlength=nc) / safe
-    var = np.bincount(a, weights=v * v, minlength=nc) / safe - mean**2
-    sigma = np.sqrt(np.maximum(var, 0.0))
-    lo = np.full(nc, np.inf)
-    hi = np.full(nc, -np.inf)
-    np.minimum.at(lo, a, v)
-    np.maximum.at(hi, a, v)
-    z = np.zeros_like(v)
-    ok = (sigma[a] > 0) & (lo[a] < hi[a])
-    z[ok] = (v[ok] - mean[a][ok]) / sigma[a][ok]
-    return z
+    return group_z_scores(values, partition.assign, partition.n_comms)
 
 
 # community_profile works through node ranges of at most this many out- plus
@@ -100,18 +82,9 @@ def _direction_profile(nbr, deg, own, assign, n_comms):
     k_ext = deg - k_int
     key = src[~internal] * np.int64(n_comms) + nbr_comm[~internal]
     uniq, counts = np.unique(key, return_counts=True)
-    unode = uniq // n_comms
-    eps = np.bincount(unode, minlength=n)
     counts = counts.astype(np.float64)
-    csum = np.bincount(unode, weights=counts, minlength=n)
-    csum2 = np.bincount(unode, weights=counts * counts, minlength=n)
-    ok = eps > 0
-    mean = np.zeros(n)
-    mean[ok] = csum[ok] / eps[ok]
-    var = np.zeros(n)
-    var[ok] = csum2[ok] / eps[ok] - mean[ok] ** 2
-    lam = np.sqrt(np.maximum(var, 0.0))
-    return k_int, k_ext, eps, lam, uniq, counts
+    eps, _, ssd = group_moments(counts, uniq // n_comms, n)
+    return k_int, k_ext, eps, np.sqrt(ssd / np.maximum(eps, 1)), uniq, counts
 
 
 def community_profile(g: DirectedGraph, partition) -> NodeCommunityProfile:

@@ -1,4 +1,5 @@
-"""One-way ANOVA and Bonferroni-corrected pairwise Welch t-tests.
+"""Per-group moments and z-scores, one-way ANOVA, and Bonferroni-corrected
+pairwise Welch t-tests, all from the one per-group mean and sum of squares.
 
 P-values come from the regularized incomplete beta function, evaluated by
 the standard continued fraction with the symmetry switch, so no external
@@ -93,6 +94,33 @@ def _t_sf_two_sided(t: float, df: float) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
 
 
+def group_moments(values, groups, n_groups: int):
+    """Size, mean and sum of squared deviations from the mean of each group
+    (`groups` holds labels in [0, n_groups)), in two np.bincount passes.  An
+    empty group has size 0, mean 0 and sum 0."""
+    v = np.asarray(values, dtype=np.float64)
+    sizes = np.bincount(groups, minlength=n_groups)
+    means = np.bincount(groups, weights=v, minlength=n_groups) / np.maximum(sizes, 1)
+    dev = v - means[groups]
+    return sizes, means, np.bincount(groups, weights=dev * dev, minlength=n_groups)
+
+
+def group_z_scores(values, groups, n_groups: int) -> np.ndarray:
+    """Z-score of each value within its group, over the group's population sd.
+    A group whose values are all equal (a singleton included) scores exactly 0:
+    its minimum is its maximum, whatever rounding leaves in its sum."""
+    v = np.asarray(values, dtype=np.float64)
+    sizes, means, ssd = group_moments(v, groups, n_groups)
+    sd = np.sqrt(ssd / np.maximum(sizes, 1))
+    lo, hi = np.full(n_groups, np.inf), np.full(n_groups, -np.inf)
+    np.minimum.at(lo, groups, v)
+    np.maximum.at(hi, groups, v)
+    z = np.zeros_like(v)
+    ok = ((sd > 0) & (lo < hi))[groups]
+    z[ok] = (v[ok] - means[groups][ok]) / sd[groups][ok]
+    return z
+
+
 def _group_arrays(values, groups):
     v = np.asarray(values, dtype=np.float64).ravel()
     gl = np.asarray(groups).ravel()
@@ -117,11 +145,10 @@ def one_way_anova(values, groups) -> AnovaResult:
         raise ConfigError("ANOVA needs at least two groups")
     if n <= k:
         raise ConfigError("ANOVA needs more values than groups")
-    sizes = np.bincount(inv, minlength=k)
-    means = np.bincount(inv, weights=v, minlength=k) / sizes
+    sizes, means, ssd = group_moments(v, inv, k)
     grand = v.mean()
     ssb = float((sizes * (means - grand) ** 2).sum())
-    ssw = float(((v - means[inv]) ** 2).sum())
+    ssw = float(ssd.sum())
     if ssw <= 0.0:
         raise DegenerateVarianceError("all within-group variances are zero")
     df_b = k - 1
@@ -130,11 +157,11 @@ def one_way_anova(values, groups) -> AnovaResult:
     return AnovaResult(F=f_stat, df_between=df_b, df_within=df_w, p=f_sf(f_stat, df_b, df_w))
 
 
-def _welch_p(x: np.ndarray, y: np.ndarray) -> float:
-    n1, n2 = x.size, y.size
-    m1, m2 = x.mean(), y.mean()
-    v1 = x.var(ddof=1)
-    v2 = y.var(ddof=1)
+def _welch_p(a, b) -> float:
+    """Two-sided Welch t-test p of two samples, each given by its size, mean
+    and sum of squared deviations."""
+    (n1, m1, ss1), (n2, m2, ss2) = a, b
+    v1, v2 = ss1 / (n1 - 1), ss2 / (n2 - 1)
     se2 = v1 / n1 + v2 / n2
     if se2 == 0.0:
         return 1.0 if m1 == m2 else 0.0
@@ -155,12 +182,11 @@ def pairwise_t_bonferroni(values, groups) -> np.ndarray:
     k = labels.size
     mat = np.full((k, k), np.nan)
     np.fill_diagonal(mat, 1.0)
-    samples = [v[inv == i] for i in range(k)]
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)
-             if samples[i].size >= 2 and samples[j].size >= 2]
+    moments = list(zip(*group_moments(v, inv, k)))  # (size, mean, ssd) per group
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if moments[i][0] >= 2 and moments[j][0] >= 2]
     n_pairs = len(pairs)
     for i, j in pairs:
-        p_adj = min(1.0, _welch_p(samples[i], samples[j]) * n_pairs)
+        p_adj = min(1.0, _welch_p(moments[i], moments[j]) * n_pairs)
         mat[i, j] = p_adj
         mat[j, i] = p_adj
     return mat

@@ -354,6 +354,8 @@ def test_cli_subcommands_chain(tmp_path, capsys):
                                "ok"]
     for command, (_, stages) in chain.items():
         assert printed[command] == [run_lines[stage] for stage in stages], command
+    # the [measures] line counts the columns that measures.tsv holds
+    assert run_lines["measures"].endswith(f" columns={len(read_tsv(meas)[0])}")
     pairs = {"partition.tsv": part, "id_map.tsv": tmp_path / "partition.id_map.tsv",
              "measures.tsv": meas, "clusters.tsv": clusters, "centroids.tsv": centroids,
              "capitalists.tsv": f"{cap_prefix}_capitalists.tsv",
@@ -407,6 +409,25 @@ def _planted_run(tmp_path):
 @pytest.fixture(scope="module")
 def planted_run(tmp_path_factory):
     return _planted_run(tmp_path_factory.mktemp("planted"))
+
+
+def test_cluster_gives_a_constant_measure_column_no_role(tmp_path):
+    """A measure equal on every row standardizes to 0, so it cannot make a
+    group a pivot: the roles benchmark graph's measures, I_int_out set to 0.7."""
+    g, _, _ = synth.capitalist_community_network(comm_size=300, n_capitalists=60, seed=7)
+    edges, part, meas = tmp_path / "roles.txt", tmp_path / "partition.tsv", tmp_path / "measures.tsv"
+    save_edge_list(g, edges)
+    assert main(["communities", "--input", str(edges), "--output", str(part), "--seed", "7"]) == 0
+    assert main(["measures", "--input", str(edges), "--partition", str(part), "--output", str(meas)]) == 0
+    columns, rows, _ = read_tsv(meas)
+    col = columns.index("I_int_out")
+    meas.write_text("\t".join(columns) + "\n" + "".join(
+        "\t".join(r[:col] + ["0.7"] + r[col + 1:]) + "\n" for r in rows))
+    prefix = tmp_path / "roles"
+    assert main(["cluster", "--measures", str(meas), "--seed", "7", "--output", str(prefix)]) == 0
+    _, centroids, _ = read_tsv(f"{prefix}_centroids.tsv")
+    assert centroids[0][:3] == ["1", "6000", "non-pivot périphérique"]
+    assert {float(r[3 + col - 2]) for r in centroids} == {0.0}
 
 
 def _report(out, centroids, capitalists, prefix):

@@ -55,6 +55,10 @@ def test_standardize_constant_column():
     out = standardize(np.array([[2.0, 1.0], [2.0, 3.0]]))
     assert out[:, 0].tolist() == [0.0, 0.0]
     assert out[:, 1].tolist() == [-1.0, 1.0]
+    # the mean of these constants is not exactly the constant, so the deviations
+    # from it are not exactly 0: the column must still standardize to 0
+    for value, n in ((0.1, 7), (0.7, 3), (1 / 3, 33), (3.3, 7)):
+        assert standardize(np.full((n, 1), value)).tolist() == [[0.0]] * n, (value, n)
 
 
 def test_standardize_idempotent():

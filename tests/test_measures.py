@@ -30,7 +30,7 @@ def test_z_score_constant_and_singleton():
 
 
 def test_z_score_constant_community_with_inexact_values():
-    # E[x^2] - mean^2 leaves a tiny positive variance for these: they must still give 0
+    # rounding can leave these a tiny positive variance: they must still give 0
     for values in ([0.1] * 7, [0.7] * 3, [1 / 3] * 33):
         assign = [0] * len(values)
         z = z_score_within_community(values, Partition.from_labels(assign))
@@ -47,8 +47,10 @@ def test_z_score_matches_oracle():
         n = int(rng.integers(2, 50))
         assign = random_assign(rng, n, int(rng.integers(1, 6)))
         values = rng.integers(0, 10, size=n).astype(float)
-        z = z_score_within_community(values, Partition.from_labels(assign))
-        assert z == pytest.approx(oracle_z(values.tolist(), assign), abs=1e-12)
+        # a common offset cancels catastrophically in E[x^2] - mean^2, not in deviations from the mean
+        for offset in (0.0, 1e6, 1e8):
+            z = z_score_within_community(values + offset, Partition.from_labels(assign))
+            assert z == pytest.approx(oracle_z((values + offset).tolist(), assign), abs=1e-12), offset
 
 
 def test_profile_g1(g1, g1_partition):

@@ -3,8 +3,27 @@ import pytest
 from scipy import special, stats as sstats
 
 from roleforge.errors import ConfigError, DegenerateVarianceError
-from roleforge.stats import (f_sf, one_way_anova, pairwise_t_bonferroni,
+from roleforge.stats import (f_sf, group_moments, one_way_anova, pairwise_t_bonferroni,
                              regularized_incomplete_beta)
+
+
+def test_group_moments_match_two_pass_reference():
+    sizes, means, ssd = group_moments([1, 2, 3, 10], np.array([0, 0, 0, 2]), 3)
+    assert (sizes.tolist(), means.tolist(), ssd.tolist()) == ([3, 0, 1], [2.0, 0.0, 10.0], [2.0, 0.0, 0.0])
+    rng = np.random.default_rng(5)
+    groups = rng.integers(0, 5, size=300)
+    groups[groups == 3] = 4  # group 3 and group 5 hold no value
+    values = rng.standard_normal(300) * 1e3 + 1e8
+    sizes, means, ssd = group_moments(values, groups, 6)
+    for g in range(6):
+        members = values[groups == g]
+        assert sizes[g] == members.size
+        if members.size == 0:
+            assert (means[g], ssd[g]) == (0.0, 0.0)
+            continue
+        mean = members.sum() / members.size
+        assert means[g] == pytest.approx(mean, rel=1e-15)
+        assert ssd[g] == pytest.approx(((members - mean) ** 2).sum(), rel=1e-12)
 
 
 def test_anova_fixture():
