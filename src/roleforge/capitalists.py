@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError, check_finite
 from .graph import DirectedGraph
 
 IN_DEGREE_FLOOR = 500
@@ -67,6 +68,15 @@ def classify_ratio(k_in: int, r: float) -> tuple[str, str]:
     return "high", ("FMIFY" if r < 1.0 else "IFYFM")
 
 
+def check_thresholds(overlap_min: float, in_degree_min: int) -> None:
+    """The rules of the `overlap_min` and `in_degree_min` keys."""
+    check_finite("overlap_min", overlap_min)
+    if not 0.0 <= overlap_min <= 1.0:
+        raise ConfigError(f"overlap_min must lie in [0, 1], got {overlap_min!r}")
+    if in_degree_min < IN_DEGREE_FLOOR:
+        raise ConfigError(f"in_degree_min below {IN_DEGREE_FLOOR} conflicts with the classification floor")
+
+
 def detect_capitalists(g: DirectedGraph, *, overlap_min: float = 0.8,
                        in_degree_min: int = IN_DEGREE_FLOOR) -> list[CapitalistRecord]:
     """All nodes with in-degree >= in_degree_min and overlap >= overlap_min.
@@ -74,10 +84,7 @@ def detect_capitalists(g: DirectedGraph, *, overlap_min: float = 0.8,
     Records come back classified and sorted by descending in-degree (node id
     breaks ties).  Raising either threshold can only shrink the result.
     """
-    if not 0.0 <= overlap_min <= 1.0:
-        raise ValueError(f"overlap_min {overlap_min} outside [0, 1]")
-    if in_degree_min < IN_DEGREE_FLOOR:
-        raise ValueError(f"in_degree_min {in_degree_min} below the classification floor {IN_DEGREE_FLOOR}")
+    check_thresholds(overlap_min, in_degree_min)
     records = []
     for u in np.flatnonzero(g.in_degrees >= in_degree_min).tolist():
         ov = overlap_index(g, u)

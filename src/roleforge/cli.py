@@ -8,8 +8,9 @@ the stage's tables and prints its one `[stage]` line, so a subcommand prints
 back through `_table_lines`; node tables add a row rule (`_node_table`).
 
 Configuration is a flat key=value file overridable by flags (flags win).
-A value from either source is parsed by `config_from_mapping` and checked by
-`validate_config`, the only place that checks a key.
+A value from either source is parsed by `config_from_mapping` and checked,
+before ingest, by `validate_config`, which calls each key's one rule: the
+check of the module whose function takes the value (`seed`'s in `errors`).
 Every output file carries the hash of the computation-relevant parameters in
 a header comment, and a full `run` with a fixed seed is reproducible down to
 identical artifact checksums.
@@ -21,7 +22,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import sys
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -29,11 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .capitalists import IN_DEGREE_FLOOR, CapitalistRecord, crosstab, detect_capitalists
-from .clustering import label_role, renumber_by_size, select_k, standardize
-from .errors import ConfigError, DegenerateVarianceError, PipelineStageError, RoleForgeError
-from .graph import CONVENTIONS, DirectedGraph, load_edge_list
-from .louvain import ORDERS, Partition, louvain_directed
+from .capitalists import IN_DEGREE_FLOOR, CapitalistRecord, check_thresholds, crosstab, detect_capitalists
+from .clustering import check_fit_params, check_k_range, label_role, renumber_by_size, select_k, standardize
+from .errors import ConfigError, DegenerateVarianceError, PipelineStageError, RoleForgeError, check_seed
+from .graph import DirectedGraph, check_direction, load_edge_list
+from .louvain import Partition, check_louvain_params, louvain_directed
 from .measures import (MEASURE_COLUMNS, community_profile, embeddedness_values,
                        measures_from_profile, participation_coefficients)
 from .report import format_p, group_summary_rows, render_report
@@ -75,7 +75,6 @@ class PipelineConfig:
 
 _PATH_KEYS = ("input", "output_dir")
 _CONFIG_KEYS = tuple(f.name for f in fields(PipelineConfig))
-_FLOAT_KEYS = tuple(key for key in _CONFIG_KEYS if isinstance(getattr(PipelineConfig, key), float))
 # the flag of each config key; every one takes a value
 _VALUE_FLAGS = frozenset(f"--{key.replace('_', '-')}" for key in _CONFIG_KEYS)
 
@@ -105,46 +104,24 @@ def config_from_mapping(data: dict[str, str], base: PipelineConfig | None = None
     for key, value in data.items():
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        current = getattr(cfg, key)
-        if isinstance(current, (int, float)):
-            try:
-                parsed: object = type(current)(value)
-            except ValueError:
-                raise ConfigError(f"{key} expects {type(current).__name__}, got {value!r}") from None
-        else:
-            parsed = value
-        setattr(cfg, key, parsed)
+        kind = type(getattr(cfg, key))  # str, int or float
+        try:
+            setattr(cfg, key, kind(value))
+        except ValueError:
+            raise ConfigError(f"{key} expects {kind.__name__}, got {value!r}") from None
     return cfg
 
 
 def validate_config(cfg: PipelineConfig, *, for_run: bool = True) -> None:
-    """Raise ConfigError on the first value out of range; with `for_run`,
-    also require the input file and the output directory."""
-    for key in _FLOAT_KEYS:
-        value = getattr(cfg, key)
-        if not math.isfinite(value):
-            raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    if cfg.direction not in CONVENTIONS:
-        raise ConfigError(f"direction must be one of {', '.join(CONVENTIONS)}, got {cfg.direction!r}")
-    if cfg.order not in ORDERS:
-        raise ConfigError(f"order must be one of {', '.join(ORDERS)}, got {cfg.order!r}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
-    if cfg.k_min < 2:
-        raise ConfigError(f"k_min must be at least 2, got {cfg.k_min}")
-    if cfg.k_max < cfg.k_min:
-        raise ConfigError(f"k_max must be at least k_min ({cfg.k_min}), got {cfg.k_max}")
-    if not 0.0 <= cfg.overlap_min <= 1.0:
-        raise ConfigError("overlap_min must lie in [0, 1]")
-    if cfg.in_degree_min < IN_DEGREE_FLOOR:
-        raise ConfigError(f"in_degree_min below {IN_DEGREE_FLOOR} conflicts with the classification floor")
-    for key in ("kmeans_restarts", "kmeans_max_iter"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
-    if cfg.kmeans_tol <= 0:
-        raise ConfigError(f"kmeans_tol must be positive, got {cfg.kmeans_tol!r}")
-    if cfg.min_gain < 0:
-        raise ConfigError("min_gain must be non-negative")
+    """Raise ConfigError on the first value out of its key's rule, each rule
+    that of the function that takes the value; with `for_run`, also require
+    the input file and the output directory."""
+    check_direction(cfg.direction)
+    check_seed(cfg.seed)
+    check_louvain_params(cfg.min_gain, cfg.order)
+    check_k_range(cfg.k_min, cfg.k_max)
+    check_fit_params(cfg.kmeans_restarts, cfg.kmeans_max_iter, cfg.kmeans_tol)
+    check_thresholds(cfg.overlap_min, cfg.in_degree_min)
     if for_run:
         if not cfg.input:
             raise ConfigError("input is required")
@@ -668,8 +645,9 @@ def cmd_report(args) -> int:
     try:
         overlap_min = float(capmeta.get("overlap_min", cfg.overlap_min))
         in_degree_min = int(capmeta.get("in_degree_min", cfg.in_degree_min))
-    except ValueError:
-        raise RoleForgeError(f"{args.capitalists}: cannot parse header {capmeta}") from None
+        check_thresholds(overlap_min, in_degree_min)
+    except ValueError as exc:  # ConfigError is one
+        raise RoleForgeError(f"{args.capitalists}: bad header {capmeta}: {exc}") from None
     run("report", _report_stage, mat, assign, k, roles, ct, overlap_min, in_degree_min)
     return 0
 
@@ -688,6 +666,24 @@ def _add_override_args(p: argparse.ArgumentParser, keys) -> None:
         p.add_argument(f"--{key.replace('_', '-')}", dest=key)
 
 
+# each subcommand but `run`: its function, its help, the files it reads, whether
+# its --output is a path prefix, and the config keys it takes as flags
+_SUBCOMMANDS = {
+    "communities": (cmd_communities, "detect communities by directed modularity",
+                    ("input",), False, ("direction", "min_gain", "seed", "order")),
+    "measures": (cmd_measures, "compute the 8 role measures, embeddedness, participation",
+                 ("input", "partition"), False, ("direction",)),
+    "cluster": (cmd_cluster, "standardize, k-means over a k range, Davies-Bouldin selection",
+                ("measures",), True, ("k_min", "k_max", "seed", "kmeans_restarts", "kmeans_max_iter", "kmeans_tol")),
+    "capitalists": (cmd_capitalists, "detect and band reciprocal-follow accounts",
+                    ("input", "clusters"), True, ("direction", "overlap_min", "in_degree_min")),
+    "stats": (cmd_stats, "per-measure ANOVA and pairwise adjusted p-values over groups",
+              ("measures", "clusters"), True, ()),
+    "report": (cmd_report, "render the group, measure-mean, and capitalist tables",
+               ("measures", "clusters", "centroids", "capitalists"), True, ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="role-forge",
@@ -695,58 +691,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "and social-capitalist analysis for directed graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("communities", help="detect communities by directed modularity")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--config", default=None)
-    _add_override_args(p, ("direction", "min_gain", "seed", "order"))
-    p.set_defaults(func=cmd_communities)
-
-    p = sub.add_parser("measures", help="compute the 8 role measures, embeddedness, participation")
-    p.add_argument("--input", required=True)
-    p.add_argument("--partition", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--config", default=None)
-    _add_override_args(p, ("direction",))
-    p.set_defaults(func=cmd_measures)
-
-    p = sub.add_parser("cluster", help="standardize, k-means over a k range, Davies-Bouldin selection")
-    p.add_argument("--measures", required=True)
-    p.add_argument("--output", required=True, help="output path prefix")
-    p.add_argument("--config", default=None)
-    _add_override_args(p, ("k_min", "k_max", "seed", "kmeans_restarts", "kmeans_max_iter", "kmeans_tol"))
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("capitalists", help="detect and band reciprocal-follow accounts")
-    p.add_argument("--input", required=True)
-    p.add_argument("--clusters", required=True)
-    p.add_argument("--output", required=True, help="output path prefix")
-    p.add_argument("--config", default=None)
-    _add_override_args(p, ("direction", "overlap_min", "in_degree_min"))
-    p.set_defaults(func=cmd_capitalists)
-
-    p = sub.add_parser("stats", help="per-measure ANOVA and pairwise adjusted p-values over groups")
-    p.add_argument("--measures", required=True)
-    p.add_argument("--clusters", required=True)
-    p.add_argument("--output", required=True, help="output path prefix")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("report", help="render the group, measure-mean, and capitalist tables")
-    p.add_argument("--measures", required=True)
-    p.add_argument("--clusters", required=True)
-    p.add_argument("--centroids", required=True)
-    p.add_argument("--capitalists", required=True)
-    p.add_argument("--output", required=True, help="output path prefix")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_report)
+    for name, (func, text, reads, prefix, keys) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag in reads:
+            p.add_argument(f"--{flag}", required=True)
+        p.add_argument("--output", required=True, help="output path prefix" if prefix else None)
+        p.add_argument("--config", default=None)
+        _add_override_args(p, keys)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("run", help="run the whole pipeline into an output directory")
     p.add_argument("--config", default=None)
-    p.add_argument("--input", default=None)
-    p.add_argument("--output-dir", dest="output_dir", default=None)
-    _add_override_args(p, [key for key in _CONFIG_KEYS if key not in _PATH_KEYS])
+    _add_override_args(p, _CONFIG_KEYS)  # --input and --output-dir among them
     p.set_defaults(func=cmd_run)
 
     return parser

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateClusteringError, UndefinedValueError
+from .errors import ConfigError, DegenerateClusteringError, UndefinedValueError, check_finite, check_seed
 
 
 @dataclass(frozen=True)
@@ -200,11 +200,22 @@ class _Workspace:
         return [self._seed_rows(k, np.random.default_rng([seed, r])) for r in range(restarts)]
 
 
-def _check_fit_params(seed, max_iter, tol, restarts) -> None:
-    """Raise ConfigError unless the k-means parameters can drive a fit."""
-    if restarts < 1 or max_iter < 1 or not tol > 0 or seed < 0:
-        raise ConfigError(f"k-means needs restarts >= 1, max_iter >= 1, tol > 0 and seed >= 0, got "
-                          f"restarts={restarts}, max_iter={max_iter}, tol={tol!r}, seed={seed}")
+def check_fit_params(restarts: int, max_iter: int, tol: float) -> None:
+    """The rules of the `kmeans_restarts`, `kmeans_max_iter` and `kmeans_tol` keys."""
+    for key, value in (("kmeans_restarts", restarts), ("kmeans_max_iter", max_iter)):
+        if value < 1:
+            raise ConfigError(f"{key} must be at least 1, got {value}")
+    check_finite("kmeans_tol", tol)
+    if tol <= 0:
+        raise ConfigError(f"kmeans_tol must be positive, got {tol!r}")
+
+
+def check_k_range(k_min: int, k_max: int) -> None:
+    """The rules of the `k_min` and `k_max` keys."""
+    if k_min < 2:
+        raise ConfigError(f"k_min must be at least 2, got {k_min}")
+    if k_max < k_min:
+        raise ConfigError(f"k_max must be at least k_min ({k_min}), got {k_max}")
 
 
 def kmeans(mat, k, *, seed: int = 0, max_iter: int = 100, tol: float = 1e-6, restarts: int = 10) -> ClusteringResult:
@@ -221,7 +232,8 @@ def kmeans(mat, k, *, seed: int = 0, max_iter: int = 100, tol: float = 1e-6, res
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"k={k} must satisfy 1 <= k <= n={n}")
-    _check_fit_params(seed, max_iter, tol, restarts)
+    check_fit_params(restarts, max_iter, tol)
+    check_seed(seed)
     ws = _Workspace(x, k)
     return ws.fit(ws.seeds(k, seed, restarts), max_iter, tol)
 
@@ -416,11 +428,11 @@ def select_k(mat, k_min: int = 2, k_max: int = 15, *, seed: int = 0, max_iter: i
     """
     x = _as_rows(mat)
     n = x.shape[0]
-    if k_min < 2 or k_min > k_max:
-        raise ConfigError(f"invalid k range [{k_min}, {k_max}]")
+    check_k_range(k_min, k_max)
     if k_max > n:
         raise ConfigError(f"k_max={k_max} exceeds the number of points n={n}")
-    _check_fit_params(seed, max_iter, tol, restarts)
+    check_fit_params(restarts, max_iter, tol)
+    check_seed(seed)
     ks = list(range(k_min, k_max + 1))
     sample_size = min(n, SAMPLE_ROWS_PER_K * k_max)
     params = dict(sample_size=sample_size, seed=seed, max_iter=max_iter, tol=tol, restarts=restarts)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config rules that two modules apply."""
+
+import math
 
 
 class RoleForgeError(Exception):
@@ -21,8 +23,8 @@ class UndefinedValueError(RoleForgeError):
     """A value is undefined for its input: the Davies-Bouldin index of fewer than 2 groups."""
 
 
-class ConfigError(RoleForgeError):
-    """Invalid configuration or parameter combination."""
+class ConfigError(RoleForgeError, ValueError):
+    """Invalid configuration or parameter combination; a ValueError too, for callers that catch one."""
 
 
 class DegenerateClusteringError(RoleForgeError):
@@ -39,3 +41,15 @@ class PipelineStageError(RoleForgeError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
+
+
+def check_finite(key: str, value: float) -> None:
+    """The first test of every float config key's rule."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
+def check_seed(seed: int) -> None:
+    """The rule of the `seed` key, which Louvain and k-means both take."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")

@@ -9,11 +9,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EdgeListParseError, RoleForgeError
+from .errors import ConfigError, EdgeListParseError, RoleForgeError
 
 log = logging.getLogger(__name__)
 
 CONVENTIONS = ("src-follows-dst", "dst-follows-src")
+
+
+def check_direction(direction: str) -> None:
+    """The rule of the `direction` key, the `convention` of `load_edge_list`."""
+    if direction not in CONVENTIONS:
+        raise ConfigError(f"direction must be one of {', '.join(CONVENTIONS)}, got {direction!r}")
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
@@ -338,13 +344,12 @@ def load_edge_list(path, convention: str = "src-follows-dst") -> DirectedGraph:
     for reporting.  Self-loops and duplicate arcs are dropped with one
     counted warning.
 
-    Raises EdgeListParseError (with the line number) on malformed lines and
-    RoleForgeError (with the line number) on a line that is not UTF-8 text;
-    the first bad line in file order decides.  An empty file yields the
-    empty graph, not an error.
+    Raises ConfigError on a convention outside CONVENTIONS, EdgeListParseError
+    (with the line number) on malformed lines and RoleForgeError (with the
+    line number) on a line that is not UTF-8 text; the first bad line in
+    file order decides.  An empty file yields the empty graph, not an error.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
+    check_direction(convention)
     srcs, dsts = array("q"), array("q")
     line_no = 0
     with open(path, "rb") as fh:

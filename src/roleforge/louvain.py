@@ -18,10 +18,19 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import UndefinedModularityError
+from .errors import ConfigError, UndefinedModularityError, check_finite, check_seed
 from .graph import DirectedGraph, _run_starts, _summed_keys
 
 ORDERS = ("natural", "shuffled")
+
+
+def check_louvain_params(min_gain: float, order: str) -> None:
+    """The rules of the `min_gain` and `order` keys."""
+    check_finite("min_gain", min_gain)
+    if min_gain < 0:
+        raise ConfigError(f"min_gain must be non-negative, got {min_gain!r}")
+    if order not in ORDERS:
+        raise ConfigError(f"order must be one of {', '.join(ORDERS)}, got {order!r}")
 
 
 @dataclass(frozen=True)
@@ -264,12 +273,10 @@ def louvain_directed(
     ingested graph and its aggregates qualify); other weights raise
     ValueError, because the local moves rely on exact weight sums.
     """
+    check_louvain_params(min_gain, order)
+    check_seed(seed)
     if g.m == 0:
         raise UndefinedModularityError("cannot run community detection on a graph with no arcs")
-    if order not in ORDERS:
-        raise ValueError("order must be 'natural' or 'shuffled'")
-    if not min_gain >= 0:
-        raise ValueError("min_gain must be non-negative")
     wts = g.out_weights
     if not ((wts > 0).all() and (wts == np.floor(wts)).all() and g.total_weight <= 2.0**53):
         raise ValueError("arc weights must be positive integers summing to at most 2^53")

@@ -96,29 +96,27 @@ def _t_sf_two_sided(t: float, df: float) -> float:
 
 def group_moments(values, groups, n_groups: int):
     """Size, mean and sum of squared deviations from the mean of each group
-    (`groups` holds labels in [0, n_groups)), in two np.bincount passes.  An
-    empty group has size 0, mean 0 and sum 0."""
+    (`groups` holds labels in [0, n_groups)), by np.bincount.  A group of
+    equal values (a singleton included) has exactly that value as its mean
+    and 0 as its sum; an empty group has size 0, mean 0 and sum 0."""
     v = np.asarray(values, dtype=np.float64)
     sizes = np.bincount(groups, minlength=n_groups)
     means = np.bincount(groups, weights=v, minlength=n_groups) / np.maximum(sizes, 1)
+    one = np.zeros(n_groups)
+    one[groups] = v  # a member's value per group, whichever write lands: the mean if none differs
+    means = np.where(np.bincount(groups[v != one[groups]], minlength=n_groups) == 0, one, means)
     dev = v - means[groups]
     return sizes, means, np.bincount(groups, weights=dev * dev, minlength=n_groups)
 
 
 def group_z_scores(values, groups, n_groups: int) -> np.ndarray:
     """Z-score of each value within its group, over the group's population sd.
-    A group whose values are all equal (a singleton included) scores exactly 0:
-    its minimum is its maximum, whatever rounding leaves in its sum."""
+    A group whose values are all equal scores exactly 0: its sum of squares
+    is exactly 0 (`group_moments`)."""
     v = np.asarray(values, dtype=np.float64)
     sizes, means, ssd = group_moments(v, groups, n_groups)
     sd = np.sqrt(ssd / np.maximum(sizes, 1))
-    lo, hi = np.full(n_groups, np.inf), np.full(n_groups, -np.inf)
-    np.minimum.at(lo, groups, v)
-    np.maximum.at(hi, groups, v)
-    z = np.zeros_like(v)
-    ok = ((sd > 0) & (lo < hi))[groups]
-    z[ok] = (v[ok] - means[groups][ok]) / sd[groups][ok]
-    return z
+    return np.divide(v - means[groups], sd[groups], out=np.zeros_like(v), where=(sd > 0)[groups])
 
 
 def _group_arrays(values, groups):

@@ -21,7 +21,7 @@ from math import sqrt
 import numpy as np
 
 from roleforge.errors import EdgeListParseError, RoleForgeError
-from roleforge.graph import CONVENTIONS, DirectedGraph
+from roleforge.graph import DirectedGraph, check_direction
 
 
 def neighbor_lists(edges, n):
@@ -396,8 +396,7 @@ def oracle_kmeans(mat, k, seed=0, max_iter=100, tol=1e-6, restarts=10):
 
 def oracle_load_edge_list(path, convention="src-follows-dst"):
     """`roleforge.graph.load_edge_list` as a loop over the lines of a text-mode file."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
+    check_direction(convention)
     srcs, dsts = array("q"), array("q")
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -6,19 +7,23 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from roleforge import cli, clustering, synth
-from roleforge.cli import (PipelineConfig, config_from_mapping, config_hash, main,
+from roleforge.capitalists import IN_DEGREE_FLOOR, detect_capitalists
+from roleforge.cli import (PipelineConfig, build_parser, config_from_mapping, config_hash, main,
                            parse_config_file, read_tsv, run_pipeline, validate_config)
+from roleforge.clustering import kmeans, select_k
 from roleforge.errors import ConfigError, PipelineStageError, RoleForgeError
 from roleforge.measures import MEASURE_COLUMNS
-from roleforge.graph import save_edge_list
+from roleforge.graph import load_edge_list, save_edge_list
+from roleforge.louvain import louvain_directed
 
-from conftest import G1_EDGES
+from conftest import G1_EDGES, graph_from_edges
 
 ARTIFACTS = [
     "partition.tsv", "id_map.tsv", "measures.tsv", "clusters.tsv", "centroids.tsv",
@@ -160,6 +165,53 @@ def test_config_validation(tmp_path):
     cfg = g1_config(tmp_path, direction="sideways")
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+# at least one bad value per rule of every computation key, and the library
+# calls that take the key
+_NAN, _INF = float("nan"), float("inf")
+_BAD_VALUES = {
+    "direction": (["sideways", ""], ("load_edge_list",)),
+    "seed": ([-1], ("louvain_directed", "select_k", "kmeans")),
+    "min_gain": ([_NAN, _INF, -_INF, -1e-9], ("louvain_directed",)),
+    "order": (["sideways"], ("louvain_directed",)),
+    "k_min": ([1, -3], ("select_k",)),
+    "k_max": ([1], ("select_k",)),
+    "kmeans_restarts": ([0, -1], ("select_k", "kmeans")),
+    "kmeans_max_iter": ([0], ("select_k", "kmeans")),
+    "kmeans_tol": ([0.0, -1e-6, _NAN, _INF, -_INF], ("select_k", "kmeans")),
+    "overlap_min": ([-0.1, 1.5, _NAN, _INF, -_INF], ("detect_capitalists",)),
+    "in_degree_min": ([IN_DEGREE_FLOOR - 1, -1], ("detect_capitalists",)),
+}
+
+
+def test_every_computation_key_has_bad_values():
+    assert set(_BAD_VALUES) == {f.name for f in fields(PipelineConfig)} - {"input", "output_dir"}
+
+
+@pytest.mark.parametrize("key,value,call", [(key, value, call) for key, (values, calls) in _BAD_VALUES.items()
+                                            for value in values for call in calls])
+def test_a_key_has_one_rule_in_the_cli_and_the_library(tmp_path, key, value, call):
+    cfg = replace(PipelineConfig(), **{key: value})
+    with pytest.raises(ConfigError) as cli_error:
+        validate_config(cfg, for_run=False)
+    x = np.random.default_rng(0).standard_normal((20, 2))
+    g = graph_from_edges(G1_EDGES, 6)
+    library = {
+        "load_edge_list": lambda: load_edge_list(write_g1(tmp_path), convention=cfg.direction),
+        "louvain_directed": lambda: louvain_directed(g, min_gain=cfg.min_gain, seed=cfg.seed, order=cfg.order),
+        "select_k": lambda: select_k(x, cfg.k_min, cfg.k_max, seed=cfg.seed, max_iter=cfg.kmeans_max_iter,
+                                     tol=cfg.kmeans_tol, restarts=cfg.kmeans_restarts),
+        "kmeans": lambda: kmeans(x, 2, seed=cfg.seed, max_iter=cfg.kmeans_max_iter, tol=cfg.kmeans_tol,
+                                 restarts=cfg.kmeans_restarts),
+        "detect_capitalists": lambda: detect_capitalists(g, overlap_min=cfg.overlap_min,
+                                                         in_degree_min=cfg.in_degree_min),
+    }
+    with pytest.raises(ConfigError) as library_error:
+        library[call]()
+    assert str(library_error.value) == str(cli_error.value)
+    assert str(cli_error.value).startswith(key)
+    assert isinstance(library_error.value, ValueError)
 
 
 def test_config_hash_ignores_paths(tmp_path):
@@ -604,6 +656,9 @@ def test_cli_reports_errors(tmp_path, capsys):
              ["cap_777.tsv", "node 777"]),
             (report + [bad_file("cap_meta.tsv", f"# overlap_min=high\n{cap_header}\n")],
              ["cap_meta.tsv", "overlap_min"]),
+            # the thresholds a report prints follow their keys' rules
+            (report + [bad_file("cap_meta_range.tsv", f"# overlap_min=7\n{cap_header}\n")],
+             ["cap_meta_range.tsv", "overlap_min must lie in [0, 1], got 7.0"]),
             (["measures", "--input", cfg.input, *dest,
               "--partition", bad_file("part_x.tsv", "original_id\tcommunity\n0\tx\n")], ["part_x.tsv:2"]),
             (["stats", "--measures", str(out / "measures.tsv"), *dest,
@@ -886,3 +941,27 @@ def test_node_table_fuzz_matches_the_rule_row_by_row(tmp_path):
                     assert got[0].tolist() == file_ids and got[1].tolist() == [v[1:] for v in rows.values()], i
                 outcomes.add("read")
     assert outcomes == {"row", "ids", "read"}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_block_and_config_keys_match_the_code():
+    """Every `role-forge` line of the README's CLI block parses, together they
+    name every subcommand, and the README lists the PipelineConfig keys."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1).replace("\\\n", " ")
+    lines = [line for line in block.splitlines() if line.startswith("role-forge ")]
+    parser = build_parser()
+    commands = set()
+    for line in lines:
+        argv = line.replace("[", "").replace("]", "").split()[1:]
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
+        commands.add(args.command)
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert commands == set(subcommands.choices)
+    listed = re.search(r"Keys\s+mirror\s+the\s+`PipelineConfig`\s+fields:(.*?)\.\n", text, re.S).group(1)
+    assert re.findall(r"`(\w+)`", listed) == [f.name for f in fields(PipelineConfig)]

@@ -10,6 +10,9 @@ from roleforge.stats import (f_sf, group_moments, one_way_anova, pairwise_t_bonf
 def test_group_moments_match_two_pass_reference():
     sizes, means, ssd = group_moments([1, 2, 3, 10], np.array([0, 0, 0, 2]), 3)
     assert (sizes.tolist(), means.tolist(), ssd.tolist()) == ([3, 0, 1], [2.0, 0.0, 10.0], [2.0, 0.0, 0.0])
+    # a group of equal values has that value as its mean and 0 as its sum, exactly
+    sizes, means, ssd = group_moments([0.1] * 7 + [0.7] * 3 + [5.0], np.array([0] * 7 + [2] * 3 + [1]), 4)
+    assert (means.tolist(), ssd.tolist()) == ([0.1, 5.0, 0.7, 0.0], [0.0, 0.0, 0.0, 0.0])
     rng = np.random.default_rng(5)
     groups = rng.integers(0, 5, size=300)
     groups[groups == 3] = 4  # group 3 and group 5 hold no value
@@ -54,6 +57,10 @@ def test_anova_translation_and_scale_invariance():
 def test_anova_errors():
     with pytest.raises(DegenerateVarianceError):
         one_way_anova([1, 1, 2, 2], [0, 0, 1, 1])
+    # equal values whose sum rounds: 0.1 * 7 / 7 is not 0.1, but each group's
+    # sum of squares is exactly 0, so F is undefined, not 1.58e32
+    with pytest.raises(DegenerateVarianceError):
+        one_way_anova([0.1] * 7 + [0.7] * 3, [0] * 7 + [1] * 3)
     with pytest.raises(ConfigError):
         one_way_anova([1, 2, 3], [0, 0, 0])
     with pytest.raises(ConfigError):
@@ -78,6 +85,8 @@ def test_pairwise_identical_groups():
     mat = pairwise_t_bonferroni([1, 2, 3, 1, 2, 3], [0, 0, 0, 1, 1, 1])
     assert mat[0, 1] == 1.0
     assert mat[0, 0] == mat[1, 1] == 1.0
+    # two groups of one repeated value have the same mean exactly, not 0.0811
+    assert pairwise_t_bonferroni([0.1] * 10, [0] * 7 + [1] * 3)[0, 1] == 1.0
 
 
 def test_pairwise_adjustment_and_symmetry():
