@@ -220,10 +220,11 @@ _CHUNK_BYTES = 1 << 16
 # 19 digits from 9, goes to the line rule: np.fromstring would saturate an id
 # of 2**63 or more to 2**63 - 1 instead of rejecting it.
 _PLAIN_DIGITS = 19
-# Ids are densified in chunks of this many endpoints, so the sorted ids and
-# their ranks are never held whole.  Each chunk's temporaries take 128 KB;
-# 2**12 to 2**16 ran equally fast on 2.8 M endpoints.
+# Ids are densified in chunks of this many endpoints, or of distinct ids while
+# the rank table is filled, so slots and ranks are never held whole.
 _DENSIFY_CHUNK = 1 << 14
+# Knuth's multiplicative hash: odd 2**64 / golden ratio, a bijection mod 2**64
+_FIB = np.uint64(0x9E3779B97F4A7C15)
 # Edge lists are written in slices of this many arcs, one join each, so the
 # text of the whole file is never held at once.
 _SAVE_ARCS = 1 << 16
@@ -306,30 +307,43 @@ def _parse_line(path, line_no: int, raw: bytes) -> tuple[int, int] | None:
     return a, b
 
 
+def _slots(ids: np.ndarray, bits: int) -> np.ndarray:
+    """Rank-table slot of each int64 id: the top `bits` bits of id * _FIB mod 2**64."""
+    h = ids.view(np.uint64) * _FIB
+    h >>= np.uint64(64 - bits)
+    return h.view(np.int64)
+
+
 def _densify(ends: np.ndarray) -> np.ndarray:
     """Replace each id in `ends` by its rank among the distinct ids, in place.
 
-    Returns the distinct ids in ascending order.  Beside `ends` this holds
-    only its argsort and one bool per element: the sorted ids are read and
-    the ranks written through `order` a chunk at a time.
+    Returns the distinct ids in ascending order, the run starts of a sorted
+    copy of `ends`, which is freed first.  A direct-mapped table indexed by
+    `_slots` holds each id's rank, or -1 in a slot two ids share; a chunk of
+    endpoints at a time reads its ranks there, and only endpoints on shared
+    slots binary-search `ids`.  The table has 16 to 32 slots per id (int32
+    ranks below 2**31 ids) but never more bytes than the sorted copy, 8 per
+    endpoint.  On a sparse graph, with one or two arcs per node, that cap
+    binds, many slots are shared and the search dominates the time.
     """
-    order = np.argsort(ends)
-    # first[i]: the i-th smallest id differs from the one before it
-    first = np.empty(ends.size, dtype=bool)
-    last = None
+    s = np.sort(ends)
+    ids = s[_run_starts(s)]
+    del s
+    n = ids.size
+    rank_type = np.dtype(np.int32 if n < 2**31 else np.int64)
+    bits = max(1, min((16 * n - 1).bit_length(), (8 * ends.size // rank_type.itemsize).bit_length() - 1))
+    table = np.empty(1 << bits, dtype=rank_type)
+    for a in range(0, n, _DENSIFY_CHUNK):
+        table[_slots(ids[a:a + _DENSIFY_CHUNK], bits)] = np.arange(a, min(a + _DENSIFY_CHUNK, n))
+    for a in range(0, n, _DENSIFY_CHUNK):
+        slot = _slots(ids[a:a + _DENSIFY_CHUNK], bits)
+        table[slot[table[slot] != np.arange(a, min(a + _DENSIFY_CHUNK, n))]] = -1
     for a in range(0, ends.size, _DENSIFY_CHUNK):
-        run = ends[order[a:a + _DENSIFY_CHUNK]]
-        f = first[a:a + _DENSIFY_CHUNK]
-        f[0] = last is None or run[0] != last
-        np.not_equal(run[1:], run[:-1], out=f[1:])
-        last = run[-1]
-    ids = ends[order[first]]
-    rank = -1
-    for a in range(0, ends.size, _DENSIFY_CHUNK):
-        ranks = np.cumsum(first[a:a + _DENSIFY_CHUNK], dtype=np.int64)
-        ranks += rank
-        ends[order[a:a + _DENSIFY_CHUNK]] = ranks
-        rank = ranks[-1]
+        e = ends[a:a + _DENSIFY_CHUNK]
+        r = table[_slots(e, bits)]
+        if (shared := r < 0).any():
+            r[shared] = np.searchsorted(ids, e[shared])
+        e[:] = r
     return ids
 
 

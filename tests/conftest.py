@@ -1,4 +1,5 @@
 import sys
+from itertools import count, islice
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from roleforge.graph import DirectedGraph
+from roleforge.graph import _FIB, DirectedGraph
 from roleforge.louvain import Partition
 
 # shared six-node fixture: two communities, cross links 0->3 and 4->0
@@ -24,6 +25,14 @@ def graph_from_edges(edges, n):
         return DirectedGraph.from_arcs(e, e, n)
     src, dst = zip(*edges)
     return DirectedGraph.from_arcs(np.array(src), np.array(dst), n)
+
+
+def colliding_ids(size):
+    """`size` ascending ids below 2**63 that all share densify's rank-table
+    slot 0 in every table of up to 2**32 slots: id * _FIB mod 2**64 is a
+    small j for each."""
+    inverse = pow(int(_FIB), -1, 2**64)
+    return sorted(islice((x for j in count(1) if (x := j * inverse % 2**64) < 2**63), size))
 
 
 def random_edges(rng, n, m):

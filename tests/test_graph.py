@@ -9,7 +9,7 @@ from roleforge.graph import CONVENTIONS, load_edge_list, save_edge_list
 from roleforge.louvain import Partition
 from roleforge.measures import community_profile
 
-from conftest import G1_EDGES, graph_from_edges, random_assign, random_edges
+from conftest import G1_EDGES, colliding_ids, graph_from_edges, random_assign, random_edges
 from oracles import (oracle_degrees, oracle_load_edge_list, oracle_planted_partition_arcs,
                      oracle_profile)
 
@@ -192,6 +192,13 @@ def test_densify_chunk_boundaries_match_oracle(tmp_path, monkeypatch, caplog):
         ends = [x for line in lines for x in line.split()]
         assert max(map(ends.count, set(ends))) > 3 * 7
         cases[f"seeded {t}"] = lines
+    # ids that all share one rank-table slot: every endpoint takes the binary search
+    crafted = colliding_ids(6)
+    for bits in range(1, 33):
+        assert (graph._slots(np.array(crafted, dtype=np.int64), bits) == 0).all()
+    cases["one shared slot"] = [f"{rng.choice(crafted)} {rng.choice(crafted)}" for _ in range(60)]
+    # a matching, each id on one arc: the table's byte cap binds and slots are shared
+    cases["matching"] = [f"{2 * a} {2 * a + 1}" for a in rng.sample(range(2**62), 40)]
 
     caplog.set_level("WARNING", logger="roleforge.graph")
     for i, (name, lines) in enumerate(cases.items()):

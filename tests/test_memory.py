@@ -2,14 +2,17 @@
 (and per node for what Louvain holds between sweeps), and of the k-means
 workers' parent, in multiples of the matrix.
 
-On this graph ingest peaks at 36.2 B/arc, with ids below 10n and with ids
-of up to 19 digits alike, returning a graph that holds 17.0 B/arc: its two
+On this graph ingest peaks at 34.4 B/arc, with ids below 10n and with ids
+of up to 19 digits alike, and at 35.0 with ids that all share one slot of
+the densify's rank table, returning a graph that holds 17.0 B/arc: its two
 index arrays and its per-node arrays, with the unit weights a zero-stride
 view (a real weight array shared by both sides made it 25.0).  The profile
-adds 10.9 B/arc.  The ingest peak is the densify: the 2m endpoints, their
-argsort and a bool mask, 34 B/arc, plus one chunk's temporaries.  The
-bounds leave room for allocator noise, and fail when ingest or the profile
-holds one more int64 array over the m arcs.
+adds 10.9 B/arc.  The ingest peak is the densify: the 2m endpoints, a sorted
+copy of them and its run mask, 34 B/arc.  The rank table comes after the
+copy is freed and takes at most its bytes; the endpoints that binary-search
+add one chunk's temporaries.  The bounds leave room for allocator noise,
+and fail when ingest or the profile holds one more int64 array over the m
+arcs.
 
 On a sparse planted graph swept in shuffled order, Louvain's first local
 moves peak at 27.3 B/arc.  Beside the graph they hold per-node arrays and
@@ -42,6 +45,8 @@ from roleforge import clustering, louvain, synth
 from roleforge.graph import DirectedGraph, load_edge_list
 from roleforge.measures import community_profile
 
+from conftest import colliding_ids
+
 LOAD_PEAK_B_PER_ARC = 39
 GRAPH_HELD_B_PER_ARC = 18
 PROFILE_PEAK_B_PER_ARC = 16
@@ -66,12 +71,12 @@ def _held_bytes(g: DirectedGraph) -> int:
     return sum({id(o): o.nbytes for o in owners}.values())
 
 
-def _traced_peaks(tmp_path, id_range):
+def _traced_peaks(tmp_path, id_range=None, ids=None):
     """(graph, ingest peak, profile peak beyond the graph) in bytes, with the
-    node ids a sorted sample of range(id_range)."""
+    node ids `ids`, or else a sorted sample of range(id_range)."""
     g, part, _ = synth.capitalist_community_network(n_comms=10, comm_size=1000, n_capitalists=100, seed=5)
     rng = np.random.default_rng(0)
-    ids = np.sort(rng.choice(id_range, size=g.n, replace=False))
+    ids = np.sort(rng.choice(id_range, size=g.n, replace=False)) if ids is None else np.asarray(ids)
     order = rng.permutation(g.m)
     path = tmp_path / "edges.txt"
     path.write_text("".join(f"{a} {b}\n" for a, b in
@@ -100,9 +105,11 @@ def test_ingest_and_profile_peak_bytes_per_arc(tmp_path):
 
 
 def test_ingest_peak_bytes_per_arc_with_spread_ids(tmp_path):
-    # ids of up to 19 digits, parsed in bulk like short ones
-    h, load_peak, _ = _traced_peaks(tmp_path, 2**62)
-    assert load_peak / h.m <= LOAD_PEAK_B_PER_ARC, load_peak / h.m
+    # ids of up to 19 digits, parsed in bulk like short ones, and ids that all
+    # share one rank-table slot, so that every endpoint takes the binary search
+    for kwargs in ({"id_range": 2**62}, {"ids": colliding_ids(10_100)}):
+        h, load_peak, _ = _traced_peaks(tmp_path, **kwargs)
+        assert load_peak / h.m <= LOAD_PEAK_B_PER_ARC, (kwargs.keys(), load_peak / h.m)
 
 
 def test_unit_weights_hold_no_per_arc_buffer(tmp_path):
