@@ -8,9 +8,10 @@ the stage's tables and prints its one `[stage]` line, so a subcommand prints
 back through `_table_lines`; node tables add a row rule (`_node_table`).
 
 Configuration is a flat key=value file overridable by flags (flags win).
-A value from either source is parsed by `config_from_mapping` and checked,
-before ingest, by `validate_config`, which calls each key's one rule: the
-check of the module whose function takes the value (`seed`'s in `errors`).
+A value from a file line, a flag or Python is typed and checked when its
+`PipelineConfig` is built: an int key takes only an integer, a float key holds
+a float (so the hash does not depend on spelling), and each key's one rule is
+the check of the module whose function takes the value (`seed`'s in `errors`).
 Every output file carries the hash of the computation-relevant parameters in
 a header comment, and a full `run` with a fixed seed is reproducible down to
 identical artifact checksums.
@@ -22,6 +23,7 @@ import argparse
 import functools
 import itertools
 import json
+import operator
 import sys
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -50,12 +52,13 @@ except ImportError:
         from hashlib import sha256 as _new_sha256
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """End-to-end pipeline parameters.
 
     `input` and `output_dir` are paths; everything else drives computation
-    and is covered by the config hash.
+    and is covered by the config hash.  Construction types each value to its
+    default's type and checks it by its key's rule, raising ConfigError.
     """
 
     input: str = ""
@@ -72,6 +75,23 @@ class PipelineConfig:
     overlap_min: float = 0.8
     in_degree_min: int = IN_DEGREE_FLOOR
 
+    def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)  # str, int or float
+            try:  # text is parsed; an int key takes only an integer, a float key stores a float
+                typed = kind(value) if isinstance(value, str) or kind is float else operator.index(value)
+            except (TypeError, ValueError, OverflowError):
+                typed = None
+            if type(typed) is not kind:
+                raise ConfigError(f"{f.name} expects {kind.__name__}, got {value!r}")
+            object.__setattr__(self, f.name, typed)
+        check_direction(self.direction)
+        check_seed(self.seed)
+        check_louvain_params(self.min_gain, self.order)
+        check_k_range(self.k_min, self.k_max)
+        check_fit_params(self.kmeans_restarts, self.kmeans_max_iter, self.kmeans_tol)
+        check_thresholds(self.overlap_min, self.in_degree_min)
+
 
 _PATH_KEYS = ("input", "output_dir")
 _CONFIG_KEYS = tuple(f.name for f in fields(PipelineConfig))
@@ -80,10 +100,11 @@ _VALUE_FLAGS = frozenset(f"--{key.replace('_', '-')}" for key in _CONFIG_KEYS)
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat key=value lines; '#' comments and blanks ignored."""
+    """Flat key=value lines; '#' comments and blanks ignored; a leading
+    UTF-8 byte-order mark is skipped."""
     data: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, raw in enumerate(fh, 1):
                 s = raw.strip()
                 if not s or s.startswith("#"):
@@ -97,38 +118,13 @@ def parse_config_file(path) -> dict[str, str]:
     return data
 
 
-def config_from_mapping(data: dict[str, str], base: PipelineConfig | None = None) -> PipelineConfig:
-    """`base` (default: the defaults) with each key set to its value parsed
-    to the key's type; the values are checked by validate_config."""
-    cfg = replace(base) if base is not None else PipelineConfig()
-    for key, value in data.items():
+def config_from_mapping(data: dict, base: PipelineConfig | None = None) -> PipelineConfig:
+    """`base` (default: the defaults) with each key of `data` set to its
+    value, text or Python, which PipelineConfig types and checks."""
+    for key in data:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        kind = type(getattr(cfg, key))  # str, int or float
-        try:
-            setattr(cfg, key, kind(value))
-        except ValueError:
-            raise ConfigError(f"{key} expects {kind.__name__}, got {value!r}") from None
-    return cfg
-
-
-def validate_config(cfg: PipelineConfig, *, for_run: bool = True) -> None:
-    """Raise ConfigError on the first value out of its key's rule, each rule
-    that of the function that takes the value; with `for_run`, also require
-    the input file and the output directory."""
-    check_direction(cfg.direction)
-    check_seed(cfg.seed)
-    check_louvain_params(cfg.min_gain, cfg.order)
-    check_k_range(cfg.k_min, cfg.k_max)
-    check_fit_params(cfg.kmeans_restarts, cfg.kmeans_max_iter, cfg.kmeans_tol)
-    check_thresholds(cfg.overlap_min, cfg.in_degree_min)
-    if for_run:
-        if not cfg.input:
-            raise ConfigError("input is required")
-        if not Path(cfg.input).exists():
-            raise ConfigError(f"input not found: {cfg.input}")
-        if not cfg.output_dir:
-            raise ConfigError("output_dir is required")
+    return replace(base or PipelineConfig(), **data)
 
 
 def config_hash(cfg: PipelineConfig) -> str:
@@ -397,7 +393,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     A stage failure raises PipelineStageError naming the stage; artifacts
     written before the failure are left in place.
     """
-    validate_config(cfg)
+    if not cfg.input:
+        raise ConfigError("input is required")
+    if not Path(cfg.input).exists():
+        raise ConfigError(f"input not found: {cfg.input}")
+    if not cfg.output_dir:
+        raise ConfigError("output_dir is required")
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
@@ -560,13 +561,9 @@ def _load_measures(path):
 # subcommands
 
 def _make_config(args) -> PipelineConfig:
-    cfg = PipelineConfig()
-    if getattr(args, "config", None):
-        cfg = config_from_mapping(parse_config_file(args.config), cfg)
-    overrides = {key: value for key in _CONFIG_KEYS if (value := getattr(args, key, None)) is not None}
-    cfg = config_from_mapping(overrides, cfg)
-    validate_config(cfg, for_run=False)
-    return cfg
+    data = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    data.update((key, value) for key in _CONFIG_KEYS if (value := getattr(args, key, None)) is not None)
+    return config_from_mapping(data)
 
 
 def _subcommand(args, path_for):
@@ -642,13 +639,12 @@ def cmd_report(args) -> int:
     except ValueError:  # from crosstab: a group label above the centroids' k
         raise RoleForgeError(f"clusters file {args.clusters} has group labels above k={k} "
                              f"of {args.centroids}") from None
-    try:
-        overlap_min = float(capmeta.get("overlap_min", cfg.overlap_min))
-        in_degree_min = int(capmeta.get("in_degree_min", cfg.in_degree_min))
-        check_thresholds(overlap_min, in_degree_min)
-    except ValueError as exc:  # ConfigError is one
+    try:  # the thresholds the capitalists were detected with, as their keys take them
+        cfg = config_from_mapping({key: capmeta[key] for key in ("overlap_min", "in_degree_min")
+                                   if key in capmeta}, cfg)
+    except ConfigError as exc:
         raise RoleForgeError(f"{args.capitalists}: bad header {capmeta}: {exc}") from None
-    run("report", _report_stage, mat, assign, k, roles, ct, overlap_min, in_degree_min)
+    run("report", _report_stage, mat, assign, k, roles, ct, cfg.overlap_min, cfg.in_degree_min)
     return 0
 
 
@@ -660,8 +656,8 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_override_args(p: argparse.ArgumentParser, keys) -> None:
-    # one flag per key, its text parsed by config_from_mapping and checked by
-    # validate_config, as a config-file line is
+    # one flag per key, its text typed and checked by PipelineConfig, as a
+    # config-file line is
     for key in keys:
         p.add_argument(f"--{key.replace('_', '-')}", dest=key)
 
@@ -712,7 +708,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     """`argv` with each `--key <value>` of a config key written `--key=<value>`
     where the value is a negative number.  argparse reads a value such as
     `-1e-9` or `-inf` as an option and rejects the flag for lacking one; so
-    joined, the value reaches validate_config as a config-file line does."""
+    joined, the value reaches PipelineConfig as a config-file line does."""
     out: list[str] = []
     for arg in argv:
         if out and out[-1] in _VALUE_FLAGS and arg.startswith("-") and _is_number(arg):

@@ -7,8 +7,9 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from roleforge import cli, clustering, synth
 from roleforge.capitalists import IN_DEGREE_FLOOR, detect_capitalists
 from roleforge.cli import (PipelineConfig, build_parser, config_from_mapping, config_hash, main,
-                           parse_config_file, read_tsv, run_pipeline, validate_config)
+                           parse_config_file, read_tsv, run_pipeline)
 from roleforge.clustering import kmeans, select_k
 from roleforge.errors import ConfigError, PipelineStageError, RoleForgeError
 from roleforge.measures import MEASURE_COLUMNS
@@ -39,11 +40,8 @@ def write_g1(tmp_path, name="g1.txt"):
 
 
 def g1_config(tmp_path, outdir="out", **overrides):
-    cfg = PipelineConfig(input=str(write_g1(tmp_path)), output_dir=str(tmp_path / outdir),
-                         k_min=2, k_max=3)
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    return replace(PipelineConfig(input=str(write_g1(tmp_path)), output_dir=str(tmp_path / outdir),
+                                  k_min=2, k_max=3), **overrides)
 
 
 def test_config_file_parse_and_overrides(tmp_path):
@@ -61,6 +59,11 @@ def test_config_file_parse_and_overrides(tmp_path):
     bad.write_text("seed 7\n")
     with pytest.raises(ConfigError):
         parse_config_file(bad)
+    # a file saved with a UTF-8 byte-order mark: the mark is not part of the first key
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbfseed=3\nk_max=5\n")
+    assert parse_config_file(bom) == {"seed": "3", "k_max": "5"}
+    assert config_from_mapping(parse_config_file(bom)) == PipelineConfig(seed=3, k_max=5)
 
 
 def test_config_values_are_strict(tmp_path, capsys):
@@ -96,9 +99,9 @@ def test_config_values_are_strict(tmp_path, capsys):
     for key in ("min_gain", "kmeans_tol", "overlap_min"):
         for value in ("nan", "inf", "-inf"):
             with pytest.raises(ConfigError, match=key):
-                validate_config(config_from_mapping({key: value}), for_run=False)
+                config_from_mapping({key: value})
             with pytest.raises(ConfigError, match=key):
-                validate_config(PipelineConfig(**{key: float(value)}), for_run=False)
+                PipelineConfig(**{key: float(value)})
     for flag, value in (("--min-gain", "nan"), ("--min-gain", "inf"), ("--kmeans-tol", "nan"),
                         ("--overlap-min", "inf"), ("--kmeans-tol", "inf")):
         capsys.readouterr()
@@ -147,24 +150,54 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
 
 
 def test_config_validation(tmp_path):
-    cfg = g1_config(tmp_path, k_min=5, k_max=3)
     with pytest.raises(ConfigError, match="k_max must be at least k_min"):
-        run_pipeline(cfg)  # rejected before any computation
+        run_pipeline(g1_config(tmp_path, k_min=5, k_max=3))  # rejected before any computation
     assert not (tmp_path / "out").exists()
     # each range message names the key that is out of range
     for key, value in (("k_min", 1), ("kmeans_restarts", 0), ("kmeans_max_iter", 0), ("kmeans_tol", 0.0)):
         with pytest.raises(ConfigError, match=f"^{key} must be"):
-            validate_config(g1_config(tmp_path, **{key: value}))
-    cfg = g1_config(tmp_path, min_gain=float("nan"))
+            g1_config(tmp_path, **{key: value})
     with pytest.raises(ConfigError, match="min_gain"):
-        run_pipeline(cfg)
+        run_pipeline(g1_config(tmp_path, min_gain=float("nan")))
     assert not (tmp_path / "out").exists()
-    cfg = g1_config(tmp_path, in_degree_min=100)
     with pytest.raises(ConfigError, match="classification floor"):
-        validate_config(cfg)
-    cfg = g1_config(tmp_path, direction="sideways")
+        g1_config(tmp_path, in_degree_min=100)
     with pytest.raises(ConfigError):
-        validate_config(cfg)
+        g1_config(tmp_path, direction="sideways")
+    # run_pipeline checks the paths it uses before it creates the output directory
+    for cfg, message in ((PipelineConfig(output_dir=str(tmp_path / "out")), "^input is required$"),
+                         (g1_config(tmp_path, input=str(tmp_path / "none.txt")), "^input not found: "),
+                         (g1_config(tmp_path, output_dir=""), "^output_dir is required$")):
+        with pytest.raises(ConfigError, match=message):
+            run_pipeline(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+# a non-integer for each int key but k_max, which k_min's rule would reject first
+_NON_INTEGERS = {"k_min": 2.5, "kmeans_restarts": 2.5, "kmeans_max_iter": 2.5, "in_degree_min": 500.5,
+                 "seed": 1.5}
+
+
+@pytest.mark.parametrize("key,value", _NON_INTEGERS.items())
+def test_a_non_integer_for_an_int_key_stops_at_construction(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    for bad in (value, float(int(value))):  # 2.0 is no more an integer than 2.5
+        with pytest.raises(ConfigError, match=f"^{key} expects int, got {bad}$"):
+            run_pipeline(g1_config(tmp_path, **{key: bad}))
+        for data in ({key: bad}, {key: str(bad)}):
+            with pytest.raises(ConfigError, match=f"^{key} expects int, got '?{bad}'?$"):
+                config_from_mapping(data)
+        assert main(["run", "--input", str(write_g1(tmp_path)), "--output-dir", str(out),
+                     f"--{key.replace('_', '-')}", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {key} expects int, got '{bad}'\n"
+    assert not out.exists()
+
+
+def test_every_config_default_has_a_kind_that_construction_types():
+    for f in fields(PipelineConfig):
+        assert type(f.default) in (str, int, float), f.name
+        assert f.type == type(f.default).__name__, f.name  # the annotation names the same kind
+        assert type(getattr(PipelineConfig(), f.name)) is type(f.default), f.name
 
 
 # at least one bad value per rule of every computation key, and the library
@@ -192,9 +225,9 @@ def test_every_computation_key_has_bad_values():
 @pytest.mark.parametrize("key,value,call", [(key, value, call) for key, (values, calls) in _BAD_VALUES.items()
                                             for value in values for call in calls])
 def test_a_key_has_one_rule_in_the_cli_and_the_library(tmp_path, key, value, call):
-    cfg = replace(PipelineConfig(), **{key: value})
     with pytest.raises(ConfigError) as cli_error:
-        validate_config(cfg, for_run=False)
+        replace(PipelineConfig(), **{key: value})
+    cfg = SimpleNamespace(**{**asdict(PipelineConfig()), key: value})
     x = np.random.default_rng(0).standard_normal((20, 2))
     g = graph_from_edges(G1_EDGES, 6)
     library = {
@@ -295,6 +328,20 @@ def test_run_pipeline_is_deterministic(tmp_path):
     assert m1 == m2
 
 
+def test_library_and_cli_write_the_same_bytes_for_the_same_values(tmp_path, capsys):
+    # the graph of the artifact pins; overlap_min=1 and min_gain=0 are ints in
+    # Python and text on the command line, and a float key holds 1.0 and 0.0 from both
+    g = synth.capitalist_community_network(n_comms=10, comm_size=200, n_capitalists=20, cap_ext_out=900,
+                                           seed=7)[0]
+    edges = tmp_path / "edges.txt"
+    save_edge_list(g, edges)
+    lib, cli_out = tmp_path / "lib", tmp_path / "cli"
+    run_pipeline(PipelineConfig(input=str(edges), output_dir=str(lib), seed=7, overlap_min=1, min_gain=0))
+    assert main(["run", "--input", str(edges), "--output-dir", str(cli_out), "--seed", "7",
+                 "--overlap-min", "1", "--min-gain", "0"]) == 0, capsys.readouterr()
+    assert (lib / "manifest.json").read_text() == (cli_out / "manifest.json").read_text()
+
+
 def test_run_pipeline_row_slices_do_not_change_outputs(tmp_path, monkeypatch):
     want = run_pipeline(g1_config(tmp_path, outdir="default"))
     for rows_per_slice in (1, 4):
@@ -340,8 +387,7 @@ def test_run_pipeline_partition_and_measures_content(tmp_path):
 
 
 def test_run_pipeline_stage_error_names_stage(tmp_path):
-    cfg = g1_config(tmp_path, k_max=3, k_min=2)
-    cfg.k_max = 10  # exceeds n=6 at the cluster stage
+    cfg = g1_config(tmp_path, k_max=10)  # exceeds n=6 at the cluster stage
     with pytest.raises(PipelineStageError, match="cluster"):
         run_pipeline(cfg)
     # artifacts from earlier stages are preserved
