@@ -24,6 +24,7 @@ import functools
 import itertools
 import json
 import operator
+import os
 import sys
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -34,7 +35,7 @@ import numpy as np
 from .capitalists import IN_DEGREE_FLOOR, CapitalistRecord, check_thresholds, crosstab, detect_capitalists
 from .clustering import check_fit_params, check_k_range, label_role, renumber_by_size, select_k, standardize
 from .errors import ConfigError, DegenerateVarianceError, PipelineStageError, RoleForgeError, check_seed
-from .graph import DirectedGraph, check_direction, load_edge_list
+from .graph import DirectedGraph, _blocks, check_direction, load_edge_list
 from .louvain import Partition, check_louvain_params, louvain_directed
 from .measures import (MEASURE_COLUMNS, community_profile, embeddedness_values,
                        measures_from_profile, participation_coefficients)
@@ -56,9 +57,10 @@ except ImportError:
 class PipelineConfig:
     """End-to-end pipeline parameters.
 
-    `input` and `output_dir` are paths; everything else drives computation
-    and is covered by the config hash.  Construction types each value to its
-    default's type and checks it by its key's rule, raising ConfigError.
+    `input` and `output_dir` are paths, given as str or path objects and
+    stored as str; everything else drives computation and is covered by the
+    config hash.  Construction types each value to its default's type and
+    checks it by its key's rule, raising ConfigError.
     """
 
     input: str = ""
@@ -78,6 +80,8 @@ class PipelineConfig:
     def __post_init__(self):
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)  # str, int or float
+            if f.name in _PATH_KEYS and isinstance(value, os.PathLike):
+                value = os.fspath(value)
             try:  # text is parsed; an int key takes only an integer, a float key stores a float
                 typed = kind(value) if isinstance(value, str) or kind is float else operator.index(value)
             except (TypeError, ValueError, OverflowError):
@@ -196,15 +200,17 @@ def _table_lines(path) -> tuple[list[str], list[int]]:
     """The lines of the table file at `path`, and the indices of its header
     and data rows.
 
-    A table file is UTF-8 text with \\n, \\r\\n or \\r line ends.  Empty lines
-    and lines starting with `#` are skipped anywhere; the first other line is
-    the header, and each line after it a data row.  A missing file, a file
-    with no header and a line that is not UTF-8 text raise RoleForgeError
-    naming the file, and the line where there is one.
+    A table file is UTF-8 text with \\n, \\r\\n or \\r line ends, read into
+    lines as an edge list is (`graph._blocks`), so a leading byte-order mark
+    is skipped.  Empty lines and lines starting with `#` are skipped anywhere;
+    the first other line is the header, and each line after it a data row.
+    A missing file, a file with no header and a line that is not UTF-8 text
+    raise RoleForgeError naming the file, and the line where there is one.
     """
     if not Path(path).exists():
         raise RoleForgeError(f"missing artifact: {path}")
-    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    with open(path, "rb") as fh:
+        data = b"".join(_blocks(fh))
     try:
         lines = data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
@@ -267,7 +273,10 @@ def _communities_stage(cfg: PipelineConfig, g: DirectedGraph):
     return part, tables, f"passes={len(trace.modularity)} communities={part.n_comms} Q={trace.modularity[-1]:.6f}"
 
 
-def _measures_stage(g: DirectedGraph, part: Partition):
+def _measures_stage(g: DirectedGraph, labels: np.ndarray):
+    """The measures of each node of `g` under the communities `labels` (one
+    per node), which its `community` column keeps as given."""
+    part = Partition.from_labels(labels)
     profile = community_profile(g, part)
     mat = measures_from_profile(profile, part)
     emb = embeddedness_values(profile)
@@ -275,7 +284,7 @@ def _measures_stage(g: DirectedGraph, part: Partition):
     emb_or_blank = emb.astype(object)
     emb_or_blank[np.isnan(emb)] = None  # a linkless node: blank, not NA
     columns = ("original_id", "community", *MEASURE_COLUMNS, "embeddedness", "participation")
-    rows = _column_rows(g.node_ids, part.assign, *mat.T, emb_or_blank, pcs)
+    rows = _column_rows(g.node_ids, labels, *mat.T, emb_or_blank, pcs)
     return mat, {"measures": (columns, rows, ())}, f"rows={g.n} columns={len(columns)}"
 
 
@@ -417,7 +426,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     g = run("ingest", _ingest_stage, cfg)
     part = run("communities", _communities_stage, cfg, g)
-    mat = run("measures", _measures_stage, g, part)
+    mat = run("measures", _measures_stage, g, part.assign)
     res, roles = run("cluster", _cluster_stage, cfg, g.node_ids, mat)
     ct = run("capitalists", _capitalists_stage, cfg, g, res.assign, res.k)
     run("stats", _stats_stage, mat, res.assign)
@@ -589,8 +598,7 @@ def cmd_communities(args) -> int:
 def cmd_measures(args) -> int:
     cfg, run = _subcommand(args, lambda stem: args.output)
     g = run("ingest", _ingest_stage, cfg)
-    part = Partition.from_labels(_labels_for(args.partition, g.node_ids, "partition"))
-    run("measures", _measures_stage, g, part)
+    run("measures", _measures_stage, g, _labels_for(args.partition, g.node_ids, "partition"))
     return 0
 
 

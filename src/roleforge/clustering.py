@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DegenerateClusteringError, UndefinedValueError, check_finite, check_seed
+from .stats import group_z_scores
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,6 @@ def standardize(mat) -> np.ndarray:
     A column of equal values becomes all-zero.  Already standardized input is
     a fixed point up to rounding.  A non-finite value raises ConfigError.
     """
-    from .stats import group_z_scores  # not at the top: a k-means worker loads only this module
     x = np.asarray(mat, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ConfigError("standardize needs a non-empty 2-D matrix")

@@ -215,6 +215,8 @@ class DirectedGraph:
 # per-chunk numpy calls cost little, small enough that a chunk's temporaries
 # are negligible beside the arc arrays of a large file.
 _CHUNK_BYTES = 1 << 16
+# the UTF-8 byte-order mark, which an input file may start with
+_BOM = b"\xef\xbb\xbf"
 # A plain line's ids have at most 19 digits, and a 19-digit id starts with
 # 0-8, which keeps it below 9 * 10**18 < 2**63 - 1.  A longer run, or one of
 # 19 digits from 9, goes to the line rule: np.fromstring would saturate an id
@@ -233,10 +235,11 @@ _SAVE_ARCS = 1 << 16
 def _blocks(fh):
     """Yield a binary file as blocks of whole lines, each ending in b"\\n".
 
-    Line ends are translated as text-mode reading translates them: "\\r\\n"
-    and a lone "\\r" become "\\n", and a last line without one gets one.
+    A UTF-8 byte-order mark at the start of the file is skipped.  Line ends
+    are translated as text-mode reading translates them: "\\r\\n" and a lone
+    "\\r" become "\\n", and a last line without one gets one.
     """
-    carry, size = b"", _CHUNK_BYTES
+    carry, size = fh.read(len(_BOM)).removeprefix(_BOM), _CHUNK_BYTES
     while chunk := fh.read(size):
         buf = carry + chunk
         # a trailing "\r" may be the first half of "\r\n": settle it with the next chunk
@@ -248,7 +251,7 @@ def _blocks(fh):
             yield buf[:cut]
         # a line longer than the chunk: double the read, so its bytes are copied O(1) times
         size = _CHUNK_BYTES if cut else 2 * size
-    carry = carry.replace(b"\r", b"\n")
+    carry = carry.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if carry:
         yield carry if carry.endswith(b"\n") else carry + b"\n"
 

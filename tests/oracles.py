@@ -395,11 +395,12 @@ def oracle_kmeans(mat, k, seed=0, max_iter=100, tol=1e-6, restarts=10):
 
 
 def oracle_load_edge_list(path, convention="src-follows-dst"):
-    """`roleforge.graph.load_edge_list` as a loop over the lines of a text-mode file."""
+    """`roleforge.graph.load_edge_list` as a loop over the lines of a text-mode
+    file, read as utf-8-sig: a leading byte-order mark is skipped."""
     check_direction(convention)
     srcs, dsts = array("q"), array("q")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for line_no, raw in enumerate(fh, 1):
                 s = raw.strip()
                 if not s or s[0] in "#%":

@@ -21,7 +21,7 @@ from roleforge.cli import (PipelineConfig, build_parser, config_from_mapping, co
 from roleforge.clustering import kmeans, select_k
 from roleforge.errors import ConfigError, PipelineStageError, RoleForgeError
 from roleforge.measures import MEASURE_COLUMNS
-from roleforge.graph import load_edge_list, save_edge_list
+from roleforge.graph import DirectedGraph, load_edge_list, save_edge_list
 from roleforge.louvain import louvain_directed
 
 from conftest import G1_EDGES, graph_from_edges
@@ -222,6 +222,62 @@ def test_every_computation_key_has_bad_values():
     assert set(_BAD_VALUES) == {f.name for f in fields(PipelineConfig)} - {"input", "output_dir"}
 
 
+# a valid non-default value of every computation key, and the subcommand that
+# takes it
+_CHANGED_VALUES = {
+    "direction": ("measures", "dst-follows-src"),
+    "min_gain": ("communities", "0.01"),
+    "order": ("communities", "shuffled"),
+    "seed": ("cluster", "1"),
+    "k_min": ("cluster", "14"),
+    "k_max": ("cluster", "2"),
+    "kmeans_restarts": ("cluster", "1"),
+    "kmeans_max_iter": ("cluster", "1"),
+    "kmeans_tol": ("cluster", "1000"),
+    "overlap_min": ("capitalists", "0.9"),
+    "in_degree_min": ("capitalists", "532"),
+}
+
+
+def test_every_config_key_the_cli_accepts_changes_some_output(tmp_path):
+    """Each computation key, set alone through its subcommand, changes a data
+    row of a table that subcommand writes with the defaults."""
+    assert set(_CHANGED_VALUES) == set(_BAD_VALUES)
+    # 15 planted accounts with 509 to 552 followers, all followed back (overlap
+    # 1); the first 5 get 300 more that they do not follow, for 0.85 to 0.9
+    g, _, planted = synth.capitalist_community_network(n_comms=8, comm_size=250, n_capitalists=15, seed=9)
+    rng = np.random.default_rng(0)
+    src, dst = [np.repeat(np.arange(g.n), np.diff(g.out_indptr))], [g.out_indices]
+    for u in planted[:5].tolist():
+        src.append(rng.choice(np.setdiff1d(np.arange(planted[0]), g.out_neighbors(u)), size=300, replace=False))
+        dst.append(np.full(300, u))
+    g = DirectedGraph.from_arcs(np.concatenate(src), np.concatenate(dst), g.n)
+    edges, clusters = tmp_path / "g.txt", tmp_path / "clusters.tsv"
+    save_edge_list(g, edges)
+    clusters.write_text("original_id\tgroup\n" + "".join(f"{u}\t1\n" for u in range(g.n)))
+    # k-means on structureless rows: uniform in three of the eight measures
+    measures = tmp_path / "measures.tsv"
+    x = np.zeros((400, len(MEASURE_COLUMNS)))
+    x[:, :3] = np.random.default_rng(1).uniform(size=(400, 3))
+    measures.write_text("\t".join(("original_id", "community", *MEASURE_COLUMNS)) + "\n" + "".join(
+        f"{i}\t0\t" + "\t".join(map(repr, row)) + "\n" for i, row in enumerate(x.tolist())))
+
+    def outputs(command, flags, tag):
+        out = tmp_path / tag
+        reads = {"communities": ["--input", edges], "measures": ["--input", edges, "--partition", default_partition],
+                 "cluster": ["--measures", measures], "capitalists": ["--input", edges, "--clusters", clusters]}
+        assert main([command, *map(str, reads[command]), "--output", str(out), *flags]) == 0, (command, flags)
+        written = sorted(tmp_path.glob(f"{tag}*"))
+        assert written
+        return [read_tsv(path)[1] for path in written]  # data rows only: the config hash always differs
+
+    default_partition = tmp_path / "default_communities"
+    defaults = {command: outputs(command, [], f"default_{command}")
+                for command in ("communities", "measures", "cluster", "capitalists")}
+    for key, (command, value) in _CHANGED_VALUES.items():
+        assert outputs(command, [f"--{key.replace('_', '-')}", value], key) != defaults[command], key
+
+
 @pytest.mark.parametrize("key,value,call", [(key, value, call) for key, (values, calls) in _BAD_VALUES.items()
                                             for value in values for call in calls])
 def test_a_key_has_one_rule_in_the_cli_and_the_library(tmp_path, key, value, call):
@@ -253,6 +309,16 @@ def test_config_hash_ignores_paths(tmp_path):
     assert config_hash(a) == config_hash(b)
     c = g1_config(tmp_path, seed=5)
     assert config_hash(c) != config_hash(a)
+
+
+def test_path_keys_take_a_path_object(tmp_path):
+    paths = {"input": tmp_path / "g.txt", "output_dir": tmp_path / "out"}
+    cfg = PipelineConfig(**paths)
+    assert cfg == PipelineConfig(**{key: str(path) for key, path in paths.items()})
+    assert type(cfg.input) is str and type(cfg.output_dir) is str
+    assert replace(PipelineConfig(), input=paths["input"]).input == str(paths["input"])
+    with pytest.raises(ConfigError, match="direction expects str"):  # only the path keys
+        PipelineConfig(direction=Path("src-follows-dst"))
 
 
 def test_config_hash_of_the_defaults_is_pinned():
@@ -493,6 +559,20 @@ def test_stats_names_pairs_by_the_clusters_file_labels(tmp_path):
     assert pairwise[1, 3, 5] == [[m, rename[a], rename[b], p] for m, a, b, p in pairwise[1, 2, 3]]
 
 
+def test_measures_keeps_the_partition_file_labels(tmp_path):
+    edges = tmp_path / "g.txt"
+    edges.write_text("1 2\n2 1\n3 4\n4 3\n2 3\n")
+    rows = {}
+    for labels in ((10, 10, 20, 20), (0, 0, 1, 1)):
+        part, meas = tmp_path / f"partition_{labels[0]}.tsv", tmp_path / f"measures_{labels[0]}.tsv"
+        part.write_text("original_id\tcommunity\n" + "".join(f"{u}\t{c}\n" for u, c in zip((1, 2, 3, 4), labels)))
+        assert main(["measures", "--input", str(edges), "--partition", str(part), "--output", str(meas)]) == 0
+        rows[labels[0]] = read_tsv(meas)[1]
+    assert [row[:2] for row in rows[10]] == [["1", "10"], ["2", "10"], ["3", "20"], ["4", "20"]]
+    # the labels name the communities; the measures do not depend on them
+    assert [row[2:] for row in rows[10]] == [row[2:] for row in rows[0]]
+
+
 def _planted_run(tmp_path):
     """`run` output on a graph whose three groups get three different roles."""
     g, _, _ = synth.capitalist_community_network(n_comms=10, comm_size=200, n_capitalists=20,
@@ -572,6 +652,7 @@ _REPORT_FILE_CASES = {  # file -> (its bytes -> the bytes read), None if `report
     "CRLF": (lambda b: b.replace(b"\n", b"\r\n"), None),
     "CR": (lambda b: b.replace(b"\n", b"\r"), None),
     "# and blank lines between rows": (lambda b: b.replace(b"\n", b"\n# x=1\n\n"), None),
+    "leading byte-order mark": (lambda b: b"\xef\xbb\xbf" + b, None),
     "not UTF-8 on the last line": (lambda b: b[:-1] + b"\xe9\n", "{path}:{lines}: not UTF-8 text"),
     "missing": (None, "missing artifact: {path}"),
 }
@@ -608,6 +689,28 @@ def test_report_reads_a_capitalists_file_with_no_rows(tmp_path, planted_run):
     assert reported[1:shares + 2] == ran[1:shares + 2]
     assert len(reported) == len(ran) and all(
         v == "0.00%" for line in reported[shares + 2:] for v in line.split("\t")[3:])
+
+
+def test_edge_lists_and_table_files_skip_a_leading_byte_order_mark(tmp_path, planted_run):
+    """Each input reads the same with a leading UTF-8 byte-order mark as
+    without, as a config file does: here an edge list and the partition,
+    measures and clusters files; `_REPORT_FILE_CASES` has the centroids and
+    capitalists files, and `test_graph.py` the edge list's framing."""
+    inputs = {"edges": planted_run.parent / "planted.txt",
+              **{name: planted_run / f"{name}.tsv" for name in ("partition", "measures", "clusters")}}
+    marked = {}
+    for name, path in inputs.items():
+        marked[name] = tmp_path / path.name
+        marked[name].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    tables = {}
+    for tag, files in (("plain", inputs), ("bom", marked)):
+        meas, prefix = tmp_path / f"{tag}_measures.tsv", str(tmp_path / f"{tag}_st")
+        assert main(["measures", "--input", str(files["edges"]), "--partition", str(files["partition"]),
+                     "--output", str(meas)]) == 0
+        assert main(["stats", "--measures", str(files["measures"]), "--clusters", str(files["clusters"]),
+                     "--output", prefix]) == 0
+        tables[tag] = [read_tsv(path) for path in (meas, f"{prefix}_anova.tsv", f"{prefix}_pairwise.tsv")]
+    assert tables["bom"] == tables["plain"]
 
 
 def test_cli_run_subcommand_and_config_file(tmp_path):
@@ -900,7 +1003,8 @@ def test_label_table(tmp_path, capsys, rows, want, end):
     (_MEASURES_HEADER, "\n", "\n"),
     (_MEASURES_HEADER + "\textra", "\r\n", "\r\n"),
     (_MEASURES_HEADER, "\r", ""),
-], ids=["LF", "extra column, CRLF", "CR, no last line end"])
+    ("\ufeff" + _MEASURES_HEADER, "\n", "\n"),
+], ids=["LF", "extra column, CRLF", "CR, no last line end", "leading byte-order mark"])
 @pytest.mark.parametrize("rows, want", _MEASURES_CASES.values(), ids=_MEASURES_CASES)
 def test_measures_table(tmp_path, capsys, rows, want, head, end, last):
     path = tmp_path / "measures.tsv"

@@ -84,6 +84,24 @@ def test_load_malformed_line_reports_number(tmp_path):
         assert load_edge_list(path).m == 3
 
 
+def test_load_skips_a_byte_order_mark_only_at_the_start(tmp_path, monkeypatch, caplog):
+    bodies = [b"", b"#\r\n", b"0 1", b"0 1\r", b"0 1\r\n", b"5 5\n0 1\r\n1 2\r2 0"]
+    for chunk in (1, 2, 3, 64):
+        monkeypatch.setattr(graph, "_CHUNK_BYTES", chunk)
+        for i, body in enumerate(bodies):
+            plain, marked = tmp_path / f"plain{i}.txt", tmp_path / f"marked{i}.txt"
+            plain.write_bytes(body)
+            marked.write_bytes(b"\xef\xbb\xbf" + body)
+            want = _load_outcome(oracle_load_edge_list, plain, CONVENTIONS[0], caplog)
+            assert _load_outcome(load_edge_list, marked, CONVENTIONS[0], caplog) == want, (body, chunk)
+            assert _load_outcome(oracle_load_edge_list, marked, CONVENTIONS[0], caplog) == want, body
+    # anywhere else the mark is part of its line
+    path = tmp_path / "second_line.txt"
+    path.write_bytes(b"0 1\n\xef\xbb\xbf1 2\n")
+    with pytest.raises(EdgeListParseError, match="line 2: non-integer field"):
+        load_edge_list(path)
+
+
 def _odd_line(rng):
     """A line outside the plain form: one the line rule skips, accepts or rejects."""
     return rng.choice([

@@ -1,5 +1,5 @@
-"""The package namespace: every public name resolves, and a module import
-loads no module it does not use."""
+"""The package namespace: every public name resolves, and importing the
+package or its CLI loads neither numpy.random nor the process machinery."""
 
 import importlib
 import os
@@ -58,10 +58,8 @@ def test_star_import_binds_every_public_name():
 
 
 def test_imports_load_only_what_they_use():
-    loaded = "print(sorted(m for m in sys.modules if m.startswith('roleforge')))"
-    assert _python(f"import sys, roleforge; {loaded}") == "['roleforge']"
-    # what a k-means worker imports
-    assert _python(f"import sys; from roleforge.clustering import _serve_fits; {loaded}") == \
-        "['roleforge', 'roleforge.clustering', 'roleforge.errors']"
-    assert _python(f"import sys; from roleforge import DirectedGraph; {loaded}") == \
-        "['roleforge', 'roleforge.errors', 'roleforge.graph']"
+    # numpy.random pulls in OpenSSL's _hashlib (about 6 MiB together), which only
+    # k-means needs; only select_k's worker path starts processes
+    unused = ("numpy.random", "_hashlib", "subprocess", "concurrent.futures")
+    for module in ("roleforge", "roleforge.cli"):
+        assert _python(f"import sys, {module}; print([m for m in {unused} if m in sys.modules])") == "[]", module
