@@ -3,10 +3,7 @@ selection, and rule-based group naming."""
 
 from __future__ import annotations
 
-import contextlib
-import os
-import pickle
-import sys
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,21 +106,27 @@ class _Workspace:
         """Seeded k-means++ rows: k distinct rows, each new one weighted by
         squared distance to the nearest already-chosen center.
 
-        No draw depends on k, so the rows for k are the first k of the rows
-        for any larger k from the same rng state.
+        Each row takes one draw u = rng.random(): the first is row floor(u * n),
+        each later one the first row whose running sum of weights exceeds u
+        times their total, so never a row of weight 0 (if rounding leaves no
+        such row, the last row of positive weight).  When every weight is 0,
+        the first row not yet chosen is taken without a draw.  No draw
+        depends on k, so the rows for k are the first k of the rows for any
+        larger k from the same stream.
         """
         n = self.x.shape[0]
         chosen = np.empty(k, dtype=np.int64)
-        chosen[0] = int(rng.integers(n))
+        chosen[0] = int(rng.random() * n)
         d2 = self._sq_dist(chosen[0], np.empty(n))
-        near = np.empty(n)
+        near, running = np.empty(n), np.empty(n)
         for j in range(1, k):
-            total = d2.sum()
+            total = np.cumsum(d2, out=running)[-1]
             if total > 0:
-                idx = int(rng.choice(n, p=d2 / total))
+                idx = int(np.searchsorted(running, rng.random() * total, side="right"))
+                if idx == n:
+                    idx = int(np.flatnonzero(d2)[-1])
             else:
-                remaining = np.setdiff1d(np.arange(n), chosen[:j], assume_unique=True)
-                idx = int(remaining[0]) if remaining.size else int(rng.integers(n))
+                idx = int(np.setdiff1d(np.arange(n), chosen[:j], assume_unique=True)[0])
             chosen[j] = idx
             np.minimum(d2, self._sq_dist(idx, near), out=d2)
         return chosen
@@ -196,8 +199,20 @@ class _Workspace:
         return ClusteringResult(k=c.shape[0], assign=assign, centroids=c, inertia=inertia, n_iter=n_iter)
 
     def seeds(self, k, seed, restarts) -> list[np.ndarray]:
-        """The seed row ids of every restart; restart r draws from default_rng([seed, r])."""
-        return [self._seed_rows(k, np.random.default_rng([seed, r])) for r in range(restarts)]
+        """The seed row ids of every restart; restart r draws from its own stream of the seed."""
+        return [self._seed_rows(k, _stream(f"k-means seed {seed} restart {r}")) for r in range(restarts)]
+
+
+def _stream(name: str) -> random.Random:
+    """A generator of its own for the stream of draws `name`.
+
+    A string seed (version 2) is hashed whole, so streams of different names
+    are unrelated.  The fits draw only `random()`, the one method whose
+    sequence Python keeps across versions for a given seed.
+    """
+    rng = random.Random()
+    rng.seed(name, version=2)
+    return rng
 
 
 def check_fit_params(restarts: int, max_iter: int, tol: float) -> None:
@@ -269,53 +284,25 @@ def davies_bouldin(mat, result: ClusteringResult) -> float:
 # all rows.
 SAMPLE_ROWS_PER_K = 150
 
-# select_k scores its k range in worker processes once (sample rows) *
-# (number of k) * restarts reaches this.  A worker is a fresh interpreter
-# that takes 0.07-0.25 s to start and import this module, depending on
-# machine load.  Inline k-means costs 0.9-1.1 us per unit of that work (row
-# subsets of the roles-6k matrix, 2 vCPU), and two workers break even near
-# 200,000 units: 0.19 s either way at n=1,430.  The test fixtures stay
-# inline.  roles-6k is 315,000 units, 0.30 s inline against 0.25 s in
-# workers.  The 50,000-row acceptance matrix is as many units, yet 0.46 s
-# inline against 0.53 s in workers, since each worker also refits its own
-# best k on all rows; workers keep numpy.random (about 6 MiB) out of the parent.
-_WORKER_MIN_WORK = 200_000
-
-# Each worker runs its BLAS on one thread: workers that each start a
-# multi-threaded BLAS oversubscribe the cores.  The products, and so the
-# fits, are byte-identical at one and at two threads.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-# Every worker reads one payload, (x, params) pickled once, on stdin, and
-# gets its k values as command-line arguments; it writes its reply, the
-# `_fit_chunk` of those k values, pickled on stdout.  It starts from
-# `python -c`, not multiprocessing: spawn re-imports the caller's __main__ (a
-# script on stdin cannot be re-imported, and top-level demo code would run
-# again), and fork inherits the parent's BLAS threads.
-_WORKER_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); "
-                "from roleforge.clustering import _serve_fits; _serve_fits()")
-
-
-def _best_reply(replies):
-    """The (db, k, fit) reply of lowest db, a tie going to the smaller k;
-    None when every reply is None.  The rule is explicit so that neither the
-    order in which a chunk runs its k values nor the order of the chunks
-    decides."""
-    return min((r for r in replies if r is not None), key=lambda r: r[:2], default=None)
-
 
 def _sample_rows(x, size, seed) -> np.ndarray:
     """`size` rows of x at distinct positions, in canonical (lexicographic)
     order.
 
-    The positions are drawn in the canonical order of the rows, so permuting
-    x leaves the sample unchanged.  They come from the first child of the
-    seed's SeedSequence, a stream that no restart's default_rng([seed, r])
-    shares.
+    The positions index the rows in canonical order, so permuting x leaves
+    the sample unchanged.  Floyd's algorithm draws them from the seed's
+    sample stream, which is no restart's stream: for each j from n - size
+    to n - 1 it draws t = floor(u * (j + 1)) and takes t, or j if t is
+    already taken.
     """
     order = np.lexsort(x.T[::-1])
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    return x[order[np.sort(rng.choice(x.shape[0], size=size, replace=False))]]
+    n = x.shape[0]
+    rng = _stream(f"k-means seed {seed} sample")
+    taken = set()
+    for j in range(n - size, n):
+        t = int(rng.random() * (j + 1))
+        taken.add(j if t in taken else t)
+    return x[order[np.sort(np.fromiter(taken, dtype=np.int64, count=size))]]
 
 
 def _fits(x, ks, *, seed, max_iter, tol, restarts):
@@ -337,9 +324,9 @@ def _fits(x, ks, *, seed, max_iter, tol, restarts):
 
 
 def _fit_chunk(x, ks, *, sample_size, **params):
-    """The reply for ks: (db on the sample, k, fit on all rows carrying its
-    db_index), for the k of lowest sample db, a tie going to the smaller k;
-    None when no k gives a fit.
+    """(db on the sample, k, fit on all rows carrying its db_index) for the
+    k of ks of lowest sample db, a tie going to the smaller k; None when no
+    k gives a fit.
 
     ks are scored on `_sample_rows(x, sample_size, seed)`, which is every
     row when sample_size is n.  The best k is then fitted on all rows; when
@@ -354,61 +341,6 @@ def _fit_chunk(x, ks, *, sample_size, **params):
     return None
 
 
-def _serve_fits() -> None:
-    """Worker entry point: fit the k values named after the package path
-    (sys.argv[2:]) on the payload read from stdin, reply on stdout."""
-    x, params = pickle.load(sys.stdin.buffer)
-    ks = [int(k) for k in sys.argv[2:]]
-    pickle.dump(_fit_chunk(x, ks, **params), sys.stdout.buffer, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fit_in_workers(x, ks, params, n_workers) -> list:
-    """_fit_chunk over ks split into n_workers worker processes: the reply
-    of each worker's k values, one entry per worker.
-
-    The matrix is pickled once, into one payload that every worker reads;
-    each worker gets its k values on its command line.  Raises
-    ChildProcessError, quoting the end of its stderr, when a worker exits
-    non-zero.
-    """
-    # Only this path starts processes; `import roleforge` stays without them.
-    import subprocess
-    from concurrent.futures import ThreadPoolExecutor
-
-    # The cost of a fit grows with k: deal the largest k first, round-robin.
-    chunks = [ks[::-1][i::n_workers] for i in range(n_workers)]
-    cmd = [sys.executable, "-c", _WORKER_CODE, os.path.dirname(os.path.dirname(os.path.abspath(__file__)))]
-    env = dict(os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    payload = pickle.dumps((x, params), pickle.HIGHEST_PROTOCOL)
-    with contextlib.ExitStack() as stack:  # closes every pipe and reaps every worker
-        procs = [stack.enter_context(subprocess.Popen(cmd + [str(k) for k in chunk], stdin=subprocess.PIPE,
-                                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env))
-                 for chunk in chunks]
-        # communicate() feeds stdin while draining stdout and stderr, so no
-        # worker blocks on a full pipe; one thread per worker runs them at once.
-        with ThreadPoolExecutor(len(procs)) as pool:
-            talks = [pool.submit(p.communicate, payload) for p in procs]
-            try:
-                replies = [t.result() for t in talks]
-            finally:
-                # on an error or an interrupt, stop the workers still running
-                for p in procs:
-                    if p.poll() is None:
-                        p.kill()
-    for p, (_, err) in zip(procs, replies):
-        if p.returncode != 0:
-            tail = err.decode("utf-8", "replace").strip()[-2000:]
-            raise ChildProcessError(f"a k-means worker exited with status {p.returncode}; "
-                                    f"its stderr ends:\n{tail}")
-    return [pickle.loads(out) for out, _ in replies]
-
-
 def select_k(mat, k_min: int = 2, k_max: int = 15, *, seed: int = 0, max_iter: int = 100,
              tol: float = 1e-6, restarts: int = 10) -> ClusteringResult:
     """Best clustering over k in [k_min, k_max] by minimal Davies-Bouldin.
@@ -420,11 +352,8 @@ def select_k(mat, k_min: int = 2, k_max: int = 15, *, seed: int = 0, max_iter: i
     the rows permutes the labels and changes nothing else.  Ties break
     toward smaller k.  k values whose clustering is degenerate are skipped;
     when the chosen k is degenerate on all rows, the next k by sample db
-    takes its place.  On large samples with more than one usable CPU the k
-    values are split among up to one worker process per CPU, each with
-    single-threaded BLAS.  Every worker draws the same sample, fits its own
-    best k on all rows and sends back that fit with its sample db; the best
-    of those, by the same rule, is the result of scoring every k inline.
+    takes its place.  Every k is scored in the calling process
+    (`_fit_chunk`).
     """
     x = _as_rows(mat)
     n = x.shape[0]
@@ -433,14 +362,8 @@ def select_k(mat, k_min: int = 2, k_max: int = 15, *, seed: int = 0, max_iter: i
         raise ConfigError(f"k_max={k_max} exceeds the number of points n={n}")
     check_fit_params(restarts, max_iter, tol)
     check_seed(seed)
-    ks = list(range(k_min, k_max + 1))
-    sample_size = min(n, SAMPLE_ROWS_PER_K * k_max)
-    params = dict(sample_size=sample_size, seed=seed, max_iter=max_iter, tol=tol, restarts=restarts)
-    n_workers = min(_usable_cpus(), len(ks)) if sample_size * len(ks) * restarts >= _WORKER_MIN_WORK else 1
-    if n_workers > 1:
-        best = _best_reply(_fit_in_workers(x, ks, params, n_workers))
-    else:
-        best = _fit_chunk(x, ks, **params)
+    best = _fit_chunk(x, range(k_min, k_max + 1), sample_size=min(n, SAMPLE_ROWS_PER_K * k_max), seed=seed,
+                      max_iter=max_iter, tol=tol, restarts=restarts)
     if best is None:
         raise DegenerateClusteringError("every k in the range produced a degenerate clustering")
     return best[2]

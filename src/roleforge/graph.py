@@ -227,6 +227,10 @@ _PLAIN_DIGITS = 19
 _DENSIFY_CHUNK = 1 << 14
 # Knuth's multiplicative hash: odd 2**64 / golden ratio, a bijection mod 2**64
 _FIB = np.uint64(0x9E3779B97F4A7C15)
+# Bytes a data line may hold, besides its end: printable ASCII and tabs,
+# without "_", so that int() reads only ASCII digits between ASCII blanks
+# (it would read "1_0" as 10 and other scripts' digits and spaces too).
+_LINE_BYTES = bytes(range(32, 127)).replace(b"_", b"") + b"\t\n"
 # Edge lists are written in slices of this many arcs, one join each, so the
 # text of the whole file is never held at once.
 _SAVE_ARCS = 1 << 16
@@ -289,13 +293,18 @@ def _plain_arcs(buf: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _parse_line(path, line_no: int, raw: bytes) -> tuple[int, int] | None:
-    """The line rule: the two ids of one edge-list line, or None for a blank or comment line."""
+    """The line rule: the two ids of one edge-list line, or None for a blank or comment line.
+
+    A data line holding a byte outside `_LINE_BYTES` is a non-integer field.
+    """
     try:
         s = raw.decode("utf-8").strip()
     except UnicodeDecodeError as exc:
         raise RoleForgeError(f"{path} is not UTF-8 text (line {line_no}: {exc.reason})") from None
     if not s or s[0] in "#%":
         return None
+    if raw.translate(None, _LINE_BYTES):
+        raise EdgeListParseError(line_no, f"non-integer field in {s!r}")
     parts = s.split()
     if len(parts) != 2:
         raise EdgeListParseError(line_no, f"expected two integers, got {len(parts)} field(s)")

@@ -4,7 +4,8 @@ Everything here works on plain edge lists (list of (u, v) pairs), integer
 label lists, and Python dicts/sets, enumerating arcs directly.  Nothing is
 shared with the package's CSR/vectorized code paths.  The k-means oracle is
 the exception: it keeps the straightforward n x k NumPy form of the Lloyd
-step, because the package must reproduce its arithmetic bit for bit.  The
+step, because the package must reproduce its arithmetic bit for bit; its
+k-means++ and sample draws are plain Python loops over `random()`.  The
 edge-list oracle is the other one: it is the per-line text-mode reader, and
 builds its graph with the package's `DirectedGraph.from_arcs`, counting
 the dropped self-loops and duplicate arcs itself.  The
@@ -15,6 +16,7 @@ accounts in the loop, and returns them for `from_arcs`.
 """
 
 import logging
+import random
 from array import array
 from math import sqrt
 
@@ -305,21 +307,48 @@ def oracle_davies_bouldin(points, assign, centroids):
     return total / k
 
 
+def oracle_stream(name):
+    """The generator of the stream of k-means draws `name`: random.Random
+    seeded with the string, version 2."""
+    rng = random.Random()
+    rng.seed(name, version=2)
+    return rng
+
+
 def _oracle_init_centroids(x, k, rng):
+    """k-means++ rows from rng.random() alone: the first is row floor(u * n),
+    each later one the first row whose running sum of squared distances
+    exceeds u times their total (else the last row of positive weight), or
+    the first row not yet chosen when every distance is 0."""
     n = x.shape[0]
-    chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = int(rng.integers(n))
-    d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
+    chosen = [int(rng.random() * n)]
+    d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1).tolist()
+    for _ in range(1, k):
+        running, total = [], 0.0
+        for w in d2:
+            total += w
+            running.append(total)
         if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
+            target = rng.random() * total
+            above = [i for i in range(n) if running[i] > target]
+            idx = above[0] if above else max(i for i in range(n) if d2[i] > 0)
         else:
-            remaining = np.setdiff1d(np.arange(n), chosen[:j])
-            idx = int(remaining[0]) if remaining.size else int(rng.integers(n))
-        chosen[j] = idx
-        d2 = np.minimum(d2, ((x - x[idx]) ** 2).sum(axis=1))
+            idx = min(set(range(n)) - set(chosen))
+        chosen.append(idx)
+        d2 = [min(a, b) for a, b in zip(d2, ((x - x[idx]) ** 2).sum(axis=1).tolist())]
     return x[chosen].copy()
+
+
+def oracle_sample_positions(n, size, seed):
+    """The sorted positions, among n rows in canonical order, that the sample
+    of `size` rows at `seed` takes: Floyd's algorithm, each t drawn as
+    floor(u * (j + 1))."""
+    rng = oracle_stream(f"k-means seed {seed} sample")
+    taken = []
+    for j in range(n - size, n):
+        t = int(rng.random() * (j + 1))
+        taken.append(j if t in taken else t)
+    return sorted(taken)
 
 
 def _oracle_assign_step(x, x_sq, c):
@@ -384,7 +413,7 @@ def oracle_kmeans(mat, k, seed=0, max_iter=100, tol=1e-6, restarts=10):
     xc = x[order]
     best = None
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
+        rng = oracle_stream(f"k-means seed {seed} restart {r}")
         assign_c, c, inertia, trace = _oracle_lloyd(xc, k, rng, max_iter, tol)
         if best is None or inertia < best[2]:
             best = (assign_c, c, inertia, trace)
@@ -396,7 +425,9 @@ def oracle_kmeans(mat, k, seed=0, max_iter=100, tol=1e-6, restarts=10):
 
 def oracle_load_edge_list(path, convention="src-follows-dst"):
     """`roleforge.graph.load_edge_list` as a loop over the lines of a text-mode
-    file, read as utf-8-sig: a leading byte-order mark is skipped."""
+    file, read as utf-8-sig: a leading byte-order mark is skipped.  A data
+    line holding a character other than printable ASCII and tab, or an "_",
+    is a non-integer field."""
     check_direction(convention)
     srcs, dsts = array("q"), array("q")
     try:
@@ -405,6 +436,8 @@ def oracle_load_edge_list(path, convention="src-follows-dst"):
                 s = raw.strip()
                 if not s or s[0] in "#%":
                     continue
+                if any(not " " <= ch <= "~" and ch != "\t" or ch == "_" for ch in raw.removesuffix("\n")):
+                    raise EdgeListParseError(line_no, f"non-integer field in {s!r}")
                 parts = s.split()
                 if len(parts) != 2:
                     raise EdgeListParseError(line_no, f"expected two integers, got {len(parts)} field(s)")

@@ -342,31 +342,27 @@ def test_import_cli_leaves_openssl_unloaded():
     assert done.stdout.strip() == "False"
 
 
-def test_run_in_workers_leaves_numpy_random_unloaded(tmp_path):
-    # 2,420 nodes, more than the 2,250-row sample at k_max=15: the workers draw
-    # the sample and refit on all rows, and the parent never draws a number
+def test_run_leaves_numpy_random_unloaded(tmp_path):
+    # 2,420 nodes, more than the 2,250-row sample at k_max=15: the sample is
+    # drawn and the chosen k refitted on all rows, all in this process;
+    # numpy.random would bring OpenSSL's _hashlib (about 6 MiB together)
     g, _, _ = synth.capitalist_community_network(n_comms=6, comm_size=400, n_capitalists=20,
                                                  cap_ext_out=300, seed=2)
+    assert g.n > 15 * clustering.SAMPLE_ROWS_PER_K
     save_edge_list(g, tmp_path / "edges.txt")
+    unused = ("numpy.random", "_hashlib", "subprocess", "concurrent.futures")
     script = "\n".join([
         "import sys",
-        "from roleforge import cli, clustering",
-        "clustering._usable_cpus = lambda: 2",
-        "calls = []",
-        "fit_in_workers = clustering._fit_in_workers",
-        "def record(x, ks, params, n_workers):",
-        "    calls.append((params['sample_size'], len(x), n_workers))",
-        "    return fit_in_workers(x, ks, params, n_workers)",
-        "clustering._fit_in_workers = record",
+        "from roleforge import cli",
         f"rc = cli.main(['run', '--input', {str(tmp_path / 'edges.txt')!r}, "
         f"'--output-dir', {str(tmp_path / 'out')!r}])",
-        "print(rc, calls, 'numpy.random' in sys.modules)",
+        f"print(rc, [m for m in {unused} if m in sys.modules])",
     ])
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-"], input=script, capture_output=True, text=True,
                           env=env, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == f"0 [(2250, {g.n}, 2)] False"
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 def test_run_pipeline_g1_smoke(tmp_path):
@@ -413,23 +409,6 @@ def test_run_pipeline_row_slices_do_not_change_outputs(tmp_path, monkeypatch):
     for rows_per_slice in (1, 4):
         monkeypatch.setattr(cli, "_ROW_SLICE", rows_per_slice)
         assert run_pipeline(g1_config(tmp_path, outdir=f"slice{rows_per_slice}")) == want
-
-
-def test_run_pipeline_same_outputs_inline_and_in_workers(tmp_path, monkeypatch):
-    # on this graph the chosen k depends on the k-means seed (k=6 at seed 0, k=4 at seed 1)
-    g, _, _ = synth.capitalist_community_network(n_comms=4, comm_size=60, n_capitalists=8,
-                                                 cap_ext_out=80, seed=3)
-    save_edge_list(g, tmp_path / "edges.txt")
-
-    def run(outdir):
-        run_pipeline(PipelineConfig(input=str(tmp_path / "edges.txt"), output_dir=str(tmp_path / outdir),
-                                    k_min=4, k_max=8, kmeans_restarts=3))
-        return (tmp_path / outdir / "manifest.json").read_bytes()
-
-    inline = run("inline")
-    monkeypatch.setattr(clustering, "_WORKER_MIN_WORK", 0)
-    monkeypatch.setattr(clustering, "_usable_cpus", lambda: 2)
-    assert run("workers") == inline
 
 
 def test_run_pipeline_partition_and_measures_content(tmp_path):

@@ -1,10 +1,5 @@
 import itertools
-import os
-import subprocess
-import sys
-import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +10,8 @@ from roleforge.clustering import (CONNECTOR_MIN, ORPHAN_MIN, PIVOT_MIN, Clusteri
                                   standardize)
 from roleforge.errors import ConfigError, DegenerateClusteringError, UndefinedValueError
 
-from oracles import _oracle_assign_step, _oracle_init_centroids, oracle_davies_bouldin, oracle_kmeans
+from oracles import (_oracle_assign_step, _oracle_init_centroids, oracle_davies_bouldin, oracle_kmeans,
+                     oracle_sample_positions, oracle_stream)
 
 
 def blobs(k, n_per, seed, sigma=0.1, sep=6.0, dim=8):
@@ -215,17 +211,6 @@ def test_select_k_matches_oracle(name):
     assert (res.k, res.db_index) == best
 
 
-def force_workers(monkeypatch):
-    """select_k fits every k range in three worker processes, whatever the input size."""
-    monkeypatch.setattr(clustering, "_WORKER_MIN_WORK", 0)
-    monkeypatch.setattr(clustering, "_usable_cpus", lambda: 3)
-
-
-@pytest.fixture
-def forced_workers(monkeypatch):
-    force_workers(monkeypatch)
-
-
 def assert_same_fit(got, want, what=None):
     """Two fits (or two Nones) agree byte for byte in every field."""
     assert (got is None) == (want is None), what
@@ -250,35 +235,25 @@ def assert_same_reply(got, want, what=None):
     assert_same_fit(got[2], want[2], what)
 
 
-@pytest.mark.parametrize("name", ["gaussian", "ties", "one_dim"])
-@pytest.mark.parametrize("seed", [0, 7])
-def test_worker_fits_match_inline(name, seed, forced_workers):
-    x = oracle_inputs()[name]
-    fit_params = dict(seed=seed, max_iter=100, tol=1e-6, restarts=10)
-    params = dict(sample_size=len(x), **fit_params)
-    ks = list(range(2, 16))
-    inline = clustering._fit_chunk(x, ks, **params)
-    # the first minimum over the one-k replies in ascending k: the smallest k of the lowest db_index
-    chosen = min((r for r in (clustering._fit_chunk(x, [k], **params) for k in ks) if r is not None),
-                 key=lambda r: r[0])
-    assert_same_reply(inline, chosen)
-    chunk_bests = clustering._fit_in_workers(x, ks, params, 3)
-    assert len(chunk_bests) == 3
-    assert_same_reply(clustering._best_reply(chunk_bests), inline)
-    assert_same_fit(select_k(x, 2, 15, **fit_params), inline[2])
+def test_best_fit_ties_go_to_smaller_k(monkeypatch):
+    # the sample db of each k, the same on all rows; k=6 is degenerate
+    dbs = {9: 0.5, 6: None, 5: 0.25, 3: 0.25, 4: 0.75}
 
+    def fits(rows, ks, **params):
+        for k in ks:
+            if dbs[k] is not None:
+                yield ClusteringResult(k=k, assign=np.zeros(len(rows), dtype=np.int64), centroids=np.zeros((k, 1)),
+                                       inertia=0.0, db_index=dbs[k])
 
-def test_best_fit_ties_go_to_smaller_k():
-    def reply(k, db):
-        fit = ClusteringResult(k=k, assign=np.zeros(1, dtype=np.int64), centroids=np.zeros((k, 1)),
-                               inertia=0.0, db_index=2 * db)
-        return db, k, fit
-
-    replies = [reply(9, 0.5), None, reply(5, 0.25), reply(3, 0.25), reply(4, 0.75)]
-    for order in itertools.permutations(replies):
-        assert clustering._best_reply(order) is replies[3]
-    assert clustering._best_reply([None, None]) is None
-    assert clustering._best_reply([]) is None
+    monkeypatch.setattr(clustering, "_fits", fits)
+    x = np.arange(12.0)
+    params = dict(sample_size=6, seed=0, max_iter=1, tol=1.0, restarts=1)
+    # neither the order of the k values nor the order of their fits decides
+    for ks in itertools.permutations(dbs):
+        db, k, fit = clustering._fit_chunk(x, list(ks), **params)
+        assert (db, k, fit.k) == (0.25, 3, 3), ks
+    dbs.update(dict.fromkeys(dbs))
+    assert clustering._fit_chunk(x, list(dbs), **params) is None
 
 
 def few_distinct_rows():
@@ -295,13 +270,32 @@ def test_seeding_for_k_is_a_prefix_of_the_seeding_for_k_max(name):
         for k in range(1, 16):
             for r, (chosen, longer) in enumerate(zip(ws.seeds(k, seed, restarts=3), full)):
                 assert chosen.tolist() == longer[:k].tolist(), (k, r)
-                want = _oracle_init_centroids(ws.x, k, np.random.default_rng([seed, r]))
+                want = _oracle_init_centroids(ws.x, k, oracle_stream(f"k-means seed {seed} restart {r}"))
                 assert ws.x[chosen].tobytes() == want.tobytes(), (k, r)
 
 
+class _Draws:
+    """A stream whose random() returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def test_seeding_never_takes_a_row_of_zero_weight():
+    ws = clustering._Workspace(clustering._as_rows(np.array([0.0, 0.0, 1.0, 3.0, 3.0])), 3)
+    # u = 0: the first row whose running sum exceeds 0, not the copy of row 0
+    # before it; u * total rounded up to the total (random() < 1 gets there
+    # only on subnormal totals): the last row of positive weight
+    for draws, want in (((0.0, 0.0), [0, 2]), ((0.9, 1.0), [4, 2]), ((0.9, 0.0, 0.0), [4, 0, 2])):
+        assert ws._seed_rows(len(want), _Draws(*draws)).tolist() == want, draws
+        assert _oracle_init_centroids(ws.x, len(want), _Draws(*draws)).tobytes() == ws.x[want].tobytes(), draws
+
+
 @pytest.mark.parametrize("name", ["gaussian", "ties", "one_dim"])
-@pytest.mark.parametrize("path", ["inline", "workers"])
-def test_chunk_fits_equal_kmeans(name, path, forced_workers):
+def test_chunk_fits_equal_kmeans(name):
     x = oracle_inputs()[name]
     fit_params = dict(seed=3, max_iter=100, tol=1e-6, restarts=4)
     params = dict(sample_size=len(x), **fit_params)
@@ -313,20 +307,13 @@ def test_chunk_fits_equal_kmeans(name, path, forced_workers):
             want[k] = res.db_index, k, res
         except DegenerateClusteringError:
             want[k] = None
-    if path == "inline":
-        # a one-k chunk replies with that k's fit
-        for k in ks:
-            assert_same_reply(clustering._fit_chunk(x, [k], **params), want[k], k)
-        assert_same_reply(clustering._fit_chunk(x, ks, **params), clustering._best_reply(want.values()))
-    else:
-        # three one-k chunks, then the full range dealt to three workers
-        # largest k first, round-robin, as _fit_in_workers deals it
-        one_k = [15, 8, 2]
-        for k, reply in zip(one_k, clustering._fit_in_workers(x, one_k[::-1], params, 3)):
-            assert_same_reply(reply, want[k], k)
-        chunks = [ks[::-1][i::3] for i in range(3)]
-        for chunk, reply in zip(chunks, clustering._fit_in_workers(x, ks, params, 3)):
-            assert_same_reply(reply, clustering._best_reply(want[k] for k in chunk), chunk)
+    # a one-k chunk replies with that k's fit
+    for k in ks:
+        assert_same_reply(clustering._fit_chunk(x, [k], **params), want[k], k)
+    # the whole range replies with the first k of lowest db
+    best = min((r for r in want.values() if r is not None), key=lambda r: r[0])
+    assert_same_reply(clustering._fit_chunk(x, ks, **params), best)
+    assert_same_fit(select_k(x, 2, 15, **fit_params), best[2])
 
 
 def above_the_sample(name, monkeypatch):
@@ -357,16 +344,11 @@ def test_sampled_select_k_is_kmeans_at_the_chosen_k(name, monkeypatch):
 
 
 def assert_permuting_rows_permutes_labels(x):
-    """select_k of x[perm], inline and in workers, is select_k of x with
-    permuted labels, bit for bit in every field."""
+    """select_k of x[perm] is select_k of x with permuted labels, bit for bit
+    in every field."""
     perm = np.random.default_rng(41).permutation(len(x))
     res = select_k(x, 2, 15, seed=2, restarts=4)
-    want = replace(res, assign=res.assign[perm])
-    assert_same_fit(select_k(x[perm], 2, 15, seed=2, restarts=4), want, "inline")
-    with pytest.MonkeyPatch.context() as mp:
-        force_workers(mp)
-        assert_same_fit(select_k(x, 2, 15, seed=2, restarts=4), res, "workers")
-        assert_same_fit(select_k(x[perm], 2, 15, seed=2, restarts=4), want, "workers, permuted")
+    assert_same_fit(select_k(x[perm], 2, 15, seed=2, restarts=4), replace(res, assign=res.assign[perm]))
 
 
 @pytest.mark.parametrize("name", SAMPLED)
@@ -379,29 +361,34 @@ def test_sampled_select_k_row_permutation_only_permutes_labels(name, monkeypatch
     assert_permuting_rows_permutes_labels(above_the_sample(name, monkeypatch))
 
 
-@pytest.mark.parametrize("name", SAMPLED)
-def test_sampled_worker_replies_match_inline(name, forced_workers, monkeypatch):
-    x = above_the_sample(name, monkeypatch)
-    params = dict(sample_size=15 * clustering.SAMPLE_ROWS_PER_K, seed=7, max_iter=100, tol=1e-6, restarts=4)
-    ks = list(range(2, 16))
-    replies = clustering._fit_in_workers(x, ks, params, 3)
-    # largest k first, round-robin, as _fit_in_workers deals it
-    for chunk, reply in zip([ks[::-1][i::3] for i in range(3)], replies):
-        assert_same_reply(reply, clustering._fit_chunk(x, chunk, **params), chunk)
-    inline = clustering._fit_chunk(x, ks, **params)
-    assert_same_reply(clustering._best_reply(replies), inline)
-    assert_same_fit(select_k(x, 2, 15, seed=7, restarts=4), inline[2])
-
-
 def test_sample_stream_is_no_restarts_stream():
     x = oracle_inputs()["ties"]
     order = np.lexsort(x.T[::-1])
     for seed in range(4):
-        child = np.random.SeedSequence(seed).spawn(1)[0]
+        sample = [oracle_stream(f"k-means seed {seed} sample").random() for _ in range(4)]
         for r in range(64):
-            assert np.random.SeedSequence([seed, r]).generate_state(4).tolist() != child.generate_state(4).tolist()
-        pos = np.sort(np.random.default_rng(child).choice(len(x), size=50, replace=False))
+            restart = oracle_stream(f"k-means seed {seed} restart {r}")
+            assert [restart.random() for _ in range(4)] != sample, (seed, r)
+        pos = oracle_sample_positions(len(x), 50, seed)
         assert clustering._sample_rows(x, 50, seed).tobytes() == x[order[pos]].tobytes()
+
+
+def test_draws_are_pinned():
+    # Python keeps random()'s sequence for a version-2 string seed; any change
+    # to it would move every fit, so the draws are pinned here as literals
+    # positions among 100 rows in canonical order: the rows of arange(100)
+    sample = {seed: clustering._sample_rows(clustering._as_rows(np.arange(100.0)), 8, seed).ravel().tolist()
+              for seed in (0, 7)}
+    assert sample == {0: [2, 4, 15, 28, 29, 75, 76, 81], 7: [25, 27, 30, 49, 52, 77, 87, 90]}, sample
+    x = np.array([[i % 7, i * i % 11] for i in range(60)], dtype=np.float64)
+    ws = clustering._Workspace(x, 15)
+    rows = {seed: [chosen.tolist() for chosen in ws.seeds(15, seed, 2)] for seed in (0, 7)}
+    assert rows == {
+        0: [[9, 34, 53, 42, 16, 57, 21, 6, 7, 45, 25, 39, 51, 12, 28],
+            [56, 11, 43, 45, 15, 41, 26, 4, 29, 59, 38, 6, 40, 27, 16]],
+        7: [[19, 48, 26, 59, 47, 31, 0, 15, 53, 6, 42, 40, 37, 43, 35],
+            [22, 44, 16, 57, 59, 9, 7, 40, 54, 12, 42, 13, 48, 28, 43]],
+    }, rows
 
 
 def test_degenerate_refit_falls_to_the_next_k_by_sample_db(monkeypatch):
@@ -430,50 +417,14 @@ def test_degenerate_refit_falls_to_the_next_k_by_sample_db(monkeypatch):
         select_k(x, 2, 8, **fit_params)
 
 
-@pytest.mark.parametrize("code", [
-    "import sys; sys.stdin.buffer.read(); sys.exit('worker failed on purpose')",
-    # fails before reading its input, with more stderr than a pipe holds
-    "import sys; sys.stderr.write('x' * (1 << 20) + '\\n'); sys.exit('worker failed on purpose')",
-])
-def test_failing_worker_raises_promptly(code, forced_workers, monkeypatch):
-    monkeypatch.setattr(clustering, "_WORKER_CODE", code)
-    x = np.random.default_rng(3).standard_normal((20_000, 8))  # an input larger than a pipe holds
-    t0 = time.monotonic()
-    with pytest.raises(ChildProcessError, match="worker failed on purpose"):
-        select_k(x, 2, 4, restarts=1)
-    assert time.monotonic() - t0 < 60
-
-
 @pytest.mark.parametrize("bad", [dict(restarts=0), dict(max_iter=0), dict(tol=float("nan")), dict(tol=-1.0),
                                  dict(tol=0.0), dict(seed=-1)])
-@pytest.mark.parametrize("path", ["inline", "workers"])
-def test_fit_params_are_checked_before_any_fit(bad, path, monkeypatch, request):
+def test_fit_params_are_checked_before_any_fit(bad):
     x = np.random.default_rng(4).standard_normal((60, 3))
-    if path == "workers":
-        request.getfixturevalue("forced_workers")
-        # a worker that started would surface as ChildProcessError
-        monkeypatch.setattr(clustering, "_WORKER_CODE", "import sys; sys.exit('worker started')")
     with pytest.raises(ConfigError, match=next(iter(bad))):
         select_k(x, 2, 5, **bad)
     with pytest.raises(ConfigError, match=next(iter(bad))):
         kmeans(x, 3, **bad)
-
-
-def test_workers_start_from_a_stdin_script():
-    script = "\n".join([
-        "import numpy as np",
-        "from roleforge import clustering",
-        "clustering._WORKER_MIN_WORK = 0",
-        "clustering._usable_cpus = lambda: 2",
-        "x = np.random.default_rng(5).standard_normal((90, 3))",
-        "print(clustering.select_k(x, 2, 6, restarts=2).k)",
-    ])
-    env = dict(os.environ, PYTHONPATH=str(Path(clustering.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-"], input=script, capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    x = np.random.default_rng(5).standard_normal((90, 3))
-    assert done.stdout.strip() == str(select_k(x, 2, 6, restarts=2).k)
 
 
 @pytest.mark.parametrize("distinct,k", [(2, 4), (3, 5)])

@@ -102,6 +102,21 @@ def test_load_skips_a_byte_order_mark_only_at_the_start(tmp_path, monkeypatch, c
         load_edge_list(path)
 
 
+@pytest.mark.parametrize("line", ["1_0 5", "\u0661 2", "3\u20034"], ids=["underscore", "arabic-indic digit", "em space"])
+def test_load_rejects_lines_that_int_reads_beyond_ascii(tmp_path, monkeypatch, caplog, line):
+    # int() and str.split() would read these as (10, 5), (1, 2) and (3, 4);
+    # node tables reject the same text, and so does the line rule
+    for chunk in (1, 2, 3, 7, 64):
+        monkeypatch.setattr(graph, "_CHUNK_BYTES", chunk)
+        for line_no, lines in ((1, [line]), (2, ["7 8", line])):
+            path = tmp_path / f"edges{chunk}_{line_no}.txt"
+            path.write_bytes("".join(f"{s}\n" for s in lines).encode())
+            with pytest.raises(EdgeListParseError, match=f"line {line_no}: non-integer field"):
+                load_edge_list(path)
+            want = _load_outcome(oracle_load_edge_list, path, CONVENTIONS[0], caplog)
+            assert _load_outcome(load_edge_list, path, CONVENTIONS[0], caplog) == want, (line, chunk)
+
+
 def _odd_line(rng):
     """A line outside the plain form: one the line rule skips, accepts or rejects."""
     return rng.choice([

@@ -58,8 +58,9 @@ def test_star_import_binds_every_public_name():
 
 
 def test_imports_load_only_what_they_use():
-    # numpy.random pulls in OpenSSL's _hashlib (about 6 MiB together), which only
-    # k-means needs; only select_k's worker path starts processes
+    # numpy.random pulls in OpenSSL's _hashlib (about 6 MiB together); k-means
+    # draws from Python's random instead, and no stage starts a process
+    # (test_cli's test_run_leaves_numpy_random_unloaded checks a whole run)
     unused = ("numpy.random", "_hashlib", "subprocess", "concurrent.futures")
     for module in ("roleforge", "roleforge.cli"):
         assert _python(f"import sys, {module}; print([m for m in {unused} if m in sys.modules])") == "[]", module
